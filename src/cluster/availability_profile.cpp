@@ -1,5 +1,7 @@
 #include "cluster/availability_profile.hpp"
 
+#include <algorithm>
+
 #include "sim/check.hpp"
 
 namespace gridfed::cluster {
@@ -30,6 +32,9 @@ sim::SimTime AvailabilityProfile::earliest_start(sim::SimTime not_before,
   while (it != steps_.end()) {
     const sim::SimTime seg_start = std::max(it->first, candidate);
     if (seg_start >= candidate + duration) break;  // window fully verified
+    if (seg_start >= latest_start_ && it->second >= procs) {
+      break;  // no reservation starts later: every later step fits too
+    }
     if (it->second < procs) {
       // Window fails here; candidate moves past this segment.
       auto next = std::next(it);
@@ -65,6 +70,7 @@ void AvailabilityProfile::reserve(sim::SimTime start, sim::SimTime end,
     GF_EXPECTS(it->second >= procs);  // caller must have verified the window
     it->second -= procs;
   }
+  latest_start_ = std::max(latest_start_, start);
 }
 
 void AvailabilityProfile::release(sim::SimTime start, sim::SimTime end,

@@ -18,7 +18,10 @@ namespace gridfed::cluster {
 /// Invariants (checked by `valid()` and the property tests):
 ///  * every step value is in [0, capacity];
 ///  * the final step (extending to +infinity) has value == capacity
-///    (all reservations are finite).
+///    (all reservations are finite);
+///  * availability never decreases from `latest_start_` on: every
+///    reservation starts at or before it, so after it reservations only
+///    end.  earliest_start() stops its walk there.
 class AvailabilityProfile {
  public:
   explicit AvailabilityProfile(std::uint32_t capacity);
@@ -30,7 +33,9 @@ class AvailabilityProfile {
 
   /// Earliest start s >= not_before such that at least `procs` processors
   /// are available throughout [s, s + duration).  Always exists when
-  /// procs <= capacity because all reservations are finite.
+  /// procs <= capacity because all reservations are finite.  The walk
+  /// ends at the first fitting step at or after the latest reservation
+  /// start: availability cannot dip below it afterwards.
   /// Precondition: 0 < procs <= capacity, duration >= 0.
   [[nodiscard]] sim::SimTime earliest_start(sim::SimTime not_before,
                                             std::uint32_t procs,
@@ -44,7 +49,8 @@ class AvailabilityProfile {
   /// Returns `procs` processors to availability over [start, end) — the
   /// inverse of a prior reserve() with the same window (reservation
   /// cancellation).  Precondition: releasing must not push any step above
-  /// capacity.
+  /// capacity.  The latest-start bound is kept: removing a reservation
+  /// cannot make availability decrease after it.
   void release(sim::SimTime start, sim::SimTime end, std::uint32_t procs);
 
   /// Drops steps strictly before `now` (history compaction).  The value in
@@ -70,6 +76,9 @@ class AvailabilityProfile {
   // time -> processors available from that time until the next entry.
   // Always non-empty; the last entry extends to +infinity.
   std::map<sim::SimTime, std::uint32_t> steps_;
+  // Upper bound on the start of every reservation made (-inf before the
+  // first); availability is non-decreasing from here on.
+  sim::SimTime latest_start_ = -sim::kTimeInfinity;
 };
 
 }  // namespace gridfed::cluster

@@ -362,11 +362,8 @@ FederationResult Federation::run() {
   // Fold every agent's policy counters in once, so the accessor and the
   // aggregate see the same totals.
   for (const auto& agent : gfas_) {
-    const policy::PolicyCounters counters =
-        agent->scheduling_policy().counters();
-    auction_stats_.bid_cache_lookups += counters.bid_cache_lookups;
-    auction_stats_.bid_cache_hits += counters.bid_cache_hits;
-    auction_stats_.awards_piggybacked += counters.awards_piggybacked;
+    auction_stats_.awards_piggybacked +=
+        agent->scheduling_policy().counters().awards_piggybacked;
   }
   if (parallel_ != nullptr) {
     // Collapse the per-lane sinks into the main ones.  Every ledger and
@@ -392,13 +389,13 @@ FederationResult Federation::run() {
   return aggregate();
 }
 
-void Federation::send(Message msg) {
+void Federation::send(Message&& msg) {
   GF_EXPECTS(msg.to < gfas_.size());
   transport_->unicast(std::move(msg));
 }
 
 std::uint64_t Federation::multicast(
-    Message msg, std::span<const cluster::ResourceIndex> targets,
+    Message&& msg, std::span<const cluster::ResourceIndex> targets,
     sim::SimTime not_after) {
   for (const cluster::ResourceIndex target : targets) {
     GF_EXPECTS(target < gfas_.size());
@@ -453,19 +450,12 @@ sim::SimTime Federation::member_admit(cluster::ResourceIndex member,
   if (membership_ != nullptr && !membership_->live(member)) {
     return sim::kTimeInfinity;  // a gone member admits nothing
   }
-  const sim::SimTime estimate = gfas_[member]->admit_remote(job);
-  if (estimate != sim::kTimeInfinity) {
-    // The placement just reserved capacity the member's own policy never
-    // saw: drop its cached pricing so the coalition's next joint bid
-    // prices the thicker queue honestly.
-    gfas_[member]->invalidate_provider_cache();
-  }
-  return estimate;
+  return gfas_[member]->admit_remote(job);
 }
 
 // ---- membership::MembershipContext ------------------------------------------
 
-void Federation::gossip_send(Message msg) {
+void Federation::gossip_send(Message&& msg) {
   GF_EXPECTS(msg.to < gfas_.size());
   transport_->unicast(std::move(msg));
 }
@@ -682,9 +672,19 @@ sim::Rng& Federation::duplicate_rng(cluster::ResourceIndex from) {
   return dup_rng_;
 }
 
-void Federation::post_delivery(Message msg, sim::SimTime delay) {
+void Federation::post_delivery(Message&& msg, sim::SimTime delay) {
   if (!parallel_active()) {
-    transport::TransportContext::post_delivery(std::move(msg), delay);
+    std::uint32_t slot;
+    if (free_slots_.empty()) {
+      slot = static_cast<std::uint32_t>(in_flight_.size());
+      in_flight_.push_back(std::move(msg));
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+      in_flight_[slot] = std::move(msg);
+    }
+    sim_.schedule_in(delay, sim::EventPriority::kMessage,
+                     [this, slot] { deliver_slot(slot); });
     return;
   }
   const int lane = sim::ParallelEngine::current_lane();
@@ -705,6 +705,12 @@ void Federation::post_delivery(Message msg, sim::SimTime delay) {
   const cluster::ResourceIndex from = msg.from;
   parallel_->engine->post(target, at, sim::EventPriority::kMessage, from,
                           [this, msg = std::move(msg)] { deliver(msg); });
+}
+
+void Federation::deliver_slot(std::uint32_t slot) {
+  const Message msg = std::move(in_flight_[slot]);
+  free_slots_.push_back(slot);
+  deliver(msg);
 }
 
 void Federation::post_transport_op(cluster::ResourceIndex from,
@@ -744,19 +750,10 @@ void Federation::fill_ledger_sample(obs::MetricsSample& sample) {
     for (const LaneState& lane : parallel_->lanes) add(lane.ledger);
   }
   std::uint64_t open = 0;
-  std::uint64_t lookups = 0;
-  std::uint64_t hits = 0;
   for (const auto& agent : gfas_) {
     open += agent->scheduling_policy().open_auctions();
-    const policy::PolicyCounters counters =
-        agent->scheduling_policy().counters();
-    lookups += counters.bid_cache_lookups;
-    hits += counters.bid_cache_hits;
   }
   sample.gauges[static_cast<std::size_t>(obs::Gauge::kOpenBooks)] = open;
-  sample.gauges[static_cast<std::size_t>(obs::Gauge::kBidCacheLookups)] =
-      lookups;
-  sample.gauges[static_cast<std::size_t>(obs::Gauge::kBidCacheHits)] = hits;
 }
 #endif
 

@@ -71,8 +71,8 @@ class Federation final : public GfaHost,
   [[nodiscard]] FederationResult run();
 
   // ---- GfaHost ----------------------------------------------------------
-  void send(Message msg) override;
-  std::uint64_t multicast(Message msg,
+  void send(Message&& msg) override;
+  std::uint64_t multicast(Message&& msg,
                           std::span<const cluster::ResourceIndex> targets,
                           sim::SimTime not_after) override;
   /// Satisfies both GfaHost and TransportContext.
@@ -273,7 +273,12 @@ class Federation final : public GfaHost,
   [[nodiscard]] sim::Rng& duplicate_rng() override { return dup_rng_; }
   [[nodiscard]] sim::Rng& drop_rng(cluster::ResourceIndex from) override;
   [[nodiscard]] sim::Rng& duplicate_rng(cluster::ResourceIndex from) override;
-  void post_delivery(Message msg, sim::SimTime delay) override;
+  /// Sequentially the message waits in the delivery slab (below) and
+  /// the event captures only its slot; the parallel kernel's mailbox
+  /// posts capture the message itself.
+  void post_delivery(Message&& msg, sim::SimTime delay) override;
+  /// Delivers the message parked in slab `slot` and frees the slot.
+  void deliver_slot(std::uint32_t slot);
   void post_transport_op(cluster::ResourceIndex from,
                          sim::EventPriority priority,
                          sim::InlineFunction op) override;
@@ -289,7 +294,7 @@ class Federation final : public GfaHost,
   // too.)  The churn hooks apply ground truth the instant an event fires;
   // member_confirmed_dead applies the detection-driven consequences when
   // the gossip views converge on a genuine crash.
-  void gossip_send(Message msg) override;
+  void gossip_send(Message&& msg) override;
   void churn_join(cluster::ResourceIndex site) override;
   void churn_leave(cluster::ResourceIndex site) override;
   void churn_crash(cluster::ResourceIndex site) override;
@@ -343,6 +348,12 @@ class Federation final : public GfaHost,
   std::vector<double> util_at_window_;
   sim::Rng drop_rng_;
   sim::Rng dup_rng_;
+  /// Delivery slab of the sequential engine: one slot per in-flight
+  /// message, recycled through free_slots_.  A delivery may post more
+  /// messages and grow the slab, so deliver_slot() moves its message out
+  /// before delivering; no reference into the slab outlives a call.
+  std::vector<Message> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
   /// Relaxed atomic: a pure total, bumped from concurrent shard lanes.
   std::atomic<std::uint64_t> messages_dropped_{0};
   cluster::JobId next_job_id_ = 1;

@@ -55,7 +55,7 @@ class GfaHost {
 
   /// Routes a message to its destination GFA (records it in the message
   /// ledger and applies the configured network latency).
-  virtual void send(Message msg) = 0;
+  virtual void send(Message&& msg) = 0;
 
   /// Routes one payload to every target through the configured
   /// transport (msg.to is overwritten per target).  `not_after` bounds
@@ -63,7 +63,7 @@ class GfaHost {
   /// messages charged to the sender immediately (one per target on the
   /// direct transport; 0 on the tree, whose shared edge messages land
   /// in the ledger's relay counters).
-  virtual std::uint64_t multicast(Message msg,
+  virtual std::uint64_t multicast(Message&& msg,
                                   std::span<const cluster::ResourceIndex>
                                       targets,
                                   sim::SimTime not_after) = 0;
@@ -254,8 +254,8 @@ class Gfa final : public sim::Entity, public policy::SchedulerContext {
   [[nodiscard]] coalition::CoalitionManager* coalitions() override {
     return host_.coalitions();
   }
-  void send(Message msg) override { host_.send(std::move(msg)); }
-  std::uint64_t multicast(Message msg,
+  void send(Message&& msg) override { host_.send(std::move(msg)); }
+  std::uint64_t multicast(Message&& msg,
                           std::span<const cluster::ResourceIndex> targets,
                           sim::SimTime not_after) override {
     return host_.multicast(std::move(msg), targets, not_after);
@@ -307,11 +307,6 @@ class Gfa final : public sim::Entity, public policy::SchedulerContext {
   [[nodiscard]] market::Bid provider_bid(const cluster::Job& job) {
     return policy_->make_bid(job);
   }
-
-  /// Drops the policy's cached pricing after a coalition placement
-  /// reserved capacity here behind the policy's back (see
-  /// SchedulingPolicy::invalidate_bid_cache).
-  void invalidate_provider_cache() { policy_->invalidate_bid_cache(); }
 
  private:
   /// The participant `resource` acts as (its singleton without a

@@ -192,7 +192,7 @@ inline constexpr std::uint64_t kAwardWireBytes =
 // provider→origin stream by a fixed stub instead of a full header + Job
 // record, and carries each surviving quote either whole (the first of
 // its job-shape group on the edge) or as a quantum delta against that
-// base (same log-bucket shape keys as the provider-side bid TTL cache).
+// base (shape = log-bucketed job length and comm overhead).
 // A pruned bid shrinks to a tombstone: job + bidder reference, enough
 // for the origin's book to mark the bidder answered.
 inline constexpr std::uint64_t kBidFrameBytes =

@@ -69,23 +69,6 @@ struct AuctionConfig {
   /// immediately while loose jobs ride out the full window.
   double solicit_hold_slack_fraction = 0.25;
 
-  /// Provider-side pricing cache: a provider answering a call-for-bids
-  /// for a job of the same *shape* (origin, processors, length, comm
-  /// overhead) as one it priced within this window reuses the cached ask
-  /// and completion estimate instead of re-pricing against its queue.
-  /// Sound because bidding is non-binding — a stale estimate only costs
-  /// the origin a declined award at admission re-check, never a broken
-  /// guarantee.  0 disables the cache (every solicitation re-prices).
-  sim::SimTime bid_cache_ttl = 0.0;
-
-  /// Relative tolerance of the cache's shape match: length and comm
-  /// overhead are bucketed into log-scale bins of this width, so two jobs
-  /// within ~this fraction of each other price identically on a hit (the
-  /// ask error a hit can introduce is bounded by the quantum).  <= 0
-  /// requires bit-exact lengths — only useful for replayed traces with
-  /// literally repeated jobs.
-  double bid_cache_quantum = 0.05;
-
   /// Piggyback kAward notifications on the batched solicitation flush:
   /// an award issued while a flush is already due within
   /// piggyback_hold_window is held for it and rides the coalesced

@@ -27,10 +27,8 @@
 namespace gridfed::market {
 
 /// Log-scale shape bucket: values within ~`quantum` of each other map to
-/// the same bin; quantum <= 0 degenerates to bit-exact matching.  Shared
-/// by the provider-side bid TTL cache (PR 3) and the convergecast delta
-/// encoder, so "same shape" means the same thing on both sides of the
-/// wire.
+/// the same bin; quantum <= 0 degenerates to bit-exact matching.  The
+/// convergecast delta encoder groups quotes by these bins.
 [[nodiscard]] inline std::int64_t shape_bucket(double value,
                                                double quantum) noexcept {
   if (quantum <= 0.0) {

@@ -90,8 +90,6 @@ inline constexpr std::size_t kCounterCount =
 
 enum class Gauge : std::uint8_t {
   kOpenBooks = 0,  ///< auction books currently awaiting clearing
-  kBidCacheLookups,
-  kBidCacheHits,
   kCount,
 };
 inline constexpr std::size_t kGaugeCount =
@@ -100,8 +98,6 @@ inline constexpr std::size_t kGaugeCount =
 [[nodiscard]] constexpr const char* to_string(Gauge g) noexcept {
   switch (g) {
     case Gauge::kOpenBooks: return "open_books";
-    case Gauge::kBidCacheLookups: return "bid_cache_lookups";
-    case Gauge::kBidCacheHits: return "bid_cache_hits";
     case Gauge::kCount: break;
   }
   return "?";

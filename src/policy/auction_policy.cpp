@@ -9,27 +9,11 @@
 #include "market/bid_pricing.hpp"
 #include "market/bid_scorer.hpp"
 #include "sim/check.hpp"
-#include "sim/hash.hpp"
 
 namespace gridfed::policy {
 
 AuctionPolicy::AuctionPolicy(SchedulerContext& ctx)
     : SchedulingPolicy(ctx), dbc_fallback_(ctx) {}
-
-// The cache's shape buckets are market::shape_bucket — the SAME key the
-// overlay's convergecast delta encoder groups quotes by, so "two jobs
-// share a cached quote" and "two bids share a base quote on the wire"
-// are one definition.
-
-std::size_t AuctionPolicy::BidCacheKeyHash::operator()(
-    const BidCacheKey& key) const noexcept {
-  std::uint64_t h = sim::kFnvOffsetBasis;
-  h = sim::fnv1a_mix(h, key.origin);
-  h = sim::fnv1a_mix(h, key.processors);
-  h = sim::fnv1a_mix(h, key.length_bucket);
-  h = sim::fnv1a_mix(h, key.comm_bucket);
-  return static_cast<std::size_t>(h);
-}
 
 AuctionPolicy::AuctionJobState* AuctionPolicy::state_of(
     const core::Pending& p) {
@@ -102,14 +86,17 @@ void AuctionPolicy::open_auction(core::Pending p) {
   // clusters it federates.  A participant the origin itself represents
   // enters a message-free local joint bid instead.  With the coalition
   // layer off every participant is its own singleton and this reduces
-  // exactly to the old per-cluster list.
+  // exactly to the old per-cluster list.  Quotes name distinct clusters
+  // and a singleton's id is its cluster index, so only coalition ids can
+  // repeat.
   scratch_entrants_.clear();
   scratch_targets_.clear();
   bool own_group_enters = false;
   for (const directory::Quote& quote : scratch_quotes_) {
     const federation::ParticipantId pid = participant_of(quote.resource);
-    if (std::find(scratch_entrants_.begin(), scratch_entrants_.end(), pid) !=
-        scratch_entrants_.end()) {
+    if (pid.is_coalition() &&
+        std::find(scratch_entrants_.begin(), scratch_entrants_.end(), pid) !=
+            scratch_entrants_.end()) {
       continue;  // this coalition already holds a book slot
     }
     scratch_entrants_.push_back(pid);
@@ -208,11 +195,11 @@ void AuctionPolicy::flush_solicitations() {
   // One pass over the queue builds per-provider job buckets; providers
   // keep first-seen (cheapest-first) order so the wire order stays
   // deterministic.  scratch_providers_[i] is the provider of
-  // scratch_buckets_[i]; the buckets are members so flushes reuse their
-  // capacity instead of reallocating.  The same pass derives the
-  // transport's fan-out bound: the tree transport may batch the
-  // call-for-bids further, but never past the slack fraction this
-  // policy applies to its own hold.
+  // scratch_buckets_[i] (bucket_of_ maps back); the buckets are members
+  // so flushes reuse their capacity instead of reallocating.  The same
+  // pass derives the transport's fan-out bound: the tree transport may
+  // batch the call-for-bids further, but never past the slack fraction
+  // this policy applies to its own hold.
   scratch_providers_.clear();
   for (auto& bucket : scratch_buckets_) bucket.clear();
   sim::SimTime not_after = sim::kTimeInfinity;
@@ -230,11 +217,10 @@ void AuctionPolicy::flush_solicitations() {
       // were answered locally at open time.
       const cluster::ResourceIndex r = representative_of(pid);
       if (r == ctx_.self()) continue;
-      const auto pos = std::find(scratch_providers_.begin(),
-                                 scratch_providers_.end(), r);
-      const auto bucket =
-          static_cast<std::size_t>(pos - scratch_providers_.begin());
-      if (pos == scratch_providers_.end()) {
+      if (r >= bucket_of_.size()) bucket_of_.resize(r + 1, kNoBucket);
+      std::uint32_t& bucket = bucket_of_[r];
+      if (bucket == kNoBucket) {
+        bucket = static_cast<std::uint32_t>(scratch_providers_.size());
         scratch_providers_.push_back(r);
         if (scratch_buckets_.size() < scratch_providers_.size()) {
           scratch_buckets_.emplace_back();
@@ -242,6 +228,9 @@ void AuctionPolicy::flush_solicitations() {
       }
       scratch_buckets_[bucket].push_back(&it->second.pending.job);
     }
+  }
+  for (const cluster::ResourceIndex r : scratch_providers_) {
+    bucket_of_[r] = kNoBucket;
   }
   GF_OBS(ctx_.observer(),
          instant(ctx_.now(), obs::SpanKind::kSolicitFlush, ctx_.self(), 0,
@@ -519,7 +508,6 @@ void AuctionPolicy::drain_in_flight(
     sink(std::move(held.pending));
   }
   held_awards_.clear();
-  bid_cache_.clear();
 }
 
 void AuctionPolicy::fallback(core::Pending p) {
@@ -546,8 +534,7 @@ market::Bid AuctionPolicy::participant_bid(const cluster::Job& job) {
         manager->registry().representative(pid) == ctx_.self()) {
       // This cluster speaks for its coalition: one joint bid aggregated
       // over the members' pricing (fanned out on the local links; the
-      // manager counts them), bypassing the solo TTL cache — a joint
-      // quote depends on every member's queue, not just ours.
+      // manager counts them).
       return manager->joint_bid(pid, job);
     }
   }
@@ -560,25 +547,6 @@ market::Bid AuctionPolicy::make_bid(const cluster::Job& job) {
   market::Bid bid;
   bid.bidder = ctx_.self();
   if (job.processors > own.processors) return bid;  // infeasible
-  const sim::SimTime ttl = cfg.auction.bid_cache_ttl;
-  const double quantum = cfg.auction.bid_cache_quantum;
-  const BidCacheKey key{job.origin, job.processors,
-                        market::shape_bucket(job.length_mi, quantum),
-                        market::shape_bucket(job.comm_overhead, quantum)};
-  if (ttl > 0.0) {
-    ++counters_.bid_cache_lookups;
-    const auto it = bid_cache_.find(key);
-    if (it != bid_cache_.end() && ctx_.now() - it->second.stamp <= ttl) {
-      // Same-shape job within the window: reuse ask and estimate, but the
-      // feasibility verdict is re-derived against THIS job's deadline.
-      ++counters_.bid_cache_hits;
-      bid.ask = it->second.ask;
-      bid.completion_estimate = it->second.completion_estimate;
-      bid.feasible = !cfg.enforce_deadline ||
-                     bid.completion_estimate <= job.absolute_deadline();
-      return bid;
-    }
-  }
   const sim::SimTime exec = cluster::execution_time(
       job, ctx_.spec_of(job.origin), own);
   const sim::SimTime staged =
@@ -591,10 +559,6 @@ market::Bid AuctionPolicy::make_bid(const cluster::Job& job) {
   bid.ask = market::bid_price(cfg.auction.bid_pricing, true_cost,
                               ctx_.lrms().instantaneous_load(),
                               cfg.auction.markup, cfg.pricing);
-  if (ttl > 0.0) {
-    bid_cache_[key] =
-        BidCacheEntry{bid.ask, bid.completion_estimate, ctx_.now()};
-  }
   return bid;
 }
 
@@ -610,11 +574,6 @@ void AuctionPolicy::on_call_for_bids(const core::Message& msg) {
                           award.job};
     enquiry.price = award.payment;
     ctx_.admit_enquiry(enquiry);
-  }
-  if (!msg.batch_awards.empty()) {
-    // The admissions above reserved capacity; cached estimates predate
-    // them, so drop the cache to keep the awards-first ordering honest.
-    bid_cache_.clear();
   }
   if (!msg.batch_jobs.empty()) {
     // Batched solicitation: one sealed ask per carried job, all riding

@@ -9,16 +9,16 @@
 //    clears empty (or whose every award is declined) falls back to the
 //    DBC walk when the config allows;
 //  * provider side: answer call-for-bids with sealed asks (admission-
-//    style completion estimate + the configured bid-pricing strategy),
-//    optionally served from a TTL cache for same-shape jobs.
+//    style completion estimate + the configured bid-pricing strategy).
 //
 // The policy owns every piece of auction-only state the Gfa god class
 // used to carry: the open books, the batched-solicitation queue, the
 // book pool and scratch buffers, the award ranking riding each Pending
-// (as an AuctionJobState behind Pending::policy_state), the provider-side
-// bid cache, and the held awards awaiting a piggyback flush.
+// (as an AuctionJobState behind Pending::policy_state), and the held
+// awards awaiting a piggyback flush.
 
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -43,8 +43,8 @@ class AuctionPolicy final : public SchedulingPolicy {
   }
 
   /// This cluster's solo sealed bid for `job` (provider side; also the
-  /// origin's own message-free local bid).  Serves same-shape jobs from
-  /// the TTL cache when AuctionConfig::bid_cache_ttl is set.
+  /// origin's own message-free local bid): the LRMS's exact completion
+  /// estimate, priced by the configured strategy.
   [[nodiscard]] market::Bid make_bid(const cluster::Job& job) override;
 
   /// The sealed bid this cluster answers a call-for-bids with: its own
@@ -53,12 +53,10 @@ class AuctionPolicy final : public SchedulingPolicy {
   /// the cheap intra-coalition links.
   [[nodiscard]] market::Bid participant_bid(const cluster::Job& job);
 
-  void invalidate_bid_cache() override { bid_cache_.clear(); }
-
   /// Crash drain (membership churn): hands back the jobs in every open
-  /// book and every undispatched held award, empties the solicitation
-  /// queue, and drops the bid cache.  Armed bid timeouts and flush wakes
-  /// find nothing to act on afterwards.
+  /// book and every undispatched held award and empties the solicitation
+  /// queue.  Armed bid timeouts and flush wakes find nothing to act on
+  /// afterwards.
   void drain_in_flight(
       const std::function<void(core::Pending)>& sink) override;
 
@@ -95,26 +93,6 @@ class AuctionPolicy final : public SchedulingPolicy {
     cluster::ResourceIndex target = cluster::kNoResource;
     double payment = 0.0;
     bool dispatched = false;  ///< rode a flush or went standalone
-  };
-
-  /// Key of the provider-side bid cache: the job attributes the ask and
-  /// the completion estimate actually depend on — its *shape*.  Length
-  /// and comm overhead enter as log-scale buckets (bid_cache_quantum
-  /// relative width) so near-identical jobs share an entry.
-  struct BidCacheKey {
-    cluster::ResourceIndex origin = 0;
-    std::uint32_t processors = 0;
-    std::int64_t length_bucket = 0;
-    std::int64_t comm_bucket = 0;
-    [[nodiscard]] bool operator==(const BidCacheKey&) const = default;
-  };
-  struct BidCacheKeyHash {
-    [[nodiscard]] std::size_t operator()(const BidCacheKey& key) const noexcept;
-  };
-  struct BidCacheEntry {
-    double ask = 0.0;
-    sim::SimTime completion_estimate = 0.0;
-    sim::SimTime stamp = 0.0;  ///< when the pricing ran
   };
 
   [[nodiscard]] static AuctionJobState* state_of(const core::Pending& p);
@@ -192,9 +170,11 @@ class AuctionPolicy final : public SchedulingPolicy {
   /// Per-provider job buckets built by flush_solicitations; parallel to
   /// scratch_providers_, capacity retained across flushes.
   std::vector<std::vector<const cluster::Job*>> scratch_buckets_;
-
-  /// Provider-side pricing cache (bid_cache_ttl > 0).
-  std::unordered_map<BidCacheKey, BidCacheEntry, BidCacheKeyHash> bid_cache_;
+  /// Provider cluster -> its index in scratch_providers_ during a flush
+  /// (kNoBucket otherwise); the flush resets only the entries it set.
+  static constexpr std::uint32_t kNoBucket =
+      std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> bucket_of_;
 
   PolicyCounters counters_;
 };

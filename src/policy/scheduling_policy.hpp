@@ -45,8 +45,6 @@ namespace gridfed::policy {
 /// Counters a policy accumulates over a run (surfaced through
 /// stats::AuctionStats; all-zero for policies without the feature).
 struct PolicyCounters {
-  std::uint64_t bid_cache_lookups = 0;  ///< provider-side pricing requests
-  std::uint64_t bid_cache_hits = 0;     ///< served from the TTL cache
   std::uint64_t awards_piggybacked = 0; ///< kAwards that rode a solicitation
 };
 
@@ -107,12 +105,12 @@ class SchedulerContext {
 
   // -- raw protocol services ----------------------------------------------
   /// Routes one message through the host (ledger + latency applied).
-  virtual void send(core::Message msg) = 0;
+  virtual void send(core::Message&& msg) = 0;
   /// Routes one payload to every target through the host's transport
   /// (msg.to overwritten per target; `not_after` bounds transport-level
   /// fan-out batching).  Returns the wire messages charged immediately —
   /// see core::GfaHost::multicast.
-  virtual std::uint64_t multicast(core::Message msg,
+  virtual std::uint64_t multicast(core::Message&& msg,
                                   std::span<const cluster::ResourceIndex>
                                       targets,
                                   sim::SimTime not_after) = 0;
@@ -157,13 +155,6 @@ class SchedulingPolicy {
   /// default is an unconditional infeasible bid (non-auction policies
   /// price nothing).
   [[nodiscard]] virtual market::Bid make_bid(const cluster::Job& job);
-
-  /// Drops any cached provider-side pricing (the auction policy's TTL
-  /// bid cache).  Called when capacity was reserved behind the policy's
-  /// back — a coalition placement admitting on this member — so later
-  /// bids price the queue honestly, mirroring the cache drop the policy
-  /// performs itself after processing piggybacked awards.
-  virtual void invalidate_bid_cache() {}
 
   /// Membership churn: this GFA's cluster crashed.  Hand every job the
   /// policy is holding in flight (open auction books, undispatched held

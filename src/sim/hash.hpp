@@ -1,7 +1,8 @@
 #pragma once
-// FNV-1a 64-bit hashing, shared by hash-map keys (the auction policy's
-// bid-cache shape key) and golden-digest test suites (tests/test_policy
-// pins per-job outcomes to FNV digests of their field bytes).
+// FNV-1a-style 64-bit hashing: the tree transport's shape and edge keys,
+// the benchmark's outcome digest, and the golden-digest test suites
+// (tests/test_policy pins per-job outcomes to digests of their field
+// bytes).
 
 #include <cstddef>
 #include <cstdint>
@@ -9,6 +10,9 @@
 
 namespace gridfed::sim {
 
+/// Not the standard FNV-64 offset basis (14695981039346656037): its last
+/// decimal digit was dropped.  Kept as is, because every golden digest
+/// was recorded from it.
 inline constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
 inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 

@@ -7,6 +7,7 @@
 #include "sim/ladder_queue.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace gridfed::sim {
 
@@ -62,6 +63,17 @@ void LadderQueue::refill_bottom() {
   GF_ENSURES(!bottom_.empty());
 }
 
+SimTime LadderQueue::bucket_threshold(const Rung& r, std::size_t b) noexcept {
+  if (b >= kBucketsPerRung) return kTimeInfinity;
+  if (b == 0) return -kTimeInfinity;
+  // start + b * width is within a few ulps of the threshold; step to the
+  // exact edge, which exists because bucket_of is monotone in t.
+  SimTime t = r.start + static_cast<SimTime>(b) * r.width;
+  while (bucket_of(r, t) >= b) t = std::nextafter(t, -kTimeInfinity);
+  while (bucket_of(r, t) < b) t = std::nextafter(t, kTimeInfinity);
+  return t;
+}
+
 void LadderQueue::transfer_top() {
   const SimTime floor = top_max_;
   if (top_.size() <= kSortThreshold || !(top_max_ > top_min_)) {
@@ -89,16 +101,10 @@ void LadderQueue::transfer_top() {
   Rung r = acquire_rung();
   r.start = top_min_;
   r.width = width;
+  r.end = kTimeInfinity;
   r.count = top_.size();
   for (const FelKey k : top_) {
-    const SimTime rel = (fel_time_of(k) - r.start) / r.width;
-    std::size_t idx = kBucketsPerRung - 1;
-    if (rel <= 0.0) {
-      idx = 0;
-    } else if (rel < static_cast<SimTime>(kBucketsPerRung)) {
-      idx = static_cast<std::size_t>(rel);
-    }
-    r.buckets[idx].push_back(k);
+    r.buckets[bucket_of(r, fel_time_of(k))].push_back(k);
   }
   rungs_.push_back(std::move(r));
   top_.clear();
@@ -106,19 +112,16 @@ void LadderQueue::transfer_top() {
 }
 
 void LadderQueue::spawn_rung(SimTime lo, SimTime parent_width) {
+  // The parent just consumed bucket cur-1 into scratch_; the child owns
+  // exactly the timestamps the parent bins there.
+  const Rung& parent = rungs_.back();
   Rung r = acquire_rung();
   r.start = lo;
   r.width = parent_width / static_cast<SimTime>(kBucketsPerRung);
+  r.end = std::min(parent.end, bucket_threshold(parent, parent.cur));
   r.count = scratch_.size();
   for (const FelKey k : scratch_) {
-    const SimTime rel = (fel_time_of(k) - lo) / r.width;
-    std::size_t idx = kBucketsPerRung - 1;
-    if (rel <= 0.0) {
-      idx = 0;
-    } else if (rel < static_cast<SimTime>(kBucketsPerRung)) {
-      idx = static_cast<std::size_t>(rel);
-    }
-    r.buckets[idx].push_back(k);
+    r.buckets[bucket_of(r, fel_time_of(k))].push_back(k);
   }
   scratch_.clear();
   rungs_.push_back(std::move(r));
@@ -189,12 +192,20 @@ void LadderQueue::debug_validate() const {
   for (std::size_t i = bottom_head_ + 1; i < bottom_.size(); ++i) {
     GF_ENSURES(!(bottom_[i] < bottom_[i - 1]));  // Bottom sorted ascending
   }
-  for (const Rung& r : rungs_) {
+  for (std::size_t i = 0; i < rungs_.size(); ++i) {
+    const Rung& r = rungs_[i];
     GF_ENSURES(r.width > 0.0);
     GF_ENSURES(r.cur <= kBucketsPerRung);
+    // Ends shrink toward the finest rung; every key sits in the bucket
+    // its rung bins it into, below the rung's end.
+    if (i > 0) GF_ENSURES(r.end <= rungs_[i - 1].end);
     std::size_t in_rung = 0;
     for (std::size_t b = 0; b < r.buckets.size(); ++b) {
       if (b < r.cur) GF_ENSURES(r.buckets[b].empty());
+      for (const FelKey k : r.buckets[b]) {
+        GF_ENSURES(bucket_of(r, fel_time_of(k)) == b);
+        GF_ENSURES(fel_time_of(k) < r.end);
+      }
       in_rung += r.buckets[b].size();
     }
     GF_ENSURES(in_rung == r.count);

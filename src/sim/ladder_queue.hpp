@@ -34,9 +34,15 @@
 // exactly `top_floor_` may rank *before* same-time keys already spread
 // into the rungs (a lower priority class), so only strictly later
 // timestamps go to Top; floor-equal pushes take the rung/Bottom path and
-// sort into place.  The zero-width pathological case — a bucket (or the
-// whole Top batch) whose timestamps are all identical and thus cannot be
-// subdivided — short-circuits to a Bottom sort regardless of size.
+// sort into place.  Below Top, a push lands exactly where the spreading
+// would have put it: a child rung owns precisely the timestamps its
+// parent bins into the bucket it was spawned from (its `end` is the
+// exact FP threshold of the parent's next bucket, found at spawn time),
+// so a key stamped on a rung edge — the window end, say — never lands
+// in an already-consumed bucket.  The zero-width pathological case — a
+// bucket (or the whole Top batch) whose timestamps are all identical and
+// thus cannot be subdivided — short-circuits to a Bottom sort regardless
+// of size.
 //
 // Steady state is allocation-free: retired rungs park in a pool with
 // their bucket storage intact, Bottom/scratch swap buffers instead of
@@ -77,21 +83,21 @@ class LadderQueue {
       return;
     }
     if (!rungs_.empty()) {
-      if (t >= rung_cur_start(rungs_.back())) {
-        // Finest-to-coarsest walk: the first rung whose remaining span
-        // covers t owns it; the coarsest rung is clamped unbounded so
-        // every key below top_floor_ has a home despite FP edges.
-        for (std::size_t i = rungs_.size(); i-- > 1;) {
-          Rung& r = rungs_[i];
-          if (t < rung_end(r)) {
-            rung_insert(r, key, t);
-            return;
-          }
-        }
-        rung_insert(rungs_.front(), key, t);
+      // Finest-to-coarsest walk: the finest rung whose span still holds
+      // t owns it (ends shrink toward the finest rung, and the coarsest
+      // rung holds everything up to top_floor_).  The owner's bucket for
+      // t is live unless t fell below the finest rung's frontier.
+      std::size_t i = rungs_.size() - 1;
+      while (i > 0 && !(t < rungs_[i].end)) --i;
+      Rung& r = rungs_[i];
+      const std::size_t idx = bucket_of(r, t);
+      if (idx >= r.cur) {
+        r.buckets[idx].push_back(key);
+        ++r.count;
         return;
       }
       // Below the consumption frontier: belongs among Bottom's keys.
+      GF_SIM_CHECK(i + 1 == rungs_.size());
     }
     bottom_insert(key);
   }
@@ -182,6 +188,10 @@ class LadderQueue {
   struct Rung {
     SimTime start = 0.0;   ///< timestamp of bucket 0's left edge
     SimTime width = 0.0;   ///< bucket width (> 0)
+    /// Timestamps below this belong to this rung or a finer one: the
+    /// first time the parent bins past the bucket this rung was spawned
+    /// from, capped by the parent's own end (+inf for the coarsest).
+    SimTime end = kTimeInfinity;
     std::size_t cur = 0;   ///< first unconsumed bucket
     std::size_t count = 0; ///< live keys across buckets [cur, end)
     std::vector<std::vector<FelKey>> buckets;  ///< kBucketsPerRung entries
@@ -190,24 +200,25 @@ class LadderQueue {
   [[nodiscard]] static SimTime rung_cur_start(const Rung& r) noexcept {
     return r.start + static_cast<SimTime>(r.cur) * r.width;
   }
-  [[nodiscard]] static SimTime rung_end(const Rung& r) noexcept {
-    return r.start + static_cast<SimTime>(kBucketsPerRung) * r.width;
+
+  /// The bucket of `t` in `r`: floor((t - start) / width) clamped to
+  /// [0, kBucketsPerRung).  Monotone in t (IEEE subtraction, division
+  /// and floor all are), so binning never inverts two keys.  Spreading
+  /// and pushes both bin through here, so they always agree.
+  [[nodiscard]] static std::size_t bucket_of(const Rung& r,
+                                             SimTime t) noexcept {
+    const SimTime rel = (t - r.start) / r.width;
+    if (!(rel > 0.0)) return 0;
+    if (rel < static_cast<SimTime>(kBucketsPerRung)) {
+      return static_cast<std::size_t>(rel);
+    }
+    return kBucketsPerRung - 1;
   }
 
-  void rung_insert(Rung& r, FelKey key, SimTime t) {
-    // floor((t - start) / width) is monotone in t (IEEE subtraction,
-    // division and floor all are), so binning never inverts two keys;
-    // the clamps absorb rounding at the frontier and the top edge.
-    std::size_t idx = kBucketsPerRung - 1;
-    const SimTime rel = (t - r.start) / r.width;
-    if (rel < static_cast<SimTime>(kBucketsPerRung)) {
-      idx = static_cast<std::size_t>(rel);
-    }
-    if (idx < r.cur) idx = r.cur;
-    if (idx >= kBucketsPerRung) idx = kBucketsPerRung - 1;
-    r.buckets[idx].push_back(key);
-    ++r.count;
-  }
+  /// The smallest timestamp that `r` bins into bucket `b` or later
+  /// (+inf when b is past the last bucket).
+  [[nodiscard]] static SimTime bucket_threshold(const Rung& r,
+                                                std::size_t b) noexcept;
 
   void bottom_insert(FelKey key) {
     if (bottom_head_ == bottom_.size()) {

@@ -35,8 +35,6 @@ void AuctionStats::merge_from(const AuctionStats& other) {
   feasible_per_auction.merge(other.feasible_per_auction);
   clearing_price.merge(other.clearing_price);
   winner_surplus.merge(other.winner_surplus);
-  bid_cache_lookups += other.bid_cache_lookups;
-  bid_cache_hits += other.bid_cache_hits;
   awards_piggybacked += other.awards_piggybacked;
   for (const auto& [who, n] : other.award_declines) award_declines[who] += n;
   for (const auto& [who, n] : other.guarantee_misses) {

@@ -24,10 +24,6 @@ struct AuctionStats {
   Accumulator clearing_price;         ///< payment of the top-ranked award
   Accumulator winner_surplus;         ///< payment - winner ask (Vickrey premium)
 
-  // Provider-side pricing cache (AuctionConfig::bid_cache_ttl), summed
-  // over every agent's policy counters by the federation driver.
-  std::uint64_t bid_cache_lookups = 0;
-  std::uint64_t bid_cache_hits = 0;
   /// kAward notifications that rode a batched solicitation flush instead
   /// of paying their own wire message (AuctionConfig::piggyback_awards).
   std::uint64_t awards_piggybacked = 0;
@@ -61,13 +57,6 @@ struct AuctionStats {
   [[nodiscard]] double fill_rate() const noexcept {
     return held ? static_cast<double>(awarded) / static_cast<double>(held)
                 : 0.0;
-  }
-
-  /// Fraction of pricing requests served from the TTL cache, in [0, 1].
-  [[nodiscard]] double bid_cache_hit_rate() const noexcept {
-    return bid_cache_lookups ? static_cast<double>(bid_cache_hits) /
-                                   static_cast<double>(bid_cache_lookups)
-                             : 0.0;
   }
 };
 

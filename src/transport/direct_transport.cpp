@@ -5,7 +5,7 @@
 namespace gridfed::transport {
 
 std::uint64_t DirectTransport::multicast(
-    core::Message msg, std::span<const cluster::ResourceIndex> targets,
+    core::Message&& msg, std::span<const cluster::ResourceIndex> targets,
     sim::SimTime not_after) {
   (void)not_after;  // point-to-point sends nothing later than now
   targets = collapse_groups(targets);  // one delivery per participant

@@ -35,11 +35,11 @@ sim::SimTime Transport::delay_for(const core::Message& msg) const {
   return wan_->control_delay(msg.from, msg.to, core::wire_bytes(msg));
 }
 
-void Transport::schedule_delivery(core::Message msg, sim::SimTime delay) {
+void Transport::schedule_delivery(core::Message&& msg, sim::SimTime delay) {
   ctx_.post_delivery(std::move(msg), delay);
 }
 
-void Transport::direct_unicast(core::Message msg) {
+void Transport::direct_unicast(core::Message&& msg) {
   ctx_.ledger().record(msg);
   if (lost(msg.type, msg.from)) return;
   const sim::SimTime delay = delay_for(msg);
@@ -47,7 +47,7 @@ void Transport::direct_unicast(core::Message msg) {
     // The network delivered twice: a second wire message with the same
     // content (recorded as such), arriving at the same instant.
     ctx_.ledger().record(msg);
-    schedule_delivery(msg, delay);
+    schedule_delivery(core::Message(msg), delay);
   }
   schedule_delivery(std::move(msg), delay);
 }

@@ -76,15 +76,10 @@ class TransportContext {
   }
 
   /// Schedules a delivery `delay` seconds from the *caller's* current
-  /// time.  The default schedules on sim() — the seed's single engine,
-  /// where the caller's clock IS sim().  The parallel driver overrides
-  /// this to stamp the caller's shard clock and route the delivery to
-  /// the destination's shard mailbox (or directly when shard-local).
-  virtual void post_delivery(core::Message msg, sim::SimTime delay) {
-    TransportContext* self = this;
-    sim().schedule_in(delay, sim::EventPriority::kMessage,
-                      [self, msg = std::move(msg)] { self->deliver(msg); });
-  }
+  /// time: on sim() for the sequential engine, where the caller's clock
+  /// IS sim(); under the parallel kernel stamped with the caller's shard
+  /// clock and routed to the destination's shard mailbox.
+  virtual void post_delivery(core::Message&& msg, sim::SimTime delay) = 0;
 
   /// Runs `op` on the centralized transport lane.  Sequentially that IS
   /// the calling context, so the default invokes `op` inline — identical
@@ -128,7 +123,7 @@ class Transport {
 
   /// Delivers one point-to-point message (ledger + loss lottery +
   /// latency applied).
-  virtual void unicast(core::Message msg) = 0;
+  virtual void unicast(core::Message&& msg) = 0;
 
   /// Delivers one payload to every target in `targets` (msg.to is
   /// overwritten per target).  `not_after` bounds any delivery batching
@@ -138,7 +133,7 @@ class Transport {
   /// 0 for kTree, whose shared edge messages land in the ledger's relay
   /// counters instead — so per-job message attribution stays honest.
   virtual std::uint64_t multicast(
-      core::Message msg, std::span<const cluster::ResourceIndex> targets,
+      core::Message&& msg, std::span<const cluster::ResourceIndex> targets,
       sim::SimTime not_after) = 0;
 
   /// The WAN model of this run (null under the paper's constant-latency
@@ -235,13 +230,13 @@ class Transport {
   [[nodiscard]] sim::SimTime delay_for(const core::Message& msg) const;
 
   /// Schedules `msg` to arrive at its destination after `delay`.
-  void schedule_delivery(core::Message msg, sim::SimTime delay);
+  void schedule_delivery(core::Message&& msg, sim::SimTime delay);
 
   /// The seed's point-to-point path: record, loss lottery, latency,
   /// deliver — plus the duplication lottery on the idempotent legs.
   /// DirectTransport is exactly this; TreeTransport uses it for every
   /// leg it does not carry over the overlay.
-  void direct_unicast(core::Message msg);
+  void direct_unicast(core::Message&& msg);
 
   /// The multicast half of group addressing: maps each target to its
   /// participant's representative and dedups (first-seen order kept, so

@@ -25,7 +25,6 @@ TreeTransport::TreeTransport(TransportContext& ctx,
   prune_k_ = cfg.transport.bid_prune_k;
   if (prune_k_ == 1) prune_k_ = 2;
   encode_bids_ = cfg.transport.bid_delta_encode;
-  shape_quantum_ = cfg.auction.bid_cache_quantum;
   scorer_ = market::BidScorer(cfg.auction.scoring,
                               cfg.auction.score_time_weight,
                               cfg.enforce_budget, cfg.enforce_deadline);
@@ -180,7 +179,7 @@ void TreeTransport::on_member_joined(cluster::ResourceIndex index) {
   }
 }
 
-void TreeTransport::unicast(core::Message msg) {
+void TreeTransport::unicast(core::Message&& msg) {
   switch (msg.type) {
     case core::MessageType::kBid: {
       // The convergecast queue and its flush scheduling are centralized
@@ -202,7 +201,7 @@ void TreeTransport::unicast(core::Message msg) {
   }
 }
 
-void TreeTransport::enqueue_bid(core::Message msg) {
+void TreeTransport::enqueue_bid(core::Message&& msg) {
   convergecast_queue_.push_back(std::move(msg));
   if (!convergecast_armed_) {
     convergecast_armed_ = true;
@@ -214,7 +213,7 @@ void TreeTransport::enqueue_bid(core::Message msg) {
 }
 
 std::uint64_t TreeTransport::multicast(
-    core::Message msg, std::span<const cluster::ResourceIndex> targets,
+    core::Message&& msg, std::span<const cluster::ResourceIndex> targets,
     sim::SimTime not_after) {
   // The fan-out queue, the epoch wake, and the harvested job facts are
   // all centralized tree state: the whole enqueue trampolines to the
@@ -231,8 +230,8 @@ std::uint64_t TreeTransport::multicast(
   return 0;  // shared edge cost lands in the ledger's relay counters
 }
 
-void TreeTransport::queue_fanout(core::Message msg,
-                                 std::vector<cluster::ResourceIndex> raw,
+void TreeTransport::queue_fanout(core::Message&& msg,
+                                 std::vector<cluster::ResourceIndex>&& raw,
                                  sim::SimTime not_after) {
   // Group-addressed dissemination: a coalition costs one delivery to
   // its representative — the fan-out behind it rides the coalition
@@ -364,14 +363,13 @@ void TreeTransport::remember_job(const cluster::Job& job) {
   facts.qos = market::JobQos::of(job);
   // The delta encoder's shape key: jobs whose solicited attributes fall
   // in the same log buckets produce near-identical quotes from one
-  // provider (the same buckets the provider-side bid TTL cache reuses
-  // quotes across), so their bids on one edge share a base quote.
+  // provider, so their bids on one edge share a base quote.
   std::uint64_t h = sim::kFnvOffsetBasis;
   h = sim::fnv1a_mix(h, job.origin);
   h = sim::fnv1a_mix(h, job.processors);
-  h = sim::fnv1a_mix(h, market::shape_bucket(job.length_mi, shape_quantum_));
+  h = sim::fnv1a_mix(h, market::shape_bucket(job.length_mi, kShapeQuantum));
   h = sim::fnv1a_mix(h,
-                     market::shape_bucket(job.comm_overhead, shape_quantum_));
+                     market::shape_bucket(job.comm_overhead, kShapeQuantum));
   job_facts_[job.id] = JobFacts{facts.qos, h};
 }
 
@@ -683,7 +681,7 @@ void TreeTransport::relay(std::span<const RelayItem> items,
         }
         ctx_.ledger().record_relay(hop_from, item.target, type, dup_bytes);
       }
-      schedule_delivery(out, delay);
+      schedule_delivery(core::Message(out), delay);
     }
     schedule_delivery(std::move(out), delay);
   }

@@ -56,12 +56,12 @@ class TreeTransport final : public Transport {
   /// point-to-point.  (The call-for-bids fan-out always arrives through
   /// multicast() — both the batched flush and the per-job broadcast —
   /// so a unicast kCallForBids would simply be delivered directly.)
-  void unicast(core::Message msg) override;
+  void unicast(core::Message&& msg) override;
 
   /// Queues the fan-out for the next epoch boundary (never past
   /// `not_after`).  Returns 0: the shared edge messages land in the
   /// ledger's relay counters at flush time.
-  std::uint64_t multicast(core::Message msg,
+  std::uint64_t multicast(core::Message&& msg,
                           std::span<const cluster::ResourceIndex> targets,
                           sim::SimTime not_after) override;
 
@@ -144,6 +144,10 @@ class TreeTransport final : public Transport {
   };
 
   // ---- convergecast score-and-prune + delta encoding ----------------------
+  /// Relative log-bucket width of the delta encoder's shape keys: jobs
+  /// whose length and comm overhead agree within ~5% share a base quote.
+  static constexpr double kShapeQuantum = 0.05;
+
   /// What a relay knows about a job it forwarded the solicitation for:
   /// the QoS envelope the scorer ranks against, and the log-bucket shape
   /// key the delta encoder groups quotes by.  Harvested from every
@@ -189,9 +193,9 @@ class TreeTransport final : public Transport {
 
   /// Transport-lane bodies of unicast(kBid) / multicast: mutate the
   /// centralized convergecast / fan-out state (see post_transport_op).
-  void enqueue_bid(core::Message msg);
-  void queue_fanout(core::Message msg,
-                    std::vector<cluster::ResourceIndex> raw,
+  void enqueue_bid(core::Message&& msg);
+  void queue_fanout(core::Message&& msg,
+                    std::vector<cluster::ResourceIndex>&& raw,
                     sim::SimTime not_after);
 
   void schedule_fanout_wake(sim::SimTime not_after);
@@ -247,7 +251,6 @@ class TreeTransport final : public Transport {
   // Convergecast score-and-prune + delta encoding state.
   std::uint32_t prune_k_ = 0;      ///< 0 = forward every bid whole
   bool encode_bids_ = false;       ///< compact per-edge frame accounting
-  double shape_quantum_ = 0.0;     ///< log-bucket width of the shape keys
   market::BidScorer scorer_;       ///< the engine's exact rank order
   std::unordered_map<cluster::JobId, JobFacts> job_facts_;
   std::uint64_t bids_pruned_ = 0;

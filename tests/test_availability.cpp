@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "cluster/availability_profile.hpp"
@@ -171,6 +173,98 @@ TEST(AvailabilityProfileProperty, EarliestStartIsEarliest) {
     }
     p.reserve(start, start + duration, procs);
   }
+}
+
+// ---- early exit: availability never decreases after the latest start --------
+
+struct Window {
+  double start;
+  double end;
+  std::uint32_t procs;
+};
+
+/// earliest_start by brute force over available_at: the answer is
+/// `not_before` or an instant where availability changes (a reservation
+/// edge, all of which are in `edges`), and a window fits iff it fits at
+/// its start and at every change inside it.
+double brute_earliest_start(const AvailabilityProfile& p,
+                            std::vector<double> edges, double not_before,
+                            std::uint32_t procs, double duration) {
+  std::sort(edges.begin(), edges.end());
+  std::vector<double> candidates{not_before};
+  for (const double e : edges) {
+    if (e > not_before) candidates.push_back(e);
+  }
+  for (const double c : candidates) {
+    bool fits = p.available_at(c) >= procs;
+    for (auto it = std::upper_bound(edges.begin(), edges.end(), c);
+         fits && it != edges.end() && *it < c + duration; ++it) {
+      fits = p.available_at(*it) >= procs;
+    }
+    if (fits) return c;
+  }
+  return std::numeric_limits<double>::infinity();
+}
+
+enum class StartOrder {
+  kFcfs,      ///< every start at or after the previous one (the LRMS)
+  kBackfill,  ///< starts anywhere at or after now: out of order
+};
+
+/// Random reserve / trim sequences, optionally cancelling the
+/// latest-starting reservation now and then; every earliest_start must
+/// equal the brute-force answer.
+void check_early_exit(std::uint64_t seed, StartOrder order,
+                      bool release_latest) {
+  sim::Rng rng(seed);
+  for (int trial = 0; trial < 20; ++trial) {
+    const auto capacity = static_cast<std::uint32_t>(rng.uniform_int(1, 64));
+    AvailabilityProfile p(capacity);
+    std::vector<Window> live;
+    std::vector<double> edges;
+    double now = 0.0;
+    double last_start = 0.0;
+    for (int op = 0; op < 120; ++op) {
+      now += rng.uniform(0.0, 4.0);
+      if (rng.uniform01() < 0.2) p.trim(now);
+      const auto procs =
+          static_cast<std::uint32_t>(rng.uniform_int(1, capacity));
+      const double duration = rng.uniform(0.5, 60.0);
+      const double not_before = order == StartOrder::kFcfs
+                                    ? std::max(now, last_start)
+                                    : now + rng.uniform(0.0, 40.0);
+      const double start = p.earliest_start(not_before, procs, duration);
+      ASSERT_EQ(start,
+                brute_earliest_start(p, edges, not_before, procs, duration))
+          << "trial " << trial << " op " << op;
+      p.reserve(start, start + duration, procs);
+      live.push_back(Window{start, start + duration, procs});
+      edges.push_back(start);
+      edges.push_back(start + duration);
+      last_start = start;
+      if (release_latest && rng.uniform01() < 0.3) {
+        const auto latest = std::max_element(
+            live.begin(), live.end(),
+            [](const Window& a, const Window& b) { return a.start < b.start; });
+        p.release(latest->start, latest->end, latest->procs);
+        live.erase(latest);
+      }
+    }
+    ASSERT_TRUE(p.valid());
+  }
+}
+
+TEST(AvailabilityProfileProperty, EarlyExitMatchesBruteForceFcfs) {
+  check_early_exit(11, StartOrder::kFcfs, false);
+}
+
+TEST(AvailabilityProfileProperty, EarlyExitMatchesBruteForceOutOfOrder) {
+  check_early_exit(12, StartOrder::kBackfill, false);
+}
+
+TEST(AvailabilityProfileProperty, EarlyExitSurvivesReleasingTheLatestStart) {
+  check_early_exit(13, StartOrder::kFcfs, true);
+  check_early_exit(14, StartOrder::kBackfill, true);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Tests for the zero-allocation event kernel: InlineFunction small-buffer
 // semantics, the 4-ary heap's deterministic (time, priority, seq) pop
-// order under randomized workloads, the pop_into hot path, and the
-// no-heap-traffic contract for small trivially copyable captures.
+// order under randomized workloads, the pop_into hot path, the
+// no-heap-traffic contract for small trivially copyable captures, and
+// the Federation's delivery slab (in-flight messages parked by slot, so
+// a delivery event allocates nothing).
 
 #include <gtest/gtest.h>
 
@@ -13,8 +15,12 @@
 #include <memory>
 #include <new>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "cluster/catalog.hpp"
+#include "core/experiment.hpp"
+#include "core/federation.hpp"
 #include "sim/check.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/inline_function.hpp"
@@ -415,6 +421,85 @@ TEST(EventKernel, DispatchProbeCountsPerShardUnderParallelDispatch) {
   EXPECT_EQ(acc.load(), total);
 }
 #endif  // GRIDFED_TRACE
+
+// ---- the sequential delivery slab -------------------------------------------
+
+/// A small valid job of `origin`, loose enough that any cluster admits it.
+cluster::Job slab_job(cluster::JobId id, cluster::ResourceIndex origin) {
+  cluster::Job job;
+  job.id = id;
+  job.origin = origin;
+  job.processors = 1;
+  job.length_mi = 1e7 * static_cast<double>(id);  // outlasts the legs
+  job.budget = 1e12;
+  job.deadline = 1e9;
+  return job;
+}
+
+TEST(DeliverySlab, UnicastDeliveryIsAllocationFreeInSteadyState) {
+  // A delivery event captures only (federation, slot), so it fits the
+  // InlineFunction buffer; the message waits in a recycled slab slot.
+  // Stray kBids at a DBC agent are dropped on arrival, so the agent's
+  // own handling adds nothing either.
+  auto cfg = core::make_config(core::SchedulingMode::kEconomy);
+  cfg.network_latency = 1.0;
+  core::Federation fed(cfg, cluster::replicated_specs(2));
+  Simulation& sim = fed.simulation();
+  const auto send_and_deliver = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      fed.send(core::Message{core::MessageType::kBid, 0, 1,
+                             slab_job(static_cast<cluster::JobId>(i + 1), 0)});
+    }
+    for (int i = 0; i < n; ++i) ASSERT_TRUE(sim.step());
+  };
+  send_and_deliver(64);  // warm-up: slab and queue at high-water mark
+
+  const std::uint64_t events = sim.events_executed();
+  const std::uint64_t before = g_allocations.load();
+  send_and_deliver(64);
+  const std::uint64_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 0u) << "sequential delivery allocated";
+  EXPECT_EQ(sim.events_executed() - events, 64u);
+  const core::MessageLedger& ledger = std::as_const(fed).ledger();
+  EXPECT_EQ(ledger.count_of(core::MessageType::kBid), 128u);
+}
+
+TEST(DeliverySlab, MessagesPostedMidDeliveryArriveIntact) {
+  // One call-for-bids carrying piggybacked awards: its delivery admits
+  // every award and answers each with a kReply, plus the bid, so the
+  // slab grows while the message being delivered came out of it.  Each
+  // reply then drives its award's payload and completion legs, so every
+  // job completing on the provider proves every message arrived intact.
+  constexpr cluster::JobId kAwards = 8;
+  auto cfg = core::make_config(core::SchedulingMode::kAuction);
+  cfg.network_latency = 1.0;
+  core::Federation fed(cfg, cluster::replicated_specs(3));
+  policy::SchedulerContext& origin = fed.gfa(0);
+  core::Message call{core::MessageType::kCallForBids, 0, 1, slab_job(1, 0)};
+  for (cluster::JobId id = 1; id <= kAwards; ++id) {
+    core::Pending p;
+    p.job = slab_job(id, 0);
+    origin.park_award(std::move(p), 1);  // as a piggybacking flush does
+    call.batch_awards.push_back(core::PiggybackedAward{slab_job(id, 0), 5.0});
+  }
+  fed.send(std::move(call));
+  fed.simulation().run();
+
+  // kAwards replies + 1 bid left the provider in the one delivery.
+  const core::MessageLedger& ledger = std::as_const(fed).ledger();
+  EXPECT_EQ(ledger.count_of(core::MessageType::kReply), kAwards);
+  EXPECT_EQ(ledger.count_of(core::MessageType::kBid), 1u);
+  ASSERT_EQ(fed.outcomes().size(), kAwards);
+  std::vector<cluster::JobId> ids;
+  for (const core::JobOutcome& o : fed.outcomes()) {
+    EXPECT_TRUE(o.accepted);
+    EXPECT_EQ(o.executed_on, 1u);
+    EXPECT_DOUBLE_EQ(o.job.length_mi, slab_job(o.job.id, 0).length_mi);
+    ids.push_back(o.job.id);
+  }
+  std::sort(ids.begin(), ids.end());
+  for (cluster::JobId id = 1; id <= kAwards; ++id) EXPECT_EQ(ids[id - 1], id);
+}
 
 }  // namespace
 }  // namespace gridfed::sim

@@ -160,6 +160,51 @@ TEST(LadderQueue, ClusteredTimestampsDegradeGracefully) {
   EXPECT_TRUE(ladder.empty());
 }
 
+TEST(LadderQueue, KeysStampedOnRungEdgesPopInOrder) {
+  // Keys stamped exactly at a rung edge — the coarsest rung's end is the
+  // latest time of the last Top transfer, where the window end, epoch
+  // boundaries and timeouts meet — keep arriving while the rungs below
+  // are consumed.  Each must land in a live tier in full-key order: an
+  // end-stamped key clamped into a consumed bucket of the coarsest rung
+  // would make the next refill read past its bucket array.
+  Rng rng(2718);
+  for (int trial = 0; trial < 300; ++trial) {
+    HeapFel heap;
+    LadderQueue ladder;
+    std::uint64_t seq = 0;
+    const auto push = [&](SimTime t) {
+      const FelKey k = make_key(t, static_cast<unsigned>(rng.uniform_int(0, 3)),
+                                seq, seq & kFelSlotMask);
+      ++seq;
+      heap.push(k);
+      ladder.push(k);
+    };
+    const SimTime lo = std::floor(rng.uniform01() * 1e5);
+    const SimTime hi = lo + std::floor(1.0 + rng.uniform01() * 2e5);
+    const SimTime width = (hi - lo) / 128.0;
+    for (int i = 0; i < 3000; ++i) push(lo + (hi - lo) * rng.uniform01());
+    for (int i = 0; i < 64; ++i) push(hi);
+    while (!heap.empty()) {
+      const FelKey a = heap.pop_min();
+      ASSERT_EQ(a, ladder.pop_min()) << "trial " << trial;
+      const SimTime now = fel_time_of(a);
+      const double dice = rng.uniform01();
+      if (dice < 0.3) {
+        push(hi);
+      } else if (dice < 0.45) {
+        // A bucket edge of the coarsest rung at or after now.
+        const SimTime edge =
+            lo + width * std::ceil((now - lo) / width + rng.uniform01() * 4.0);
+        if (edge >= now && edge <= hi) push(edge);
+      } else if (dice < 0.6) {
+        push(now + (hi - now) * rng.uniform01());
+      }
+      if ((seq & 1023) == 0) ladder.debug_validate();
+    }
+    EXPECT_TRUE(ladder.empty());
+  }
+}
+
 // ---- hybrid EventQueue: backend-equivalence fuzz ----------------------------
 
 struct PopRecord {

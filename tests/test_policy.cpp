@@ -11,9 +11,8 @@
 // a different rank walk, a changed message count, a perturbed award
 // ranking — changes the digest.
 //
-// Also covers the policy layer's own seams: the stray-message defaults,
-// the provider-side bid cache (AuctionConfig::bid_cache_ttl), and the
-// award piggybacking counters.
+// Also covers the policy layer's own seams: the stray-message defaults
+// and the award piggybacking counters.
 
 #include <gtest/gtest.h>
 
@@ -158,7 +157,8 @@ TEST(PolicyLayer, StrayAuctionMessagesIgnoredOutsideAuctionMode) {
   fed.gfa(0).receive(stray);
   stray.type = core::MessageType::kBid;
   fed.gfa(0).receive(stray);
-  EXPECT_EQ(fed.gfa(0).scheduling_policy().counters().bid_cache_lookups, 0u);
+  EXPECT_EQ(fed.gfa(0).scheduling_policy().open_auctions(), 0u);
+  EXPECT_EQ(fed.gfa(0).scheduling_policy().counters().awards_piggybacked, 0u);
 }
 
 TEST(PolicyLayer, MultiAttributeScoringBuysResponseTimeForOftUsers) {
@@ -175,38 +175,6 @@ TEST(PolicyLayer, MultiAttributeScoringBuysResponseTimeForOftUsers) {
   // Same workload, same acceptance bar: the market clears the same jobs.
   EXPECT_EQ(a.total_accepted + a.total_rejected,
             b.total_accepted + b.total_rejected);
-}
-
-// ---- provider-side bid cache ------------------------------------------------
-
-TEST(BidCache, DisabledByDefault) {
-  const auto d = digest(core::make_config(core::SchedulingMode::kAuction), 30);
-  EXPECT_EQ(d.auctions.bid_cache_lookups, 0u);
-  EXPECT_EQ(d.auctions.bid_cache_hits, 0u);
-}
-
-TEST(BidCache, TtlServesRepeatPricingsAndCountsHits) {
-  auto cfg = core::make_config(core::SchedulingMode::kAuction);
-  cfg.auction.bid_cache_ttl = 3600.0;
-  const auto d = digest(cfg, 30);
-  EXPECT_GT(d.auctions.bid_cache_lookups, 0u);
-  EXPECT_GT(d.auctions.bid_cache_hits, 0u);
-  EXPECT_LE(d.auctions.bid_cache_hits, d.auctions.bid_cache_lookups);
-  EXPECT_GT(d.auctions.bid_cache_hit_rate(), 0.0);
-  EXPECT_LE(d.auctions.bid_cache_hit_rate(), 1.0);
-  // Every job still gets a verdict: stale estimates can shift placements
-  // but never lose jobs.
-  EXPECT_EQ(d.accepted + d.rejected, 2662u);
-}
-
-TEST(BidCache, CachedRunsAreDeterministic) {
-  auto cfg = core::make_config(core::SchedulingMode::kAuction);
-  cfg.auction.bid_cache_ttl = 600.0;
-  const auto a = digest(cfg, 30);
-  const auto b = digest(cfg, 30);
-  EXPECT_EQ(a.hash, b.hash);
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.auctions.bid_cache_hits, b.auctions.bid_cache_hits);
 }
 
 // ---- award piggybacking -----------------------------------------------------

@@ -225,6 +225,27 @@ TEST(TreeTransport, CutsWireMessagesVersusBatchedDirectAtScale) {
             0.99 * static_cast<double>(d.accepted));
 }
 
+TEST(TreeTransport, ForcedLadderFelMatchesHeapDigestAt50Clusters) {
+  // The fig10 coalition column at 50 clusters.  Its fan-out epoch
+  // boundary falls exactly on the window end, which is also the coarsest
+  // ladder rung's end: keys stamped there must land in a live ladder
+  // tier, or a forced-ladder FEL aborts the run.
+  auto cfg = tree_config(core::SchedulingMode::kAuction);
+  cfg.auction.batch_solicitations = true;
+  cfg.auction.solicit_batch_window = 300.0;
+  cfg.coalitions.enabled = true;
+  cfg.coalitions.bucket_size = 4;
+  cfg.fel.kind = sim::FelConfig::Kind::kHeap;
+  const auto heap = digest(cfg, 30, 50);
+  cfg.fel.kind = sim::FelConfig::Kind::kLadder;
+  const auto ladder = digest(cfg, 30, 50);
+  EXPECT_EQ(ladder.hash, heap.hash);
+  EXPECT_EQ(ladder.messages, heap.messages);
+  EXPECT_EQ(ladder.bytes, heap.bytes);
+  EXPECT_EQ(ladder.relays, heap.relays);
+  EXPECT_GT(heap.accepted, 0u);
+}
+
 TEST(TreeTransport, LossInjectionThroughTheSeam) {
   // A lost tree edge loses the whole subtree behind it; timeouts must
   // still resolve every job.
