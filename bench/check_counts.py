@@ -2,7 +2,6 @@
 """Checks that the simulation still reproduces the recorded exact counts.
 
     python3 bench/check_counts.py               # runs fedbench/run.py --counts
-    python3 bench/check_counts.py --actual FILE # checks a saved --counts output
     python3 bench/check_counts.py --self-test
 
 `fedbench/run.py --counts` prints the exact counts of every benchmark
@@ -107,21 +106,15 @@ def self_test(expected):
 
 def main():
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--actual", metavar="FILE",
-                   help="a saved `fedbench/run.py --counts` output to check")
     p.add_argument("--self-test", action="store_true")
     args = p.parse_args()
     with open(EXPECTED) as f:
         expected = json.load(f)
     if args.self_test:
         return 0 if self_test(expected) else 1
-    if args.actual:
-        with open(args.actual) as f:
-            actual = json.load(f)
-    else:
-        actual = run_counts()
-        if actual is None:
-            return 1
+    actual = run_counts()
+    if actual is None:
+        return 1
     if not check(expected, actual):
         return 1
     print("exact counts match fedbench/exact_counts.json (allocs not compared)")
