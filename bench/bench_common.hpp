@@ -3,19 +3,14 @@
 // Table 1 banner, and profile-sweep result caching so that the fig3..fig9
 // binaries (which all consume the same sweep) stay cheap.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "cluster/catalog.hpp"
 #include "core/experiment.hpp"
-#include "core/federation.hpp"
 #include "stats/table.hpp"
-#include "workload/synthetic.hpp"
 
 namespace gridfed::bench {
 
@@ -89,15 +84,13 @@ inline bool has_flag(int argc, char** argv, const std::string& flag) {
 /// correctness gate, and silently measuring the wrong points would let
 /// it pass vacuously.
 inline std::vector<std::size_t> sizes_arg(
-    int argc, char** argv, std::vector<std::size_t> fallback,
-    const std::string& name = "sizes") {
-  const std::string prefix = "--" + name + "=";
+    int argc, char** argv, std::vector<std::size_t> fallback) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) != 0) continue;
+    if (arg.rfind("--sizes=", 0) != 0) continue;
     std::vector<std::size_t> sizes;
     std::size_t value = 0;
-    for (const char c : arg.substr(prefix.size())) {
+    for (const char c : arg.substr(8)) {
       if (c == ',') {
         if (value == 0) {
           std::fprintf(stderr, "bad --sizes value: %s\n", arg.c_str());
@@ -121,33 +114,6 @@ inline std::vector<std::size_t> sizes_arg(
   }
   return fallback;
 }
-
-/// `--threads=N` argument (0 = sequential), or `fallback` when absent.
-/// The parallel-kernel sweeps default this to the hardware concurrency.
-inline std::uint32_t threads_arg(int argc, char** argv,
-                                 std::uint32_t fallback) {
-  const std::string value = path_arg(argc, argv, "threads");
-  if (value.empty()) return fallback;
-  std::uint32_t threads = 0;
-  for (const char c : value) {
-    if (c < '0' || c > '9') {
-      std::fprintf(stderr, "bad --threads value: %s\n", value.c_str());
-      std::exit(2);
-    }
-    threads = threads * 10 + static_cast<std::uint32_t>(c - '0');
-  }
-  return threads;
-}
-
-/// WAN latency of the parallel-kernel sweeps.  sqrt(2): a realistic ~1 s
-/// control delay that is incommensurate with the integer job-submit
-/// lattice, so cross-lane events never collide at an identical
-/// (time, priority) key — the one tie class where the sharded kernel's
-/// causal-token order may differ from the sequential engine's insertion
-/// order (see bench/README.md, "Parallel kernel").  The sweeps assert
-/// sequential-vs-parallel outcome-digest equality, so they pin the
-/// tie-free regime on purpose.
-inline constexpr double kBenchParallelLatency = 1.4142135623730951;
 
 /// One point of the auction-batching comparison: the same federation and
 /// seed run in auction mode without batching, with batched solicitation,
@@ -205,96 +171,6 @@ inline constexpr double kBenchPiggybackLatency = 1.0;
 /// Ring-bucket size of the coalition comparison (4 ring-adjacent
 /// clusters per coalition, the CoalitionConfig default).
 inline constexpr std::uint32_t kBenchCoalitionBucket = 4;
-
-/// The auction + batched-solicitation configuration the parallel-kernel
-/// sweeps execute on `threads` workers (0 = the sequential engine).
-/// `fel` selects the future-event-list backend (hybrid by default); it
-/// changes only the cost of the run, never its outcomes, so sweeping it
-/// against a fixed thread count isolates the event-queue's share of the
-/// wall clock.
-inline core::FederationConfig parallel_kernel_config(
-    std::uint32_t threads, const sim::FelConfig& fel = {}) {
-  auto cfg = core::make_config(core::SchedulingMode::kAuction);
-  cfg.auction.batch_solicitations = true;
-  cfg.auction.solicit_batch_window = kBenchBatchWindow;
-  cfg.network_latency = kBenchParallelLatency;
-  cfg.threads = threads;
-  cfg.fel = fel;
-  return cfg;
-}
-
-/// One `threads`-worker run of the parallel-kernel configuration at `n`
-/// clusters: wall-clock seconds, the FNV-1a digest of the per-job
-/// outcome tuples (id, fate, executor, messages, cost, completion —
-/// bitwise, sorted by id), and the kernel telemetry.  The digest is what
-/// the sweeps compare across thread counts: equal digests mean the
-/// sharded run reproduced the sequential outcomes exactly.
-struct ParallelRunPoint {
-  std::size_t size = 0;
-  std::uint64_t jobs = 0;
-  double seconds = 0.0;
-  std::uint64_t digest = 0;
-  std::uint32_t shards = 0;
-  std::uint64_t windows = 0;
-  std::uint64_t events = 0;
-  double accept_pct = 0.0;
-  double msgs_per_job = 0.0;
-};
-
-inline ParallelRunPoint parallel_kernel_run(std::size_t n,
-                                            std::uint32_t threads,
-                                            std::uint32_t oft_percent = 30,
-                                            const sim::FelConfig& fel = {}) {
-  const auto cfg = parallel_kernel_config(threads, fel);
-  const auto specs = cluster::replicated_specs(n);
-  core::Federation fed(cfg, specs);
-  const auto traces =
-      workload::generate_federation_workload(specs, cfg.window, cfg.seed);
-  fed.load_workload(traces, workload::PopulationProfile{oft_percent});
-  const auto t0 = std::chrono::steady_clock::now();
-  const core::FederationResult result = fed.run();
-  const auto t1 = std::chrono::steady_clock::now();
-
-  std::vector<const core::JobOutcome*> rows;
-  rows.reserve(fed.outcomes().size());
-  for (const core::JobOutcome& o : fed.outcomes()) rows.push_back(&o);
-  std::sort(rows.begin(), rows.end(),
-            [](const core::JobOutcome* a, const core::JobOutcome* b) {
-              return a->job.id < b->job.id;
-            });
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  const auto mix = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (byte * 8)) & 0xFFull;
-      h *= 1099511628211ull;
-    }
-  };
-  const auto mix_double = [&mix](double d) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &d, sizeof bits);
-    mix(bits);
-  };
-  for (const core::JobOutcome* o : rows) {
-    mix(o->job.id);
-    mix(o->accepted ? 1 : 0);
-    mix(o->executed_on);
-    mix(o->messages);
-    mix_double(o->cost);
-    mix_double(o->completion);
-  }
-
-  ParallelRunPoint p;
-  p.size = n;
-  p.jobs = result.total_jobs;
-  p.seconds = std::chrono::duration<double>(t1 - t0).count();
-  p.digest = h;
-  p.shards = fed.parallel_shards();
-  p.windows = fed.parallel_windows();
-  p.events = fed.events_executed();
-  p.accept_pct = result.acceptance_pct();
-  p.msgs_per_job = result.msgs_per_job.mean();
-  return p;
-}
 
 /// Runs the auction-mode batching comparison over `sizes` at a 70/30
 /// OFC/OFT population.

@@ -21,7 +21,6 @@
 #include <fstream>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -411,54 +410,6 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", pt.str().c_str());
 
-  // ---- sharded parallel kernel: 1-thread vs N-thread ----------------------
-  // The Java simulator stopped the authors at 50 resources; the sharded
-  // safe-window kernel is what carries this reproduction to 200 and 500.
-  // Each point runs the batched-auction WAN configuration once on the
-  // sequential engine and once on N worker threads and compares the
-  // per-job outcome digests bitwise (see bench/README.md, "Parallel
-  // kernel").  --par-sizes= trims the list, --threads= pins the worker
-  // count (default: hardware concurrency).
-  const unsigned hw = std::thread::hardware_concurrency();
-  const std::uint32_t par_threads =
-      bench::threads_arg(argc, argv, hw > 2 ? hw : 2);
-  const std::vector<std::size_t> par_sizes =
-      bench::sizes_arg(argc, argv, {50, 200, 500}, "par-sizes");
-  struct ParRow {
-    bench::ParallelRunPoint seq;
-    bench::ParallelRunPoint par;
-  };
-  std::vector<ParRow> par_rows;
-  if (!bench::has_flag(argc, argv, "--no-parallel")) {
-    std::printf("Sharded parallel kernel (auction + batching, sqrt(2)-s "
-                "WAN): the sequential engine vs %u worker threads on %u "
-                "CPUs.\nDigests compare per-job outcomes bitwise:\n\n",
-                par_threads, hw);
-    par_rows.reserve(par_sizes.size());
-    for (const std::size_t n : par_sizes) {
-      ParRow row;
-      row.seq = bench::parallel_kernel_run(n, 0);
-      row.par = bench::parallel_kernel_run(n, par_threads);
-      par_rows.push_back(row);
-    }
-    stats::Table plt({"System size", "Jobs", "1-thread s", "N-thread s",
-                      "Speedup", "Shards", "Windows", "Accept %",
-                      "Digests"});
-    for (const ParRow& r : par_rows) {
-      const double speedup =
-          r.par.seconds > 0.0 ? r.seq.seconds / r.par.seconds : 0.0;
-      plt.add_row({std::to_string(r.seq.size), std::to_string(r.seq.jobs),
-                   stats::Table::num(r.seq.seconds, 3),
-                   stats::Table::num(r.par.seconds, 3),
-                   stats::Table::num(speedup, 2),
-                   std::to_string(r.par.shards),
-                   std::to_string(r.par.windows),
-                   stats::Table::num(r.par.accept_pct, 2),
-                   r.seq.digest == r.par.digest ? "match" : "DIVERGED"});
-    }
-    std::printf("%s\n", plt.str().c_str());
-  }
-
   const std::string json = bench::json_path(argc, argv);
   if (!json.empty()) {
     std::FILE* f = std::fopen(json.c_str(), "w");
@@ -567,8 +518,7 @@ int main(int argc, char** argv) {
       by_type("tree_by_type", p.tree);
       std::fprintf(f, "}%s\n", i + 1 < batching.size() ? "," : "");
     }
-    std::fprintf(f, "  ]}%s\n",
-                 churn_points.empty() && par_rows.empty() ? "" : ",");
+    std::fprintf(f, "  ]}%s\n", churn_points.empty() ? "" : ",");
     if (!churn_points.empty()) {
       std::fprintf(f, "  \"churn_sweep\": {\"size\": %zu, \"points\": [\n",
                    auction_sizes.back());
@@ -590,31 +540,6 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(p.reformations),
             p.sound ? "true" : "false",
             i + 1 < churn_points.size() ? "," : "");
-      }
-      std::fprintf(f, "  ]}%s\n", par_rows.empty() ? "" : ",");
-    }
-    if (!par_rows.empty()) {
-      std::fprintf(f,
-                   "  \"parallel_scaling\": {\"num_cpus\": %u, "
-                   "\"threads\": %u, \"latency_s\": %.16f, \"points\": [\n",
-                   hw, par_threads, bench::kBenchParallelLatency);
-      for (std::size_t i = 0; i < par_rows.size(); ++i) {
-        const ParRow& r = par_rows[i];
-        const double speedup =
-            r.par.seconds > 0.0 ? r.seq.seconds / r.par.seconds : 0.0;
-        std::fprintf(
-            f,
-            "    {\"size\": %zu, \"jobs\": %llu, "
-            "\"seq_seconds\": %.4f, \"par_seconds\": %.4f, "
-            "\"speedup\": %.4f, \"shards\": %u, \"windows\": %llu, "
-            "\"accept_pct\": %.2f, \"msgs_per_job\": %.4f, "
-            "\"outcomes_match\": %s}%s\n",
-            r.seq.size, static_cast<unsigned long long>(r.seq.jobs),
-            r.seq.seconds, r.par.seconds, speedup, r.par.shards,
-            static_cast<unsigned long long>(r.par.windows), r.par.accept_pct,
-            r.par.msgs_per_job,
-            r.seq.digest == r.par.digest ? "true" : "false",
-            i + 1 < par_rows.size() ? "," : "");
       }
       std::fprintf(f, "  ]}\n");
     }

@@ -11,22 +11,17 @@ the wire-size model end-to-end: a payload-bloating change that keeps
 message counts flat still fails here.  Points are matched by federation
 size, so the CI smoke run may measure only the 50-cluster point.  A
 metric missing from the baseline (an older BENCH_messages.json) is
-skipped, so adding a mode never breaks existing baselines.
-
-When either file carries a "parallel_scaling" section (the sharded
-safe-window kernel sweep, including the 200- and 500-cluster columns),
-it is gated too: outcome digests must match the sequential engine
-unconditionally, and the N-thread column must beat the 1-thread column
-at 50+ clusters — but only when the measuring host reported >= 2 CPUs,
-so a single-core CI runner still gates correctness without failing on
-wall-clock it cannot express.  Points recorded by newer binaries also
-carry "fel_digest_match" — the sequential engine re-run with the ladder
-future-event list must reproduce the heap-path digest bitwise — and
-that pin is gated unconditionally too.
+skipped, so adding a mode never breaks existing baselines; a measured
+file that shares no (size, metric) point with the baseline fails, so
+the gate cannot pass vacuously.
 
 Usage: check_messages.py MEASURED.json CHECKED_IN.json [tolerance_pct]
+       check_messages.py --self-test
 """
 
+import contextlib
+import copy
+import io
 import json
 import sys
 
@@ -35,19 +30,8 @@ def points(doc):
     # BENCH_messages.json nests fig10 under "fig10"; a bare fig10 dump
     # is the artifact itself.
     fig10 = doc.get("fig10", doc)
-    if "auction_batching" not in fig10:  # bare parallel_kernel dump
-        return {}
-    return {p["size"]: p for p in fig10["auction_batching"]["points"]}
-
-
-def parallel_scaling(doc):
-    # The sharded-kernel sweep: inside the fig10 artifact as
-    # "parallel_scaling", or a standalone bench_parallel_kernel dump
-    # ("artifact": "parallel_kernel").  Returns None when the file
-    # predates the parallel kernel.
-    if doc.get("artifact") == "parallel_kernel":
-        return doc
-    return doc.get("fig10", doc).get("parallel_scaling")
+    batching = fig10.get("auction_batching", {})
+    return {p["size"]: p for p in batching.get("points", [])}
 
 
 METRICS = ("batched_msgs_per_job", "tree_wire_msgs_per_job",
@@ -60,12 +44,42 @@ METRICS = ("batched_msgs_per_job", "tree_wire_msgs_per_job",
            # frame accounting degraded even if totals still pass)
            "tree_bid_bytes_per_job")
 
-# Hard invariants checked within the MEASURED file alone (no baseline
+TREE_OVER_BATCHED = "tree_bytes_per_job>batched_bytes_per_job"
+NO_COMPARABLE_POINT = "no comparable (size, metric) point"
+
+
+def regression_failures(measured, baseline, tolerance):
+    """Every (size, metric) of `measured` against `baseline`.
+
+    Returns (failures, compared): the failing "size N metric" gates and
+    the number of pairs compared.
+    """
+    failures = []
+    compared = 0
+    for size, point in sorted(measured.items()):
+        base = baseline.get(size)
+        if base is None:
+            continue
+        for metric in METRICS:
+            if metric not in point or metric not in base:
+                continue
+            compared += 1
+            limit = base[metric] * (1.0 + tolerance / 100.0)
+            ok = point[metric] <= limit
+            print(f"size {size:>3} {metric:<28} measured {point[metric]:8.3f}"
+                  f"  baseline {base[metric]:8.3f}  (+{tolerance:.0f}% limit"
+                  f" {limit:8.3f})  {'ok' if ok else 'FAIL'}")
+            if not ok:
+                failures.append(f"size {size} {metric}")
+    return failures, compared
+
+
+# Hard invariant checked within the MEASURED file alone (no baseline
 # needed): the pruned + delta-encoded convergecast must keep the tree's
 # total bytes/job at or below the batched direct transport's at EVERY
-# federation size, with acceptance unchanged — the whole point of the
-# overlay is paying fewer bytes, not just fewer messages.  The same 5%
-# tolerance bounds measurement wiggle.
+# federation size — the whole point of the overlay is paying fewer
+# bytes, not just fewer messages.  The same tolerance bounds measurement
+# wiggle.
 
 
 def invariant_failures(measured, tolerance):
@@ -76,121 +90,81 @@ def invariant_failures(measured, tolerance):
             continue
         limit = point["batched_bytes_per_job"] * (1.0 + tolerance / 100.0)
         ok = point["tree_bytes_per_job"] <= limit
-        print(f"size {size:>3} tree_bytes_per_job {point['tree_bytes_per_job']:10.1f}"
-              f" <= batched_bytes_per_job {point['batched_bytes_per_job']:10.1f}"
-              f" (+{tolerance:.0f}%)  {'ok' if ok else 'FAIL'}")
+        print(f"size {size:>3} tree_bytes_per_job "
+              f"{point['tree_bytes_per_job']:10.1f} <= batched_bytes_per_job "
+              f"{point['batched_bytes_per_job']:10.1f} (+{tolerance:.0f}%)  "
+              f"{'ok' if ok else 'FAIL'}")
         if not ok:
-            failures.append((size, "tree_bytes_per_job>batched_bytes_per_job"))
+            failures.append(f"size {size} {TREE_OVER_BATCHED}")
     return failures
 
 
-# Gates on the sharded-kernel sweep.  Digest equality is unconditional:
-# a parallel run whose outcomes diverge from the sequential engine fails
-# no matter what the clock says.  The speedup floor is hardware-aware —
-# the artifact records the measuring host's CPU count, and the floor
-# (N threads must beat 1 thread at 50+ clusters) only binds when that
-# host could actually run threads in parallel; a 1-CPU container still
-# gates correctness but not wall-clock.  Against the baseline, a >5%
-# (tolerance) speedup regression fails when BOTH files were measured
-# multi-core, including the 200- and 500-cluster columns when present.
+def failed_gates(measured_doc, baseline_doc, tolerance):
+    """Names of every gate the measured artifact fails (empty = pass)."""
+    measured = points(measured_doc)
+    failures, compared = regression_failures(
+        measured, points(baseline_doc), tolerance)
+    if compared == 0:
+        failures.append(NO_COMPARABLE_POINT)
+    return failures + invariant_failures(measured, tolerance)
 
 
-def parallel_failures(measured, baseline, tolerance):
-    failures = []
-    checks = 0
-    if measured is None:
-        return failures, checks
-    cpus = measured.get("num_cpus", 0)
-    base_points = {}
-    base_cpus = 0
-    if baseline is not None:
-        base_points = {p["size"]: p for p in baseline.get("points", [])}
-        base_cpus = baseline.get("num_cpus", 0)
-    for point in measured.get("points", []):
-        size = point["size"]
-        checks += 1
-        if not point.get("outcomes_match", False):
-            print(f"size {size:>3} parallel outcomes DIVERGED from the "
-                  f"sequential engine  FAIL")
-            failures.append((size, "parallel_outcomes_diverged"))
-            continue
-        # FEL backend pin (newer artifacts only): the sequential engine
-        # re-run with the ladder future-event list forced on must match
-        # the heap-path digest bitwise.  Missing from older files — the
-        # gate, like the metric gates above, never breaks old baselines.
-        if "fel_digest_match" in point:
-            checks += 1
-            if not point["fel_digest_match"]:
-                print(f"size {size:>3} ladder-FEL outcomes DIVERGED from "
-                      f"the heap path  FAIL")
-                failures.append((size, "fel_digest_diverged"))
-                continue
-        speedup = point.get("speedup", 0.0)
-        if cpus >= 2 and size >= 50:
-            checks += 1
-            ok = speedup >= 1.0
-            print(f"size {size:>3} parallel speedup {speedup:6.2f}x >= 1.00x"
-                  f" ({cpus} CPUs)  {'ok' if ok else 'FAIL'}")
-            if not ok:
-                failures.append((size, "parallel_speedup<1"))
-        elif cpus < 2:
-            print(f"size {size:>3} parallel speedup {speedup:6.2f}x "
-                  f"(outcomes match; floor skipped: {cpus} CPU host)")
-        base = base_points.get(size)
-        if base is not None and cpus >= 2 and base_cpus >= 2:
-            checks += 1
-            floor = base.get("speedup", 0.0) * (1.0 - tolerance / 100.0)
-            ok = speedup >= floor
-            print(f"size {size:>3} parallel speedup {speedup:6.2f}x vs "
-                  f"baseline {base.get('speedup', 0.0):6.2f}x "
-                  f"(-{tolerance:.0f}% floor {floor:6.2f}x)  "
-                  f"{'ok' if ok else 'FAIL'}")
-            if not ok:
-                failures.append((size, "parallel_speedup_regressed"))
-    return failures, checks
+def self_test():
+    """A clean artifact must pass; each kind of regression must fail and
+    be named in the failures."""
+    point = {"size": 50,
+             "batched_msgs_per_job": 10.0, "tree_wire_msgs_per_job": 6.0,
+             "coalition_wire_msgs_per_job": 4.0,
+             "batched_bytes_per_job": 12000.0, "tree_bytes_per_job": 11000.0,
+             "coalition_bytes_per_job": 9000.0,
+             "tree_bid_bytes_per_job": 3000.0}
+    baseline = {"fig10": {"auction_batching": {"points": [point]}}}
+
+    def artifact(**changes):
+        measured = {"auction_batching": {"points": [copy.deepcopy(point)]}}
+        measured["auction_batching"]["points"][0].update(changes)
+        return measured
+
+    def quiet_gates(measured, base):
+        with contextlib.redirect_stdout(io.StringIO()):
+            return failed_gates(measured, base, 5.0)
+
+    ok = True
+    if quiet_gates(artifact(), baseline):
+        print("self-test: a clean artifact failed")
+        ok = False
+    cases = [(artifact(**{m: point[m] * 1.06}), baseline, f"size 50 {m}")
+             for m in METRICS]
+    over = point["batched_bytes_per_job"] * 1.06
+    cases.append((artifact(tree_bytes_per_job=over),
+                  {"fig10": {"auction_batching": {"points": [
+                      dict(point, tree_bytes_per_job=over)]}}},
+                  f"size 50 {TREE_OVER_BATCHED}"))
+    cases.append((artifact(size=7), baseline, NO_COMPARABLE_POINT))
+    for measured, base, gate in cases:
+        failures = quiet_gates(measured, base)
+        if gate not in failures:
+            print(f"self-test: '{gate}' was not caught (failures: {failures})")
+            ok = False
+    print("self-test", "passed" if ok else "FAILED")
+    return ok
 
 
 def main():
+    if sys.argv[1:] == ["--self-test"]:
+        return 0 if self_test() else 1
     if len(sys.argv) < 3:
         sys.exit(__doc__)
     measured_doc = json.load(open(sys.argv[1]))
     baseline_doc = json.load(open(sys.argv[2]))
-    measured = points(measured_doc)
-    baseline = points(baseline_doc)
     tolerance = float(sys.argv[3]) if len(sys.argv) > 3 else 5.0
-
-    failures = []
-    checked = 0
-    for size, point in measured.items():
-        base = baseline.get(size)
-        if base is None:
-            continue
-        for metric in METRICS:
-            if metric not in point or metric not in base:
-                continue
-            checked += 1
-            limit = base[metric] * (1.0 + tolerance / 100.0)
-            status = "FAIL" if point[metric] > limit else "ok"
-            print(f"size {size:>3} {metric:<28} measured {point[metric]:8.3f}"
-                  f"  baseline {base[metric]:8.3f}  (+{tolerance:.0f}% limit"
-                  f" {limit:8.3f})  {status}")
-            if point[metric] > limit:
-                failures.append((size, metric))
-    invariants = invariant_failures(measured, tolerance)
-    checked += len(measured)
-    failures += invariants
-    par_failures, par_checked = parallel_failures(
-        parallel_scaling(measured_doc), parallel_scaling(baseline_doc),
-        tolerance)
-    checked += par_checked
-    failures += par_failures
-    if checked == 0:
-        sys.exit("error: no comparable (size, metric) points found")
+    failures = failed_gates(measured_doc, baseline_doc, tolerance)
     if failures:
-        sys.exit(f"error: messages/job regressed beyond {tolerance}% on "
-                 f"{failures}")
-    print(f"message scaling OK ({checked} checks within {tolerance}%)")
+        sys.exit(f"error: {len(failures)} gate(s) failed at {tolerance}% "
+                 f"tolerance: {'; '.join(failures)}")
+    print(f"message scaling OK (every gate within {tolerance}%)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,19 +1,12 @@
 #!/usr/bin/env bash
-# Records the perf trajectory: runs the parallel-kernel sweep, the kernel
-# microbenchmarks, and the fig10/fig11 message-scaling benches, emitting
+# Records the perf trajectory: runs the kernel microbenchmarks and the
+# fig10/fig11 message-scaling benches, emitting
 #
-#   BENCH_kernel.json       — sharded safe-window kernel trajectory: the
-#                             1-thread (sequential engine) vs N-thread
-#                             columns per federation size, with outcome
-#                             digests, speedup and the host CPU count
-#                             (bench_parallel_kernel --json)
 #   BENCH_kernel_micro.json — google-benchmark JSON (BM_EventQueuePushPop,
 #                             BM_SimulationEventDispatch, probed dispatch,
 #                             ...)
 #   BENCH_messages.json     — fig10 + fig11 summaries incl. the auction
 #                             batching comparison (msgs/job AND bytes/job)
-#                             and the parallel_scaling sweep at 50/200/500
-#                             clusters
 #   BENCH_metrics.json      — observability metrics time-series of the
 #                             50-cluster auction+tree+coalition observed
 #                             run (epoch-sampled counters + ledger columns)
@@ -37,23 +30,6 @@ fi
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 
-# The wall-clock trajectories (BENCH_kernel.json and the fig10
-# parallel_scaling section) are only worth re-recording on a host that
-# can actually run the N-thread column in parallel; on a 1- or 2-CPU
-# container the sweep still RUNS — its digest cross-checks (sequential
-# vs sharded, heap vs ladder FEL) gate correctness and fail the script
-# on divergence — but the checked-in multi-core trajectory is kept.
-NCPUS="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
-
-if [[ "$NCPUS" -ge 4 ]]; then
-  echo "== parallel kernel sweep -> $OUT_DIR/BENCH_kernel.json"
-  "$BUILD_DIR/bench_parallel_kernel" --json="$OUT_DIR/BENCH_kernel.json"
-else
-  echo "== parallel kernel sweep (digest check only: $NCPUS CPUs < 4," \
-       "checked-in BENCH_kernel.json kept)"
-  "$BUILD_DIR/bench_parallel_kernel" --json="$tmpdir/kernel.json"
-fi
-
 echo "== kernel microbenchmarks -> $OUT_DIR/BENCH_kernel_micro.json"
 if [[ -x "$BUILD_DIR/bench_micro_kernel" ]]; then
   "$BUILD_DIR/bench_micro_kernel" \
@@ -72,8 +48,6 @@ echo "== fig10/fig11 message scaling -> $OUT_DIR/BENCH_messages.json"
 # metrics registry on and dumps its epoch time-series.
 # --churn adds the membership-churn sweep (0/10/20% mid-run cluster
 # loss) and its churn_sweep columns to the JSON.
-# The parallel sweep (sequential vs N-thread digests + wall-clock at
-# 50/200/500 clusters) runs by default; --par-sizes narrows it.
 "$BUILD_DIR/bench_fig10_msg_per_job_scaling" --json="$tmpdir/fig10.json" \
   --churn \
   --metrics="$OUT_DIR/BENCH_metrics.json" \
@@ -89,27 +63,9 @@ echo "== fig10/fig11 message scaling -> $OUT_DIR/BENCH_messages.json"
   sed 's/^/  /' "$tmpdir/fig11.json"
   echo '}'
 } > "$tmpdir/messages.json"
-# On a <4-CPU host, splice the checked-in multi-core parallel_scaling
-# trajectory back in (the freshly measured one was still digest-checked
-# above via the sweep's own exit status; only its wall-clock columns are
-# meaningless here).
-if [[ "$NCPUS" -lt 4 && -f "$OUT_DIR/BENCH_messages.json" ]]; then
-  python3 - "$tmpdir/messages.json" "$OUT_DIR/BENCH_messages.json" <<'PY' || true
-import json, sys
-new_path, old_path = sys.argv[1], sys.argv[2]
-new = json.load(open(new_path))
-keep = json.load(open(old_path)).get("fig10", {}).get("parallel_scaling")
-if keep and new.get("fig10", {}).get("parallel_scaling"):
-    new["fig10"]["parallel_scaling"] = keep
-    json.dump(new, open(new_path, "w"), indent=2)
-    open(new_path, "a").write("\n")
-    print("  <4-CPU host: kept the checked-in parallel_scaling trajectory")
-PY
-fi
 mv "$tmpdir/messages.json" "$OUT_DIR/BENCH_messages.json"
 
 echo "== summary"
 grep -A7 'Auction mode' "$tmpdir/fig10.txt" | head -10 || true
-grep -A8 'Sharded parallel kernel' "$tmpdir/fig10.txt" | head -12 || true
-echo "done: $OUT_DIR/BENCH_kernel.json $OUT_DIR/BENCH_kernel_micro.json" \
+echo "done: $OUT_DIR/BENCH_kernel_micro.json" \
      "$OUT_DIR/BENCH_messages.json $OUT_DIR/BENCH_metrics.json"

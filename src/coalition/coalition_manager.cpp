@@ -72,9 +72,7 @@ market::Bid CoalitionManager::joint_bid(federation::ParticipantId id,
     if (member == job.origin) continue;  // the origin bids for itself
     if (job.processors > ctx_.spec_of(member).processors) continue;
     market::Bid entry = ctx_.member_bid(member, job);
-    if (member != rep) {
-      local_messages_.fetch_add(2, std::memory_order_relaxed);
-    }  // pricing enquiry + answer
+    if (member != rep) local_messages_ += 2;  // pricing enquiry + answer
     entry.bidder = id;
     if (!any || better_bid(entry, best)) best = entry;
     any = true;
@@ -100,9 +98,7 @@ Placement CoalitionManager::place_award(federation::ParticipantId id,
     if (member == job.origin) continue;  // matches the joint bid's scope
     if (job.processors > ctx_.spec_of(member).processors) continue;
     const market::Bid entry = ctx_.member_bid(member, job);
-    if (member != rep) {
-      local_messages_.fetch_add(2, std::memory_order_relaxed);
-    }
+    if (member != rep) local_messages_ += 2;
     candidates.push_back(Candidate{entry.completion_estimate, member,
                                    entry.ask});
   }
@@ -112,9 +108,7 @@ Placement CoalitionManager::place_award(federation::ParticipantId id,
               return a.member < b.member;
             });
   for (const Candidate& candidate : candidates) {
-    if (candidate.member != rep) {
-      local_messages_.fetch_add(2, std::memory_order_relaxed);  // placement RPC
-    }
+    if (candidate.member != rep) local_messages_ += 2;  // placement RPC
     const sim::SimTime estimate =
         ctx_.member_admit(candidate.member, job);
     if (estimate == sim::kTimeInfinity) continue;  // declined: next member
@@ -122,14 +116,11 @@ Placement CoalitionManager::place_award(federation::ParticipantId id,
     // over the members who backed this bid, even if churn re-forms the
     // group before the job completes.
     const auto members = registry_.members(id);
-    {
-      const std::lock_guard<std::mutex> lock(notes_mu_);
-      notes_.insert_or_assign(
-          job.id,
-          AwardNote{id, candidate.member, candidate.ask,
-                    std::vector<cluster::ResourceIndex>(members.begin(),
-                                                        members.end())});
-    }
+    notes_.insert_or_assign(
+        job.id,
+        AwardNote{id, candidate.member, candidate.ask,
+                  std::vector<cluster::ResourceIndex>(members.begin(),
+                                                      members.end())});
     return Placement{true, candidate.member, estimate};
   }
   return Placement{};
@@ -139,14 +130,10 @@ bool CoalitionManager::settle(economy::GridBank& bank, cluster::JobId job,
                               cluster::ResourceIndex executor,
                               cluster::ResourceIndex consumer_home,
                               std::uint32_t user, double payment) {
-  AwardNote note;
-  {
-    const std::lock_guard<std::mutex> lock(notes_mu_);
-    const auto it = notes_.find(job);
-    if (it == notes_.end()) return false;
-    note = std::move(it->second);
-    notes_.erase(it);
-  }
+  const auto it = notes_.find(job);
+  if (it == notes_.end()) return false;
+  AwardNote note = std::move(it->second);
+  notes_.erase(it);
   if (note.executor != executor) {
     // The job ultimately ran somewhere else (a lossy network abandoned
     // the awarded enquiry and the origin re-scheduled): the note is

@@ -29,9 +29,7 @@
 // Federation driver — the same inversion the transport and policy layers
 // use, keeping this subsystem free of any dependency on core/.
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -153,17 +151,14 @@ class CoalitionManager {
   /// when the job reached a terminal state outside the coalition path —
   /// a solo settlement or a rejection after a lossy award was abandoned
   /// — so stale notes do not accumulate for the rest of the run.
-  void forget(cluster::JobId job) {
-    const std::lock_guard<std::mutex> lock(notes_mu_);
-    notes_.erase(job);
-  }
+  void forget(cluster::JobId job) { notes_.erase(job); }
 
   /// Intra-coalition control messages exchanged on the local links
   /// (member pricing enquiries and placement RPCs; never in the wire
   /// ledger — this is the representative-fan-out cost the README's
   /// byte/message tradeoff discussion quantifies).
   [[nodiscard]] std::uint64_t local_messages() const noexcept {
-    return local_messages_.load(std::memory_order_relaxed);
+    return local_messages_;
   }
 
   /// Every settled coalition award, settlement order.
@@ -213,16 +208,10 @@ class CoalitionManager {
   CoalitionContext& ctx_;
   CoalitionConfig config_;
   federation::ParticipantRegistry registry_;
-  /// Guards the map STRUCTURE of notes_: distinct coalitions place
-  /// awards concurrently from different worker lanes under the sharded
-  /// kernel.  Any single job's note is only ever touched by one lane at
-  /// a time (awards are per-origin), so per-key values need no lock.
-  std::mutex notes_mu_;
   std::unordered_map<cluster::JobId, AwardNote> notes_;
   std::vector<SplitRecord> splits_;
   std::vector<ReformationRecord> reformations_;
-  /// Relaxed atomic: a pure total, summed from concurrent lanes.
-  std::atomic<std::uint64_t> local_messages_{0};
+  std::uint64_t local_messages_ = 0;
   /// Ring key per cluster (formation order; re-formation reuses it).
   std::vector<std::uint64_t> ring_keys_;
   /// Each cluster's formation-time coalition (kNoParticipant when it

@@ -141,21 +141,10 @@ struct FederationConfig {
   /// (and GRIDFED_TRACE=0 compiles the instrumentation out entirely).
   obs::ObsConfig obs = {};
 
-  /// Worker threads for the conservative-parallel kernel
-  /// (sim/parallel.hpp).  0 or 1 = the seed's single-threaded engine,
-  /// bit-identical to every golden.  >= 2 shards the clusters across
-  /// worker threads under the safe-window protocol; this requires a
-  /// nonzero WAN delay floor (network_latency > 0 or a wan model — the
-  /// lookahead), otherwise the run silently falls back to the sequential
-  /// engine.  Parallel runs reproduce the same *outcomes* for any thread
-  /// count, but are not bit-identical to the sequential event order (FP
-  /// accumulation order differs in aggregates).
-  std::uint32_t threads = 0;
-
-  /// Future-event-list selection for every simulation lane (global and
-  /// per-shard alike): the heap/ladder hybrid by default, or a forced
-  /// pure structure for A/B benchmarking.  Both structures pop in the
-  /// identical (time, priority, seq) total order, so this knob never
+  /// Future-event-list selection for the simulation engine: the
+  /// heap/ladder hybrid by default, or a forced pure structure for A/B
+  /// benchmarking.  Both structures pop in the identical
+  /// (time, priority, seq) total order, so this knob never
   /// changes outcomes or digests — only push/pop cost at scale (see
   /// sim/fel.hpp and bench/README.md "Future-event list").
   sim::FelConfig fel = {};

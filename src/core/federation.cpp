@@ -70,50 +70,6 @@ Federation::Federation(FederationConfig config,
                    round_trip_hops * worst_latency + fanout_hold);
   }
 
-  // Overlay ring keys order both coalition formation and the shard
-  // partition (computed once, used by both below).
-  std::vector<std::uint64_t> ring_keys;
-  ring_keys.reserve(specs_.size());
-  for (const auto& spec : specs_) {
-    ring_keys.push_back(overlay::ring_hash(spec.name));
-  }
-  const bool want_coalitions =
-      cfg_.coalitions.enabled && cfg_.mode == SchedulingMode::kAuction;
-
-  // The conservative-parallel kernel.  Eligibility: >= 2 worker threads
-  // requested AND a nonzero lookahead (the safe-window protocol needs a
-  // positive WAN delay floor — see sim/parallel.hpp) AND a partition
-  // that actually yields >= 2 shards.  Anything else silently falls back
-  // to the sequential engine, bit-identical to the seed.
-  const sim::SimTime lookahead =
-      wan ? wan->min_latency() : cfg_.network_latency;
-  if (cfg_.threads >= 2 && specs_.size() >= 2 && lookahead > 0.0) {
-    // Shard blocks align to the coalition ring buckets so a coalition
-    // never spans shards (member_bid / member_admit stay lane-local).
-    const std::uint32_t block =
-        want_coalitions ? cfg_.coalitions.bucket_size : 1;
-    federation::ShardPlan plan =
-        federation::build_shard_plan(ring_keys, block, cfg_.threads);
-    if (plan.shards >= 2) {
-      parallel_ = std::make_unique<ParallelRuntime>();
-      parallel_->plan = std::move(plan);
-      parallel_->engine = std::make_unique<sim::ParallelEngine>(
-          parallel_->plan.shards, sim_, lookahead, specs_.size(), cfg_.fel);
-      parallel_->lanes.reserve(parallel_->plan.shards);
-      for (std::uint32_t s = 0; s < parallel_->plan.shards; ++s) {
-        parallel_->lanes.emplace_back(specs_.size());
-      }
-      parallel_->site_drop.reserve(specs_.size());
-      parallel_->site_dup.reserve(specs_.size());
-      for (const auto& spec : specs_) {
-        parallel_->site_drop.push_back(
-            sim::Rng::stream(cfg_.seed, "message-drop/" + spec.name));
-        parallel_->site_dup.push_back(
-            sim::Rng::stream(cfg_.seed, "message-dup/" + spec.name));
-      }
-    }
-  }
-
 #if GRIDFED_TRACE
   // The observability umbrella goes up before any instrumented layer is
   // wired (the coalition manager emits formation records from its
@@ -130,19 +86,23 @@ Federation::Federation(FederationConfig config,
       // Each sample's message/byte columns come straight from the
       // authoritative ledger (never double-counted by instrumentation),
       // so the closing sample equals FederationResult's totals exactly.
-      metrics->set_ledger_sampler(
-          [this](obs::MetricsSample& sample) { fill_ledger_sample(sample); });
-    }
-    // Per-worker-lane observers: GF_OBS sites fire on whatever lane the
-    // instrumented event runs on, so each shard records into its own
-    // tracer/registry/ledger (merged into observer_ in sim order at run
-    // end).  Lane observers never epoch-sample — only the main registry
-    // carries the time series.
-    if (parallel_ != nullptr) {
-      for (LaneState& lane : parallel_->lanes) {
-        lane.observer = std::make_unique<obs::Observer>(cfg_.obs, tracks,
-                                                        specs_.size() + 1);
-      }
+      metrics->set_ledger_sampler([this](obs::MetricsSample& sample) {
+        for (std::size_t t = 0; t < kMessageTypeCount; ++t) {
+          sample.msgs_by_type[t] =
+              ledger_.count_of(static_cast<MessageType>(t));
+          sample.bytes_by_type[t] =
+              ledger_.bytes_of(static_cast<MessageType>(t));
+        }
+        sample.total_msgs = ledger_.total();
+        sample.total_bytes = ledger_.total_bytes();
+        sample.relay_msgs = ledger_.relay_total();
+        std::uint64_t open = 0;
+        for (const auto& agent : gfas_) {
+          open += agent->scheduling_policy().open_auctions();
+        }
+        sample.gauges[static_cast<std::size_t>(obs::Gauge::kOpenBooks)] =
+            open;
+      });
     }
   }
 #endif
@@ -152,12 +112,9 @@ Federation::Federation(FederationConfig config,
   sim::EntityId next_id = 0;
   for (std::size_t i = 0; i < specs_.size(); ++i) {
     const auto index = static_cast<cluster::ResourceIndex>(i);
-    // Sequentially every entity lives on sim_; under the parallel kernel
-    // each cluster's LRMS + agent live on their shard's engine.
-    sim::Simulation& engine = site_sim(i);
     lrms_.push_back(std::make_unique<cluster::Lrms>(
-        engine, next_id++, specs_[i], index, cfg_.queue_policy));
-    gfas_.push_back(std::make_unique<Gfa>(engine, next_id++, index,
+        sim_, next_id++, specs_[i], index, cfg_.queue_policy));
+    gfas_.push_back(std::make_unique<Gfa>(sim_, next_id++, index,
                                           *lrms_.back(), dir_, *this));
     // Wire cluster completions into the owning agent.
     Gfa* agent = gfas_.back().get();
@@ -173,7 +130,12 @@ Federation::Federation(FederationConfig config,
   // over, so ring-adjacent (and thus coalesced) clusters are exactly the
   // ones sharing cheap tree edges.  Only meaningful in auction mode; the
   // registry also feeds the transports' group-addressed dissemination.
-  if (want_coalitions) {
+  if (cfg_.coalitions.enabled && auction) {
+    std::vector<std::uint64_t> ring_keys;
+    ring_keys.reserve(specs_.size());
+    for (const auto& spec : specs_) {
+      ring_keys.push_back(overlay::ring_hash(spec.name));
+    }
     // The base conversion must happen here (the base is private, so
     // make_unique's forwarding could not perform it).
     coalition::CoalitionContext& coalition_ctx = *this;
@@ -312,9 +274,7 @@ void Federation::load_workload(
       }
       ++jobs_loaded_;
       Gfa* agent = gfas_[trace.resource].get();
-      // Arrivals land on the origin's own lane (sim_ sequentially).
-      site_sim(trace.resource)
-          .schedule_at(job.submit, sim::EventPriority::kArrival,
+      sim_.schedule_at(job.submit, sim::EventPriority::kArrival,
                        [agent, job = std::move(job)] {
                          agent->submit_local(job);
                        });
@@ -338,46 +298,14 @@ FederationResult Federation::run() {
   if (observer_ && observer_->metrics() != nullptr) {
     sim_.set_dispatch_probe(probe, observer_->metrics());
   }
-  // Each shard engine probes into its OWN lane registry: the probe path
-  // stays allocation-free and never shares a counter across threads.
-  if (parallel_ != nullptr) {
-    for (std::size_t s = 0; s < parallel_->lanes.size(); ++s) {
-      obs::Observer* lane_obs = parallel_->lanes[s].observer.get();
-      if (lane_obs != nullptr && lane_obs->metrics() != nullptr) {
-        parallel_->engine->shard(s).set_dispatch_probe(probe,
-                                                       lane_obs->metrics());
-      }
-    }
-  }
 #endif
-  if (parallel_ != nullptr) {
-    parallel_->engine->run();
-    // Terminal job events were deferred by every lane; replay them in
-    // job-id order (see DeferredOutcome) on the coordinator.
-    apply_deferred();
-  } else {
-    sim_.run();
-  }
+  sim_.run();
   GF_ENSURES(outcomes_.size() == jobs_loaded_);
   // Fold every agent's policy counters in once, so the accessor and the
   // aggregate see the same totals.
   for (const auto& agent : gfas_) {
     auction_stats_.awards_piggybacked +=
         agent->scheduling_policy().counters().awards_piggybacked;
-  }
-  if (parallel_ != nullptr) {
-    // Collapse the per-lane sinks into the main ones.  Every ledger and
-    // stats column is a plain sum; observer records merge in sim order.
-    for (LaneState& lane : parallel_->lanes) {
-      ledger_.merge_from(lane.ledger);
-      auction_stats_.merge_from(lane.stats);
-#if GRIDFED_TRACE
-      if (observer_ != nullptr && lane.observer != nullptr) {
-        observer_->merge_from(*lane.observer);
-      }
-#endif
-    }
-    parallel_->collapsed = true;
   }
 #if GRIDFED_TRACE
   // The closing sample: the queue has drained, so the series ends on
@@ -507,24 +435,6 @@ void Federation::member_confirmed_dead(cluster::ResourceIndex site) {
 }
 
 void Federation::job_completed(const JobOutcome& outcome) {
-  if (parallel_active()) {
-    const int lane = sim::ParallelEngine::current_lane();
-    if (lane >= 0) {
-      auto& shard_lane = parallel_->lanes[static_cast<std::size_t>(lane)];
-      shard_lane.deferred.push_back(DeferredOutcome{
-          outcome, parallel_->engine->shard(static_cast<std::size_t>(lane)).now(),
-          true});
-    } else {
-      parallel_->global_deferred.push_back(
-          DeferredOutcome{outcome, sim_.now(), true});
-    }
-    return;
-  }
-  settle_completion(outcome, sim_.now());
-}
-
-void Federation::settle_completion(const JobOutcome& outcome,
-                                   sim::SimTime at) {
   // A job the coalition layer placed settles as one share per member
   // (the SurplusRule split, budget-balanced by construction); everything
   // else settles solo.  via_coalition gates the split — a stale
@@ -555,7 +465,7 @@ void Federation::settle_completion(const JobOutcome& outcome,
 #if GRIDFED_TRACE
     if (observer_ != nullptr && observer_->forensics() != nullptr) {
       obs::SplitDecision decision;
-      decision.t = at;
+      decision.t = sim_.now();
       decision.job = record.job;
       decision.coalition = record.coalition.value;
       decision.executor = record.executor;
@@ -582,7 +492,7 @@ void Federation::settle_completion(const JobOutcome& outcome,
 }
 
 void Federation::auction_report(const market::ClearingReport& report) {
-  lane_auction_stats().record(report);
+  auction_stats_.record(report);
 }
 
 void Federation::job_rejected(const cluster::Job& job,
@@ -593,24 +503,6 @@ void Federation::job_rejected(const cluster::Job& job,
   outcome.accepted = false;
   outcome.negotiations = negotiations;
   outcome.messages = messages;
-  if (parallel_active()) {
-    const int lane = sim::ParallelEngine::current_lane();
-    if (lane >= 0) {
-      auto& shard_lane = parallel_->lanes[static_cast<std::size_t>(lane)];
-      shard_lane.deferred.push_back(DeferredOutcome{
-          std::move(outcome),
-          parallel_->engine->shard(static_cast<std::size_t>(lane)).now(),
-          false});
-    } else {
-      parallel_->global_deferred.push_back(
-          DeferredOutcome{std::move(outcome), sim_.now(), false});
-    }
-    return;
-  }
-  record_rejection(std::move(outcome));
-}
-
-void Federation::record_rejection(JobOutcome outcome) {
   // A rejection may leave a stale coalition placement note behind (an
   // abandoned lossy award): drop it so notes do not accumulate.
   if (coalitions_ != nullptr) coalitions_->forget(outcome.job.id);
@@ -618,93 +510,18 @@ void Federation::record_rejection(JobOutcome outcome) {
   outcomes_.push_back(std::move(outcome));
 }
 
-void Federation::apply_deferred() {
-  std::vector<DeferredOutcome> all = std::move(parallel_->global_deferred);
-  for (LaneState& lane : parallel_->lanes) {
-    all.insert(all.end(), std::make_move_iterator(lane.deferred.begin()),
-               std::make_move_iterator(lane.deferred.end()));
-    lane.deferred.clear();
-  }
-  // Job ids are unique, so this is a total order — independent of both
-  // the worker count and the cross-shard completion interleaving.
-  std::sort(all.begin(), all.end(),
-            [](const DeferredOutcome& a, const DeferredOutcome& b) {
-              return a.outcome.job.id < b.outcome.job.id;
-            });
-  for (DeferredOutcome& d : all) {
-    if (d.accepted) {
-      settle_completion(d.outcome, d.at);
-    } else {
-      record_rejection(std::move(d.outcome));
-    }
-  }
-}
-
-MessageLedger& Federation::lane_ledger() noexcept {
-  if (parallel_active()) {
-    const int lane = sim::ParallelEngine::current_lane();
-    if (lane >= 0) return parallel_->lanes[static_cast<std::size_t>(lane)].ledger;
-  }
-  return ledger_;
-}
-
-stats::AuctionStats& Federation::lane_auction_stats() noexcept {
-  if (parallel_active()) {
-    const int lane = sim::ParallelEngine::current_lane();
-    if (lane >= 0) return parallel_->lanes[static_cast<std::size_t>(lane)].stats;
-  }
-  return auction_stats_;
-}
-
-sim::Rng& Federation::drop_rng(cluster::ResourceIndex from) {
-  if (parallel_ != nullptr) {
-    GF_EXPECTS(from < parallel_->site_drop.size());
-    return parallel_->site_drop[from];
-  }
-  return drop_rng_;
-}
-
-sim::Rng& Federation::duplicate_rng(cluster::ResourceIndex from) {
-  if (parallel_ != nullptr) {
-    GF_EXPECTS(from < parallel_->site_dup.size());
-    return parallel_->site_dup[from];
-  }
-  return dup_rng_;
-}
-
 void Federation::post_delivery(Message&& msg, sim::SimTime delay) {
-  if (!parallel_active()) {
-    std::uint32_t slot;
-    if (free_slots_.empty()) {
-      slot = static_cast<std::uint32_t>(in_flight_.size());
-      in_flight_.push_back(std::move(msg));
-    } else {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-      in_flight_[slot] = std::move(msg);
-    }
-    sim_.schedule_in(delay, sim::EventPriority::kMessage,
-                     [this, slot] { deliver_slot(slot); });
-    return;
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.push_back(std::move(msg));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    in_flight_[slot] = std::move(msg);
   }
-  const int lane = sim::ParallelEngine::current_lane();
-  sim::Simulation& src =
-      lane >= 0 ? parallel_->engine->shard(static_cast<std::size_t>(lane))
-                : sim_;
-  const sim::SimTime at = src.now() + delay;
-  // Gossip is membership state — global lane; everything else lands on
-  // the destination agent's shard.  Same-lane deliveries ride the
-  // mailbox too (not a direct schedule): every delivery then carries a
-  // causal token, so two arrivals at one destination with an identical
-  // (time, priority) key order by token — worker-count invariant —
-  // instead of by which window boundary each happened to drain at.
-  const int target =
-      msg.type == MessageType::kGossip
-          ? sim::kGlobalLane
-          : static_cast<int>(parallel_->plan.shard_of[msg.to]);
-  const cluster::ResourceIndex from = msg.from;
-  parallel_->engine->post(target, at, sim::EventPriority::kMessage, from,
-                          [this, msg = std::move(msg)] { deliver(msg); });
+  sim_.schedule_in(delay, sim::EventPriority::kMessage,
+                   [this, slot] { deliver_slot(slot); });
 }
 
 void Federation::deliver_slot(std::uint32_t slot) {
@@ -712,50 +529,6 @@ void Federation::deliver_slot(std::uint32_t slot) {
   free_slots_.push_back(slot);
   deliver(msg);
 }
-
-void Federation::post_transport_op(cluster::ResourceIndex from,
-                                   sim::EventPriority priority,
-                                   sim::InlineFunction op) {
-  const int lane =
-      parallel_active() ? sim::ParallelEngine::current_lane() : sim::kGlobalLane;
-  if (lane < 0) {
-    // Sequential runs and the global lane itself: the centralized
-    // transport state is the calling context — run inline, as the seed
-    // did.
-    op();
-    return;
-  }
-  parallel_->engine->post(
-      sim::kGlobalLane,
-      parallel_->engine->shard(static_cast<std::size_t>(lane)).now(), priority,
-      from, std::move(op));
-}
-
-#if GRIDFED_TRACE
-void Federation::fill_ledger_sample(obs::MetricsSample& sample) {
-  const auto add = [&sample](const MessageLedger& led) {
-    for (std::size_t t = 0; t < kMessageTypeCount; ++t) {
-      sample.msgs_by_type[t] += led.count_of(static_cast<MessageType>(t));
-      sample.bytes_by_type[t] += led.bytes_of(static_cast<MessageType>(t));
-    }
-    sample.total_msgs += led.total();
-    sample.total_bytes += led.total_bytes();
-    sample.relay_msgs += led.relay_total();
-  };
-  add(ledger_);
-  // Mid-run parallel samples fold the live shard-lane ledgers in (read
-  // at a window barrier, so no lane is mutating them); once collapsed
-  // the main ledger already holds every column.
-  if (parallel_active()) {
-    for (const LaneState& lane : parallel_->lanes) add(lane.ledger);
-  }
-  std::uint64_t open = 0;
-  for (const auto& agent : gfas_) {
-    open += agent->scheduling_policy().open_auctions();
-  }
-  sample.gauges[static_cast<std::size_t>(obs::Gauge::kOpenBooks)] = open;
-}
-#endif
 
 FederationResult Federation::aggregate() const {
   FederationResult result;

@@ -100,20 +100,4 @@ std::uint64_t MessageLedger::bytes_of(MessageType t) const {
   return bytes_by_type_[static_cast<std::size_t>(t)];
 }
 
-void MessageLedger::merge_from(const MessageLedger& other) {
-  GF_EXPECTS(other.local_.size() == local_.size());
-  for (std::size_t i = 0; i < local_.size(); ++i) {
-    local_[i] += other.local_[i];
-    remote_[i] += other.remote_[i];
-    relay_[i] += other.relay_[i];
-  }
-  for (std::size_t t = 0; t < kMessageTypeCount; ++t) {
-    by_type_[t] += other.by_type_[t];
-    bytes_by_type_[t] += other.bytes_by_type_[t];
-  }
-  total_ += other.total_;
-  total_bytes_ += other.total_bytes_;
-  relay_total_ += other.relay_total_;
-}
-
 }  // namespace gridfed::core

@@ -260,13 +260,6 @@ class MessageLedger {
   [[nodiscard]] std::uint64_t count_of(MessageType t) const;
   [[nodiscard]] std::uint64_t bytes_of(MessageType t) const;
 
-  /// Folds another ledger in, element-wise.  Every column is an integer
-  /// count, so merging per-shard ledgers at the end of a parallel run
-  /// reproduces the sequential totals exactly regardless of the order
-  /// the shards booked their messages in.  Both ledgers must cover the
-  /// same federation (equal gfas()).
-  void merge_from(const MessageLedger& other);
-
   [[nodiscard]] std::size_t gfas() const noexcept { return local_.size(); }
 
  private:

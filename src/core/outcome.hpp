@@ -4,6 +4,7 @@
 // aggregation over these records.
 
 #include <cstdint>
+#include <span>
 
 #include "cluster/job.hpp"
 #include "cluster/resource.hpp"
@@ -59,5 +60,14 @@ struct JobOutcome {
            cost <= job.budget;
   }
 };
+
+/// Order-independent digest of a run's per-job outcomes: the records are
+/// sorted by job id, then (id, accepted, executed_on, start, completion,
+/// cost, negotiations, messages) of each is folded in with
+/// sim::fnv1a_mix.  The hash starts from sim::kFnvOffsetBasis, the
+/// truncated FNV basis kept because every golden digest was recorded
+/// from it.
+[[nodiscard]] std::uint64_t outcome_digest(
+    std::span<const JobOutcome> outcomes);
 
 }  // namespace gridfed::core

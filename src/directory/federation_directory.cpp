@@ -49,9 +49,8 @@ void FederationDirectory::subscribe(const Quote& quote) {
     quotes_.push_back(quote);
     insert_rankings(quote);
   }
-  publishes_.fetch_add(1, std::memory_order_relaxed);
-  publish_messages_.fetch_add(publish_message_cost(quotes_.size()),
-                              std::memory_order_relaxed);
+  traffic_.publishes += 1;
+  traffic_.publish_messages += publish_message_cost(quotes_.size());
 }
 
 void FederationDirectory::unsubscribe(cluster::ResourceIndex resource) {
@@ -67,9 +66,8 @@ void FederationDirectory::unsubscribe(cluster::ResourceIndex resource) {
     index_[quotes_[pos].resource] = pos;
   }
   quotes_.pop_back();
-  publishes_.fetch_add(1, std::memory_order_relaxed);
-  publish_messages_.fetch_add(publish_message_cost(quotes_.size() + 1),
-                              std::memory_order_relaxed);
+  traffic_.publishes += 1;
+  traffic_.publish_messages += publish_message_cost(quotes_.size() + 1);
 }
 
 void FederationDirectory::update_price(cluster::ResourceIndex resource,
@@ -81,9 +79,8 @@ void FederationDirectory::update_price(cluster::ResourceIndex resource,
   q.price = price;
   rank_insert(by_price_, price_entry(q));
   // The speed ranking is untouched: repricing does not change MIPS.
-  publishes_.fetch_add(1, std::memory_order_relaxed);
-  publish_messages_.fetch_add(publish_message_cost(quotes_.size()),
-                              std::memory_order_relaxed);
+  traffic_.publishes += 1;
+  traffic_.publish_messages += publish_message_cost(quotes_.size());
 }
 
 void FederationDirectory::update_load_hint(cluster::ResourceIndex resource,
@@ -92,17 +89,15 @@ void FederationDirectory::update_load_hint(cluster::ResourceIndex resource,
   GF_EXPECTS(it != index_.end());
   quotes_[it->second].load_hint = load;
   quotes_[it->second].hint_time = now;
-  publishes_.fetch_add(1, std::memory_order_relaxed);
-  publish_messages_.fetch_add(publish_message_cost(quotes_.size()),
-                              std::memory_order_relaxed);
+  traffic_.publishes += 1;
+  traffic_.publish_messages += publish_message_cost(quotes_.size());
   // Load refreshes do not change price/speed rankings.
 }
 
 void FederationDirectory::meter_query() {
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  query_messages_.fetch_add(
-      query_message_cost(std::max<std::size_t>(quotes_.size(), 1)),
-      std::memory_order_relaxed);
+  traffic_.queries += 1;
+  traffic_.query_messages +=
+      query_message_cost(std::max<std::size_t>(quotes_.size(), 1));
 }
 
 std::optional<Quote> FederationDirectory::query(OrderBy order,

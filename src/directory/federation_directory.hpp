@@ -13,7 +13,6 @@
 // the highest-frequency publish under the §2.3 coordination extension —
 // no longer touch the rankings at all.
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -44,31 +43,6 @@ struct QueryFilter {
 /// break by resource index, so walks are deterministic.
 class FederationDirectory {
  public:
-  FederationDirectory() = default;
-  // The atomic counters delete the implicit moves; restore them (tests
-  // build directories in factory helpers).  Single-threaded operation —
-  // nobody meters a directory mid-move.
-  FederationDirectory(FederationDirectory&& other) noexcept {
-    *this = std::move(other);
-  }
-  FederationDirectory& operator=(FederationDirectory&& other) noexcept {
-    quotes_ = std::move(other.quotes_);
-    index_ = std::move(other.index_);
-    by_price_ = std::move(other.by_price_);
-    by_speed_ = std::move(other.by_speed_);
-    queries_.store(other.queries_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-    publishes_.store(other.publishes_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    query_messages_.store(
-        other.query_messages_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    publish_messages_.store(
-        other.publish_messages_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    return *this;
-  }
-
   /// subscribe — a GFA joins the federation and publishes its quote.
   /// Re-subscribing an existing resource refreshes its quote.
   void subscribe(const Quote& quote);
@@ -113,24 +87,11 @@ class FederationDirectory {
 
   [[nodiscard]] std::size_t size() const noexcept { return quotes_.size(); }
 
-  /// Overlay traffic metered so far.  Returned as a snapshot by value:
-  /// the counters are atomics internally because ranked queries are
-  /// metered concurrently from the sharded kernel's worker lanes
-  /// (mutating publishes stay on the coordinator lane).
-  [[nodiscard]] DirectoryTraffic traffic() const noexcept {
-    DirectoryTraffic t;
-    t.queries = queries_.load(std::memory_order_relaxed);
-    t.publishes = publishes_.load(std::memory_order_relaxed);
-    t.query_messages = query_messages_.load(std::memory_order_relaxed);
-    t.publish_messages = publish_messages_.load(std::memory_order_relaxed);
-    return t;
+  /// Overlay traffic metered so far.
+  [[nodiscard]] const DirectoryTraffic& traffic() const noexcept {
+    return traffic_;
   }
-  void reset_traffic() noexcept {
-    queries_.store(0, std::memory_order_relaxed);
-    publishes_.store(0, std::memory_order_relaxed);
-    query_messages_.store(0, std::memory_order_relaxed);
-    publish_messages_.store(0, std::memory_order_relaxed);
-  }
+  void reset_traffic() noexcept { traffic_ = {}; }
 
   /// Test hook: true when the incrementally maintained rankings equal a
   /// from-scratch re-sort of the quote store.  O(n log n); not metered.
@@ -178,13 +139,7 @@ class FederationDirectory {
   std::unordered_map<cluster::ResourceIndex, std::size_t> index_;
   std::vector<RankEntry> by_price_;  // ascending price
   std::vector<RankEntry> by_speed_;  // descending mips
-  // Relaxed atomics: totals only — no ordering is communicated through
-  // them, and every column is a plain sum, so the end-of-run snapshot
-  // is thread-count-invariant.
-  std::atomic<std::uint64_t> queries_{0};
-  std::atomic<std::uint64_t> publishes_{0};
-  std::atomic<std::uint64_t> query_messages_{0};
-  std::atomic<std::uint64_t> publish_messages_{0};
+  DirectoryTraffic traffic_;
 };
 
 }  // namespace gridfed::directory

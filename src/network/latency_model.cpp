@@ -72,16 +72,4 @@ sim::SimTime LatencyModel::max_latency() const {
   return worst;
 }
 
-sim::SimTime LatencyModel::min_latency() const {
-  if (gamma_.size() < 2) return 0.0;
-  if (cfg_.kind == LatencyKind::kConstant) return cfg_.base_latency;
-  sim::SimTime best = sim::kTimeInfinity;
-  for (cluster::ResourceIndex a = 0; a < gamma_.size(); ++a) {
-    for (cluster::ResourceIndex b = a + 1; b < gamma_.size(); ++b) {
-      best = std::min(best, latency(a, b));
-    }
-  }
-  return best;
-}
-
 }  // namespace gridfed::network

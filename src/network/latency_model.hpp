@@ -75,13 +75,6 @@ class LatencyModel {
   /// Largest pairwise latency (diagnostics; bounds timeout settings).
   [[nodiscard]] sim::SimTime max_latency() const;
 
-  /// Smallest pairwise latency over distinct sites.  Every delay this
-  /// model produces — control_delay and transfer_time alike — is
-  /// latency(from, to) plus a non-negative transmission term, so this is
-  /// a hard floor on cross-site delivery delay: the conservative-parallel
-  /// kernel's lookahead (see sim/parallel.hpp).
-  [[nodiscard]] sim::SimTime min_latency() const;
-
  private:
   NetworkConfig cfg_;
   std::vector<double> gamma_;  // per-site NIC bandwidth (Gb/s)

@@ -1,6 +1,5 @@
 #include "obs/forensics.hpp"
 
-#include <algorithm>
 #include <ostream>
 
 namespace gridfed::obs {
@@ -56,19 +55,6 @@ void ForensicsLedger::write_json(std::ostream& out) const {
     out << "]}";
   }
   out << "\n  ]\n}\n";
-}
-
-void ForensicsLedger::merge_sorted(const ForensicsLedger& other) {
-  decisions_.insert(decisions_.end(), other.decisions_.begin(),
-                    other.decisions_.end());
-  std::stable_sort(decisions_.begin(), decisions_.end(),
-                   [](const ClearingDecision& a, const ClearingDecision& b) {
-                     return a.t < b.t;
-                   });
-  splits_.insert(splits_.end(), other.splits_.begin(), other.splits_.end());
-  std::stable_sort(
-      splits_.begin(), splits_.end(),
-      [](const SplitDecision& a, const SplitDecision& b) { return a.t < b.t; });
 }
 
 }  // namespace gridfed::obs

@@ -84,12 +84,6 @@ class ForensicsLedger {
   [[nodiscard]] std::vector<const ClearingDecision*> for_job(
       std::uint64_t job) const;
 
-  /// Folds another ledger in and restores global time order (stable
-  /// sort, so a job's re-auction sequence keeps its within-shard order
-  /// and for_job() still reads in clearing order).  Used to collapse the
-  /// sharded kernel's per-lane ledgers at run end.
-  void merge_sorted(const ForensicsLedger& other);
-
   void write_json(std::ostream& out) const;
 
  private:

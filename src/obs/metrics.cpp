@@ -68,26 +68,4 @@ void MetricsRegistry::write_json(std::ostream& out) const {
   out << "}\n}\n";
 }
 
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  for (std::size_t i = 0; i < kCounterCount; ++i) {
-    counters_[i] += other.counters_[i];
-  }
-  for (std::size_t i = 0; i < kGaugeCount; ++i) {
-    gauges_[i] += other.gauges_[i];
-  }
-  for (std::size_t i = 0; i < kHistoCount; ++i) {
-    auto& h = histograms_[i];
-    const auto& o = other.histograms_[i];
-    for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
-      h.buckets[b] += o.buckets[b];
-    }
-    h.total += o.total;
-    h.sum += o.sum;
-  }
-  for (std::size_t i = 0; i < declines_.size(); ++i) {
-    declines_[i] += other.declines_[i];
-    misses_[i] += other.misses_[i];
-  }
-}
-
 }  // namespace gridfed::obs

@@ -185,13 +185,6 @@ class MetricsRegistry {
   /// Snapshots counters/gauges/ledger at sim-time `t` onto the series.
   void take_sample(sim::SimTime t);
 
-  /// Folds another registry in: counters, gauges, histograms and the
-  /// per-participant tallies add element-wise; the series is untouched
-  /// (only the run's main registry is epoch-sampled).  Used to collapse
-  /// the sharded kernel's per-lane registries at run end — every column
-  /// is a sum, so the merged totals equal a sequential run's.
-  void merge_from(const MetricsRegistry& other);
-
   [[nodiscard]] sim::SimTime epoch() const noexcept { return epoch_; }
   [[nodiscard]] std::uint64_t counter(Counter c) const noexcept {
     return counters_[static_cast<std::size_t>(c)];

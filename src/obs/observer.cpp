@@ -15,14 +15,6 @@ Observer::Observer(const ObsConfig& cfg,
   if (cfg.forensics) forensics_ = std::make_unique<ForensicsLedger>();
 }
 
-void Observer::merge_from(const Observer& lane) {
-  if (tracer_ && lane.tracer_) tracer_->merge_sorted(*lane.tracer_);
-  if (metrics_ && lane.metrics_) metrics_->merge_from(*lane.metrics_);
-  if (forensics_ && lane.forensics_) {
-    forensics_->merge_sorted(*lane.forensics_);
-  }
-}
-
 }  // namespace gridfed::obs
 
 #endif  // GRIDFED_TRACE

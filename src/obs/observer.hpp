@@ -102,14 +102,6 @@ class Observer {
     return forensics_ != nullptr;
   }
 
-  /// Folds a per-lane observer in: trace buffers merge in time order,
-  /// metric columns add, forensics records interleave by decision time.
-  /// The sharded kernel gives every worker lane its own Observer (so
-  /// the hot path stays free of locks and false sharing) and collapses
-  /// them into the run's main observer here, after the lanes quiesce.
-  /// Both observers must be configured identically.
-  void merge_from(const Observer& lane);
-
  private:
   std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<MetricsRegistry> metrics_;

@@ -1,6 +1,5 @@
 #include "obs/tracer.hpp"
 
-#include <algorithm>
 #include <ostream>
 
 namespace gridfed::obs {
@@ -63,14 +62,6 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
         << ",\"a1\":" << r.a1 << ",\"v\":" << r.v << "}}";
   }
   out << "]}";
-}
-
-void Tracer::merge_sorted(const Tracer& other) {
-  records_.insert(records_.end(), other.records_.begin(),
-                  other.records_.end());
-  std::stable_sort(
-      records_.begin(), records_.end(),
-      [](const TraceRecord& a, const TraceRecord& b) { return a.t < b.t; });
 }
 
 }  // namespace gridfed::obs

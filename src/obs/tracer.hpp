@@ -63,14 +63,6 @@ class Tracer {
   }
   [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
 
-  /// Folds another tracer's buffer in and restores global time order
-  /// (stable sort: same-time records keep their per-source append
-  /// order, so b/e span pairs from one shard still balance).  The
-  /// sharded kernel merges per-shard tracers into the run's main tracer
-  /// with this — track ids are federation-wide, so the merged trace is
-  /// indistinguishable from a sequential one.
-  void merge_sorted(const Tracer& other);
-
   /// Renders the whole buffer as a Chrome trace-event JSON object:
   /// process_name metadata per track, then every record in append
   /// (= simulation) order.

@@ -13,9 +13,8 @@
 // O(n) migrations).  Because both structures emit the exact full-key
 // order — [ time : 64 | priority : 2 | seq : 40 | slot : 22 ], where the
 // IEEE bit pattern of a non-negative double orders like its value — the
-// backend choice and every migration are invisible to pop order, which
-// is what lets each ParallelEngine lane pick its structure independently
-// without perturbing a single golden digest.
+// backend choice and every migration are invisible to pop order: no
+// golden digest depends on which structure ran.
 //
 // The inline callbacks live in a stable slot-indexed side array of
 // cache-line-sized records (callback + occupant identity together, so a
@@ -67,7 +66,7 @@ class EventQueue {
   EventQueue() : EventQueue(FelConfig{}) {}
 
   explicit EventQueue(const FelConfig& cfg) : cfg_(cfg) {
-    // One queue drives a whole federation lane; pre-sizing skips the
+    // One queue drives a whole federation run; pre-sizing skips the
     // first rounds of growth (and InlineFunction relocation) in the hot
     // loop.
     slots_.reserve(kInitialCapacity);

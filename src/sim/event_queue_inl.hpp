@@ -4,7 +4,7 @@
 // keeping them header-inline lets callers fold the Event round-trip away
 // (e.g. a caller that only reads the popped time never materializes the
 // decoded priority/seq).  The spilled_ branch predicts perfectly in
-// steady state — a lane flips it once per migration, not per event.
+// steady state — it flips once per migration, not per event.
 
 #include <algorithm>
 #include <utility>
@@ -96,7 +96,7 @@ inline Event EventQueue::pop() {
 inline void EventQueue::after_remove() {
   if (live_ == 0) {
     // Only tombstones (if anything) remain: drop them wholesale.  A
-    // hybrid lane also returns to the heap here — the cheapest possible
+    // hybrid queue also returns to the heap here — the cheapest possible
     // un-spill point.
     if (spilled_) {
       ladder_.clear();

@@ -19,8 +19,8 @@
 //   * LadderQueue — the classic Rung/Bucket/Bottom ladder queue
 //                   (ladder_queue.hpp): O(1) amortized push/pop
 //                   independent of the pending-set size, the choice once
-//                   a lane's heap would fall into the cold-cache
-//                   heapsort regime (BENCH_kernel_micro.json, 16384+).
+//                   the heap would fall into the cold-cache heapsort
+//                   regime (BENCH_kernel_micro.json, 16384+).
 //
 // Both pop in exactly the same total order — the full 128-bit key order,
 // which keys are unique under (slot uniqueness) — so EventQueue can swap
@@ -62,14 +62,12 @@ inline constexpr std::uint64_t kFelSlotMask =
   return static_cast<std::uint64_t>(k);
 }
 
-/// FEL tuning.  The default is the hybrid: each EventQueue (one per
-/// engine lane under the parallel kernel) independently stays on the
+/// FEL tuning.  The default is the hybrid: the EventQueue stays on the
 /// 4-ary heap while its pending set is below `spill_threshold` keys —
 /// i.e. while ~16 B/key keeps the working set inside L1/L2 — and spills
-/// to the ladder queue above it.  A hot global lane can therefore spill
-/// while lightly loaded shard lanes stay on the heap.  Un-spill happens
-/// at spill_threshold/4 (hysteresis, so a pending set oscillating around
-/// the threshold does not thrash O(n) migrations).
+/// to the ladder queue above it.  Un-spill happens at spill_threshold/4
+/// (hysteresis, so a pending set oscillating around the threshold does
+/// not thrash O(n) migrations).
 struct FelConfig {
   enum class Kind : std::uint8_t {
     kHybrid,  ///< heap below spill_threshold, ladder above (the default)

@@ -1,8 +1,7 @@
 #pragma once
 // FNV-1a-style 64-bit hashing: the tree transport's shape and edge keys,
-// the benchmark's outcome digest, and the golden-digest test suites
-// (tests/test_policy pins per-job outcomes to digests of their field
-// bytes).
+// the benchmark's outcome digest, and core::outcome_digest, which the
+// golden-digest test suites pin per-job outcomes with.
 
 #include <cstddef>
 #include <cstdint>

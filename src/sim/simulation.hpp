@@ -39,7 +39,7 @@ using EventAction = InlineFunction;
 class Simulation {
  public:
   Simulation() = default;
-  /// FEL selection for this lane's queue (see sim::FelConfig): the
+  /// FEL selection for the event queue (see sim::FelConfig): the
   /// hybrid default, or a forced heap/ladder for A/B benchmarking.
   explicit Simulation(const FelConfig& fel) : queue_(fel) {}
   Simulation(const Simulation&) = delete;
@@ -88,14 +88,6 @@ class Simulation {
   /// Number of events currently pending.
   [[nodiscard]] std::size_t pending_events() const noexcept {
     return queue_.size();
-  }
-
-  /// Timestamp of the earliest pending event, kTimeInfinity when the
-  /// queue is empty.  The conservative-parallel coordinator uses this to
-  /// compute safe-window bounds; the queue caches it, so this is a load,
-  /// not a heap peek.
-  [[nodiscard]] SimTime next_event_time() const noexcept {
-    return queue_.next_time();
   }
 
   /// Discards all pending events (the clock is left where it is).

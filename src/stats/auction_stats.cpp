@@ -26,22 +26,4 @@ void AuctionStats::record_miss(std::uint32_t participant) {
   ++guarantees_missed;
 }
 
-void AuctionStats::merge_from(const AuctionStats& other) {
-  held += other.held;
-  awarded += other.awarded;
-  unfilled += other.unfilled;
-  solicited_per_auction.merge(other.solicited_per_auction);
-  bids_per_auction.merge(other.bids_per_auction);
-  feasible_per_auction.merge(other.feasible_per_auction);
-  clearing_price.merge(other.clearing_price);
-  winner_surplus.merge(other.winner_surplus);
-  awards_piggybacked += other.awards_piggybacked;
-  for (const auto& [who, n] : other.award_declines) award_declines[who] += n;
-  for (const auto& [who, n] : other.guarantee_misses) {
-    guarantee_misses[who] += n;
-  }
-  awards_declined += other.awards_declined;
-  guarantees_missed += other.guarantees_missed;
-}
-
 }  // namespace gridfed::stats

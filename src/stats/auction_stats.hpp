@@ -48,11 +48,6 @@ struct AuctionStats {
   /// Books one completion-guarantee miss against `participant`.
   void record_miss(std::uint32_t participant);
 
-  /// Folds another run-slice in (parallel-combine): counters and
-  /// per-participant maps add, the accumulators merge via Chan et al.
-  /// Used by the sharded kernel to collapse per-lane stats at run end.
-  void merge_from(const AuctionStats& other);
-
   /// Fraction of rounds that found a winner, in [0, 1].
   [[nodiscard]] double fill_rate() const noexcept {
     return held ? static_cast<double>(awarded) / static_cast<double>(held)

@@ -11,16 +11,16 @@ namespace gridfed::transport {
 std::span<const cluster::ResourceIndex> Transport::collapse_groups(
     std::span<const cluster::ResourceIndex> targets) {
   if (groups_ == nullptr) return targets;
-  static thread_local std::vector<cluster::ResourceIndex> scratch;
-  scratch.clear();
+  group_scratch_.clear();
   for (const cluster::ResourceIndex target : targets) {
     const cluster::ResourceIndex rep =
         groups_->representative(groups_->participant_of(target));
-    if (std::find(scratch.begin(), scratch.end(), rep) == scratch.end()) {
-      scratch.push_back(rep);
+    if (std::find(group_scratch_.begin(), group_scratch_.end(), rep) ==
+        group_scratch_.end()) {
+      group_scratch_.push_back(rep);
     }
   }
-  return scratch;
+  return group_scratch_;
 }
 
 sim::SimTime Transport::delay_for(const core::Message& msg) const {
@@ -41,9 +41,9 @@ void Transport::schedule_delivery(core::Message&& msg, sim::SimTime delay) {
 
 void Transport::direct_unicast(core::Message&& msg) {
   ctx_.ledger().record(msg);
-  if (lost(msg.type, msg.from)) return;
+  if (lost(msg.type)) return;
   const sim::SimTime delay = delay_for(msg);
-  if (duplicated(msg.type, msg.from)) {
+  if (duplicated(msg.type)) {
     // The network delivered twice: a second wire message with the same
     // content (recorded as such), arriving at the same instant.
     ctx_.ledger().record(msg);

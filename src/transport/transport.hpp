@@ -61,41 +61,8 @@ class TransportContext {
   [[nodiscard]] virtual sim::Rng& drop_rng() = 0;
   [[nodiscard]] virtual sim::Rng& duplicate_rng() = 0;
 
-  /// Per-origin lottery streams.  The defaults ignore `from` and return
-  /// the shared streams — bit-identical to the seed.  The parallel
-  /// driver overrides these with per-site streams so concurrent shards
-  /// never race on one generator and every site's draw sequence is
-  /// independent of the worker-thread count.
-  [[nodiscard]] virtual sim::Rng& drop_rng(cluster::ResourceIndex from) {
-    (void)from;
-    return drop_rng();
-  }
-  [[nodiscard]] virtual sim::Rng& duplicate_rng(cluster::ResourceIndex from) {
-    (void)from;
-    return duplicate_rng();
-  }
-
-  /// Schedules a delivery `delay` seconds from the *caller's* current
-  /// time: on sim() for the sequential engine, where the caller's clock
-  /// IS sim(); under the parallel kernel stamped with the caller's shard
-  /// clock and routed to the destination's shard mailbox.
+  /// Schedules a delivery `delay` seconds from now on sim().
   virtual void post_delivery(core::Message&& msg, sim::SimTime delay) = 0;
-
-  /// Runs `op` on the centralized transport lane.  Sequentially that IS
-  /// the calling context, so the default invokes `op` inline — identical
-  /// to the seed, where TreeTransport mutated its batching state during
-  /// the caller's event.  The parallel driver posts `op` to the global
-  /// lane stamped with the calling shard's clock, keeping the tree's
-  /// shared fan-out/convergecast state single-threaded.  `priority`
-  /// orders same-instant ops against the lane's own events (kMessage ops
-  /// precede the kControl flushes they arm, as in the seed).
-  virtual void post_transport_op(cluster::ResourceIndex from,
-                                 sim::EventPriority priority,
-                                 sim::InlineFunction op) {
-    (void)from;
-    (void)priority;
-    op();
-  }
 
   /// The observability umbrella, or null when disabled (GF_OBS sites
   /// branch on it; overlay records land on the tracer's transport track).
@@ -204,24 +171,20 @@ class Transport {
   }
 
   /// Loss lottery for one wire message (after it was recorded — lost
-  /// messages still cost their send, as in the seed).  `from` selects
-  /// the per-origin stream under the parallel driver; the sequential
-  /// context ignores it.
-  [[nodiscard]] bool lost(core::MessageType type,
-                          cluster::ResourceIndex from) {
+  /// messages still cost their send, as in the seed).
+  [[nodiscard]] bool lost(core::MessageType type) {
     const auto& cfg = ctx_.config();
     if (!droppable(type) || cfg.message_drop_rate <= 0.0) return false;
-    if (!ctx_.drop_rng(from).bernoulli(cfg.message_drop_rate)) return false;
+    if (!ctx_.drop_rng().bernoulli(cfg.message_drop_rate)) return false;
     ctx_.message_dropped();
     return true;
   }
 
   /// Duplication lottery (see TransportOptions::duplicate_rate).
-  [[nodiscard]] bool duplicated(core::MessageType type,
-                                cluster::ResourceIndex from) {
+  [[nodiscard]] bool duplicated(core::MessageType type) {
     const double rate = ctx_.config().transport.duplicate_rate;
     if (!duplicable(type) || rate <= 0.0) return false;
-    return ctx_.duplicate_rng(from).bernoulli(rate);
+    return ctx_.duplicate_rng().bernoulli(rate);
   }
 
   /// One-way point-to-point delay for `msg`: constant latency without a
@@ -249,15 +212,14 @@ class Transport {
   /// convention each caller must re-implement.  O(targets) per
   /// multicast, and only in coalition runs (null registry returns the
   /// input span untouched).
-  /// The returned span views scratch storage valid until the next call
-  /// on the same thread (the scratch is thread-local so concurrent
-  /// shards collapsing their own multicasts never race).
+  /// The returned span views scratch storage valid until the next call.
   [[nodiscard]] std::span<const cluster::ResourceIndex> collapse_groups(
       std::span<const cluster::ResourceIndex> targets);
 
   TransportContext& ctx_;
   std::optional<network::LatencyModel> wan_;
   const federation::ParticipantRegistry* groups_ = nullptr;
+  std::vector<cluster::ResourceIndex> group_scratch_;
 };
 
 /// Builds the transport `options.kind` selects (the only place the kind

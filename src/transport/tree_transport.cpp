@@ -181,18 +181,16 @@ void TreeTransport::on_member_joined(cluster::ResourceIndex index) {
 
 void TreeTransport::unicast(core::Message&& msg) {
   switch (msg.type) {
-    case core::MessageType::kBid: {
-      // The convergecast queue and its flush scheduling are centralized
-      // tree state, so hop onto the transport lane (an inline call in
-      // sequential runs; a global-lane post stamped with the bidder's
-      // shard clock under the parallel kernel).  kMessage priority keeps
-      // same-instant bids ahead of the kControl flush they arm.
-      const cluster::ResourceIndex from = msg.from;
-      ctx_.post_transport_op(
-          from, sim::EventPriority::kMessage,
-          [this, msg = std::move(msg)]() mutable { enqueue_bid(std::move(msg)); });
+    case core::MessageType::kBid:
+      convergecast_queue_.push_back(std::move(msg));
+      if (!convergecast_armed_) {
+        convergecast_armed_ = true;
+        // Runs after every delivery of this instant, so all bids the
+        // instant produces share the flush.
+        ctx_.sim().schedule_at(ctx_.sim().now(), sim::EventPriority::kControl,
+                               [this] { flush_convergecast(); });
+      }
       return;
-    }
     default:
       // Latency-critical admission legs and payload transfers stay
       // point-to-point (see file comment in tree_transport.hpp).
@@ -201,44 +199,14 @@ void TreeTransport::unicast(core::Message&& msg) {
   }
 }
 
-void TreeTransport::enqueue_bid(core::Message&& msg) {
-  convergecast_queue_.push_back(std::move(msg));
-  if (!convergecast_armed_) {
-    convergecast_armed_ = true;
-    // Runs after every delivery of this instant, so all bids the
-    // instant produces share the flush.
-    ctx_.sim().schedule_at(ctx_.sim().now(), sim::EventPriority::kControl,
-                           [this] { flush_convergecast(); });
-  }
-}
-
 std::uint64_t TreeTransport::multicast(
     core::Message&& msg, std::span<const cluster::ResourceIndex> targets,
     sim::SimTime not_after) {
-  // The fan-out queue, the epoch wake, and the harvested job facts are
-  // all centralized tree state: the whole enqueue trampolines to the
-  // transport lane (inline sequentially).  Targets are copied out of
-  // the caller's scratch span first — it dies with this call.
-  const cluster::ResourceIndex from = msg.from;
-  std::vector<cluster::ResourceIndex> copied(targets.begin(), targets.end());
-  ctx_.post_transport_op(
-      from, sim::EventPriority::kMessage,
-      [this, msg = std::move(msg), copied = std::move(copied),
-       not_after]() mutable {
-        queue_fanout(std::move(msg), std::move(copied), not_after);
-      });
-  return 0;  // shared edge cost lands in the ledger's relay counters
-}
-
-void TreeTransport::queue_fanout(core::Message&& msg,
-                                 std::vector<cluster::ResourceIndex>&& raw,
-                                 sim::SimTime not_after) {
   // Group-addressed dissemination: a coalition costs one delivery to
   // its representative — the fan-out behind it rides the coalition
   // layer's local links, never the tree's wire edges.
-  const std::span<const cluster::ResourceIndex> targets =
-      collapse_groups(raw);
-  if (targets.empty()) return;
+  targets = collapse_groups(targets);
+  if (targets.empty()) return 0;
   // Every solicitation fanning out through the tree teaches the relays
   // the job's QoS envelope and shape key, so the bids coming back can be
   // scored and delta-grouped on the convergecast path.
@@ -258,6 +226,7 @@ void TreeTransport::queue_fanout(core::Message&& msg,
   fanout_queue_.push_back(
       PendingFanout{std::move(msg), {targets.begin(), targets.end()}});
   schedule_fanout_wake(not_after);
+  return 0;  // shared edge cost lands in the ledger's relay counters
 }
 
 void TreeTransport::schedule_fanout_wake(sim::SimTime not_after) {
@@ -595,8 +564,7 @@ void TreeTransport::relay(std::span<const RelayItem> items,
     }
     ctx_.ledger().record_relay(owner_at_[edge.from_pos],
                                owner_at_[edge.to_pos], type, edge.bytes);
-    // Loss lottery per wire message, keyed by the sending relay.
-    edge.alive = !lost(type, owner_at_[edge.from_pos]);
+    edge.alive = !lost(type);  // loss lottery per wire message
     // Ground-truth churn: a crashed endpoint physically fails the edge
     // even before the failure detector confirms it.  Checked after the
     // lottery so the drop-RNG sequence is unchanged when churn is off.
@@ -660,7 +628,7 @@ void TreeTransport::relay(std::span<const RelayItem> items,
     core::Message out = *item.payload;
     out.to = item.target;
     out.via_overlay = true;
-    if (duplicated(out.type, out.from)) {
+    if (duplicated(out.type)) {
       // The final hop delivered twice: one extra edge message.  Under
       // frame accounting the duplicate is a one-payload frame (every
       // surviving quote is its own base — no cross-payload groups to

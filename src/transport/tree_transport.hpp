@@ -191,13 +191,6 @@ class TreeTransport final : public Transport {
   /// relay's death would have been confirmed and replayed by now).
   void prune_retained();
 
-  /// Transport-lane bodies of unicast(kBid) / multicast: mutate the
-  /// centralized convergecast / fan-out state (see post_transport_op).
-  void enqueue_bid(core::Message&& msg);
-  void queue_fanout(core::Message&& msg,
-                    std::vector<cluster::ResourceIndex>&& raw,
-                    sim::SimTime not_after);
-
   void schedule_fanout_wake(sim::SimTime not_after);
   void maybe_flush_fanout();
   void flush_fanout();

@@ -4,7 +4,7 @@
 // singleton whose id equals its cluster index bit-for-bit, so all four
 // scheduling modes must reproduce the pre-participant outcomes exactly.
 // The golden digests below are the SAME values tests/test_policy.cpp
-// pins (captured from the pre-refactor tree): an FNV-1a digest over
+// pins (captured from the pre-refactor tree): core::outcome_digest over
 // every job's (id, accepted, executed_on, start, completion, cost,
 // negotiations, messages) tuple in job-id order.
 //
@@ -26,7 +26,7 @@
 #include "coalition/surplus_rule.hpp"
 #include "core/experiment.hpp"
 #include "core/federation.hpp"
-#include "sim/hash.hpp"
+#include "core/outcome.hpp"
 #include "sim/random.hpp"
 #include "workload/synthetic.hpp"
 
@@ -156,33 +156,6 @@ TEST(ParticipantRegistry, SentinelMatchesNoResource) {
 
 // ---- golden-digest parity (coalitions disabled == pre-participant) ----------
 
-template <typename T>
-std::uint64_t mix(std::uint64_t h, T value) {
-  return sim::fnv1a_mix(h, value);
-}
-
-std::uint64_t outcome_hash(const std::vector<core::JobOutcome>& outcomes) {
-  std::vector<const core::JobOutcome*> sorted;
-  sorted.reserve(outcomes.size());
-  for (const auto& o : outcomes) sorted.push_back(&o);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const core::JobOutcome* a, const core::JobOutcome* b) {
-              return a->job.id < b->job.id;
-            });
-  std::uint64_t h = sim::kFnvOffsetBasis;
-  for (const core::JobOutcome* o : sorted) {
-    h = mix(h, o->job.id);
-    h = mix(h, static_cast<std::uint64_t>(o->accepted));
-    h = mix(h, static_cast<std::uint64_t>(o->executed_on));
-    h = mix(h, o->start);
-    h = mix(h, o->completion);
-    h = mix(h, o->cost);
-    h = mix(h, static_cast<std::uint64_t>(o->negotiations));
-    h = mix(h, o->messages);
-  }
-  return h;
-}
-
 struct RunDigest {
   std::uint64_t hash = 0;
   std::uint64_t messages = 0;
@@ -202,8 +175,8 @@ RunDigest digest(const core::FederationConfig& cfg, std::size_t n,
   }
   fed.load_workload(traces, profile);
   const auto result = fed.run();
-  return RunDigest{outcome_hash(fed.outcomes()), result.total_messages,
-                   fed.bank().balanced()};
+  return RunDigest{core::outcome_digest(fed.outcomes()),
+                   result.total_messages, fed.bank().balanced()};
 }
 
 // The pre-refactor goldens from tests/test_policy.cpp: with every

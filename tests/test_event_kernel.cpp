@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <functional>
@@ -24,7 +23,6 @@
 #include "sim/check.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/inline_function.hpp"
-#include "sim/parallel.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
 
@@ -357,72 +355,9 @@ TEST(EventKernel, DispatchProbeFiresPerEventWithoutAllocating) {
   sim.run();
   EXPECT_EQ(probe_hits, 512u);
 }
-
-TEST(EventKernel, DispatchProbeCountsPerShardUnderParallelDispatch) {
-  // The sharded kernel installs one counting probe per worker lane
-  // (Federation::run feeds each lane observer's kEventsDispatched from
-  // it).  The probe contract must survive multi-shard dispatch: every
-  // lane's probe fires exactly once per event that lane executed, the
-  // counters are lane-local (concurrent windows never share a slot, so
-  // no hits are lost to a race), and the steady-state dispatch stays
-  // allocation-free on every worker thread — global operator new is
-  // instrumented process-wide, so one boxing slip on any lane fails the
-  // delta below.
-  constexpr std::size_t kShards = 4;
-  Simulation global_lane;
-  ParallelEngine engine(kShards, global_lane, /*lookahead=*/1.0,
-                        /*max_sites=*/8);
-  std::array<std::uint64_t, kShards> shard_hits{};
-  std::uint64_t global_hits = 0;
-  const auto probe = [](void* ctx, SimTime) {
-    ++*static_cast<std::uint64_t*>(ctx);
-  };
-  for (std::size_t s = 0; s < kShards; ++s) {
-    engine.shard(s).set_dispatch_probe(probe, &shard_hits[s]);
-  }
-  global_lane.set_dispatch_probe(probe, &global_hits);
-
-  std::atomic<std::uint64_t> acc{0};
-  std::atomic<std::uint64_t>* ap = &acc;
-  const auto fill = [&] {
-    for (std::size_t s = 0; s < kShards; ++s) {
-      Simulation& shard = engine.shard(s);
-      const double base = shard.now();
-      for (int i = 0; i < 64; ++i) {
-        shard.schedule_at(base + 1.0 + static_cast<double>(i),
-                          EventPriority::kArrival,
-                          [ap] { ap->fetch_add(1, std::memory_order_relaxed); });
-      }
-    }
-    global_lane.schedule_at(global_lane.now() + 8.0, EventPriority::kControl,
-                            [ap] { ap->fetch_add(1, std::memory_order_relaxed); });
-  };
-
-  fill();
-  engine.run();  // warm-up: spawns the workers, queues at high-water mark
-  EXPECT_EQ(global_hits, 1u);
-  for (std::size_t s = 0; s < kShards; ++s) EXPECT_EQ(shard_hits[s], 64u);
-
-  const std::uint64_t before = g_allocations.load();
-  fill();
-  engine.run();
-  const std::uint64_t after = g_allocations.load();
-  EXPECT_EQ(after - before, 0u) << "sharded probed dispatch allocated";
-
-  // Exactly one hit per executed event, on the lane that executed it.
-  std::uint64_t total = global_hits;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(shard_hits[s], engine.shard(s).events_executed())
-        << "shard " << s;
-    total += shard_hits[s];
-  }
-  EXPECT_EQ(global_hits, global_lane.events_executed());
-  EXPECT_EQ(total, engine.events_executed());
-  EXPECT_EQ(acc.load(), total);
-}
 #endif  // GRIDFED_TRACE
 
-// ---- the sequential delivery slab -------------------------------------------
+// ---- the delivery slab ------------------------------------------------------
 
 /// A small valid job of `origin`, loose enough that any cluster admits it.
 cluster::Job slab_job(cluster::JobId id, cluster::ResourceIndex origin) {

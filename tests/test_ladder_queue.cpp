@@ -4,24 +4,33 @@
 // equality between the heap, ladder, and hybrid backings against a
 // std::set reference — including equal-key ties, skewed/bursty timestamp
 // distributions, and the zero-width-bucket pathological case — plus the
-// allocation-free steady-state contract (rung/bucket recycling) and the
-// erase-of-minimum next_time() regression.
+// allocation-free steady-state contract (rung/bucket recycling), the
+// erase-of-minimum next_time() regression, and whole federation runs
+// pinned bit-identical across the three FEL backends.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "cluster/catalog.hpp"
+#include "core/experiment.hpp"
+#include "core/federation.hpp"
+#include "core/outcome.hpp"
 #include "sim/check.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fel.hpp"
 #include "sim/ladder_queue.hpp"
 #include "sim/random.hpp"
+#include "workload/synthetic.hpp"
 
 // ---- allocation counting ----------------------------------------------------
 // Same instrumentation as test_event_kernel.cpp: global new/delete are
@@ -514,6 +523,138 @@ TEST(HybridAlloc, HeapResidentSteadyStateStaysAllocationFree) {
   EXPECT_FALSE(q.spilled());
   const std::uint64_t after = g_allocations.load();
   EXPECT_EQ(after - before, 0u) << "hybrid heap-resident steady state allocated";
+}
+
+// ---- FEL backend invariance on whole federation runs ------------------------
+// Both FEL structures pop in the identical (time, priority, seq) total
+// order, so swapping the backing — or migrating mid-run — must leave a
+// federation run bit-identical: same draw order, same FP accumulation
+// order.  The hybrid runs with a tiny spill threshold so it genuinely
+// rides the ladder (and crosses the spill/un-spill hysteresis) during the
+// run instead of idling below the default 8192-key threshold.
+
+/// What the pins compare, every field exactly.
+struct FederationDigest {
+  std::uint64_t outcomes = 0;  ///< core::outcome_digest
+  std::uint64_t messages = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t relay_messages = 0;
+  std::uint64_t dropped = 0;
+  double total_incentive = 0.0;
+  double msgs_per_job_mean = 0.0;
+};
+
+FederationDigest run_federation(const core::FederationConfig& cfg,
+                                std::size_t n) {
+  const auto specs = cluster::replicated_specs(n);
+  core::Federation fed(cfg, specs);
+  const auto traces =
+      workload::generate_federation_workload(specs, cfg.window, cfg.seed);
+  std::optional<workload::PopulationProfile> profile;
+  if (cfg.mode == core::SchedulingMode::kEconomy ||
+      cfg.mode == core::SchedulingMode::kAuction) {
+    profile = workload::PopulationProfile{30};
+  }
+  fed.load_workload(traces, profile);
+  const core::FederationResult result = fed.run();
+  return FederationDigest{core::outcome_digest(fed.outcomes()),
+                          result.total_messages,
+                          result.total_message_bytes,
+                          result.overlay_relay_messages,
+                          fed.messages_dropped(),
+                          result.total_incentive,
+                          result.msgs_per_job.mean()};
+}
+
+void expect_identical(const FederationDigest& a, const FederationDigest& b) {
+  EXPECT_EQ(a.outcomes, b.outcomes);
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.relay_messages, b.relay_messages);
+  EXPECT_EQ(a.dropped, b.dropped);
+  EXPECT_EQ(a.total_incentive, b.total_incentive);
+  EXPECT_EQ(a.msgs_per_job_mean, b.msgs_per_job_mean);
+}
+
+/// A sqrt(2) s WAN latency spreads each negotiation over distinct,
+/// non-integer timestamps instead of collapsing it into one instant.
+constexpr double kWanLatency = 1.4142135623730951;
+
+core::FederationConfig wan_config(core::SchedulingMode mode) {
+  auto cfg = core::make_config(mode, 4242);
+  cfg.network_latency = kWanLatency;
+  return cfg;
+}
+
+core::FederationConfig with_fel(core::FederationConfig cfg,
+                                FelConfig::Kind kind,
+                                std::size_t spill_threshold) {
+  cfg.fel.kind = kind;
+  cfg.fel.spill_threshold = spill_threshold;
+  return cfg;
+}
+
+class FelBackendModes
+    : public ::testing::TestWithParam<core::SchedulingMode> {};
+
+TEST_P(FelBackendModes, LadderAndHybridAreBitIdenticalToHeap) {
+  const auto base = wan_config(GetParam());
+  expect_identical(
+      run_federation(with_fel(base, FelConfig::Kind::kHeap, 8192), 12),
+      run_federation(with_fel(base, FelConfig::Kind::kHybrid, 64), 12));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModes, FelBackendModes,
+    ::testing::Values(core::SchedulingMode::kIndependent,
+                      core::SchedulingMode::kFederationNoEconomy,
+                      core::SchedulingMode::kEconomy,
+                      core::SchedulingMode::kAuction),
+    [](const auto& info) {
+      std::string name = to_string(info.param);
+      std::replace(name.begin(), name.end(), '+', '_');
+      return name;
+    });
+
+TEST(FelBackend, ForcedLadderMatchesHeapExactly) {
+  // The pure-ladder A/B column, every key on the ladder from the first:
+  // the economy rank walk at 12 clusters, and the auction with batched
+  // solicitation over the direct transport at 50 clusters.
+  const auto pin = [](const core::FederationConfig& base, std::size_t n) {
+    SCOPED_TRACE(std::string(to_string(base.mode)) + " at " +
+                 std::to_string(n) + " clusters");
+    expect_identical(
+        run_federation(with_fel(base, FelConfig::Kind::kHeap, 8192), n),
+        run_federation(with_fel(base, FelConfig::Kind::kLadder, 8192), n));
+  };
+  pin(wan_config(core::SchedulingMode::kEconomy), 12);
+  auto batched = core::make_config(core::SchedulingMode::kAuction);
+  batched.auction.batch_solicitations = true;
+  batched.auction.solicit_batch_window = 300.0;
+  batched.network_latency = kWanLatency;
+  pin(batched, 50);
+}
+
+TEST(FelBackend, TreeCoalitionChurnPinsAcrossBackends) {
+  // The hardest configuration — tree transport + coalitions + membership
+  // churn — with the hybrid spilling mid-run.
+  auto cfg = wan_config(core::SchedulingMode::kAuction);
+  cfg.transport.kind = transport::TransportKind::kTree;
+  cfg.coalitions.enabled = true;
+  cfg.coalitions.bucket_size = 4;
+  cfg.negotiate_timeout = 400.31415927;  // > relayed hops + tree_epoch hold
+  cfg.auction.bid_timeout = 400.31415927;
+  cfg.membership.enabled = true;
+  cfg.membership.gossip_period = 125.66370614;
+  cfg.membership.churn.events.push_back(
+      membership::ChurnEvent{30000.0, 2, membership::ChurnKind::kCrash});
+  cfg.membership.churn.events.push_back(
+      membership::ChurnEvent{50000.0, 5, membership::ChurnKind::kLeave});
+  cfg.membership.churn.events.push_back(
+      membership::ChurnEvent{90000.0, 5, membership::ChurnKind::kJoin});
+  expect_identical(
+      run_federation(with_fel(cfg, FelConfig::Kind::kHeap, 8192), 16),
+      run_federation(with_fel(cfg, FelConfig::Kind::kHybrid, 64), 16));
 }
 
 }  // namespace

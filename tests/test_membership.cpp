@@ -31,9 +31,9 @@
 
 #include "cluster/catalog.hpp"
 #include "core/experiment.hpp"
+#include "core/outcome.hpp"
 #include "membership/membership_view.hpp"
 #include "sim/check.hpp"
-#include "sim/hash.hpp"
 #include "transport/tree_transport.hpp"
 #include "workload/synthetic.hpp"
 
@@ -148,33 +148,6 @@ TEST(MembershipView, MergeIsCommutativeOnStatusRank) {
 
 // ---- run helpers ------------------------------------------------------------
 
-template <typename T>
-std::uint64_t mix(std::uint64_t h, T value) {
-  return sim::fnv1a_mix(h, value);
-}
-
-std::uint64_t outcome_hash(const std::vector<core::JobOutcome>& outcomes) {
-  std::vector<const core::JobOutcome*> sorted;
-  sorted.reserve(outcomes.size());
-  for (const auto& o : outcomes) sorted.push_back(&o);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const core::JobOutcome* a, const core::JobOutcome* b) {
-              return a->job.id < b->job.id;
-            });
-  std::uint64_t h = sim::kFnvOffsetBasis;
-  for (const core::JobOutcome* o : sorted) {
-    h = mix(h, o->job.id);
-    h = mix(h, static_cast<std::uint64_t>(o->accepted));
-    h = mix(h, static_cast<std::uint64_t>(o->executed_on));
-    h = mix(h, o->start);
-    h = mix(h, o->completion);
-    h = mix(h, o->cost);
-    h = mix(h, static_cast<std::uint64_t>(o->negotiations));
-    h = mix(h, o->messages);
-  }
-  return h;
-}
-
 /// Checks the exactly-once contract on a finished federation and
 /// returns the outcome hash.
 std::uint64_t expect_exactly_once(const core::Federation& fed,
@@ -184,7 +157,7 @@ std::uint64_t expect_exactly_once(const core::Federation& fed,
   for (const auto& o : fed.outcomes()) {
     EXPECT_TRUE(seen.insert(o.job.id).second) << "job " << o.job.id;
   }
-  return outcome_hash(fed.outcomes());
+  return core::outcome_digest(fed.outcomes());
 }
 
 struct ChurnRun {

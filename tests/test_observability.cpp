@@ -33,39 +33,12 @@
 #include "cluster/catalog.hpp"
 #include "core/experiment.hpp"
 #include "core/federation.hpp"
+#include "core/outcome.hpp"
 #include "obs/observer.hpp"
-#include "sim/hash.hpp"
 #include "workload/synthetic.hpp"
 
 namespace gridfed {
 namespace {
-
-template <typename T>
-std::uint64_t mix(std::uint64_t h, T value) {
-  return sim::fnv1a_mix(h, value);
-}
-
-std::uint64_t outcome_hash(const std::vector<core::JobOutcome>& outcomes) {
-  std::vector<const core::JobOutcome*> sorted;
-  sorted.reserve(outcomes.size());
-  for (const auto& o : outcomes) sorted.push_back(&o);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const core::JobOutcome* a, const core::JobOutcome* b) {
-              return a->job.id < b->job.id;
-            });
-  std::uint64_t h = sim::kFnvOffsetBasis;
-  for (const core::JobOutcome* o : sorted) {
-    h = mix(h, o->job.id);
-    h = mix(h, static_cast<std::uint64_t>(o->accepted));
-    h = mix(h, static_cast<std::uint64_t>(o->executed_on));
-    h = mix(h, o->start);
-    h = mix(h, o->completion);
-    h = mix(h, o->cost);
-    h = mix(h, static_cast<std::uint64_t>(o->negotiations));
-    h = mix(h, o->messages);
-  }
-  return h;
-}
 
 /// One full run keeping the Federation alive so tests can query the
 /// observer, the ledger and the outcomes after aggregation.
@@ -89,7 +62,7 @@ Run run_federation(const core::FederationConfig& cfg, std::uint32_t oft,
   }
   run.fed->load_workload(traces, profile);
   run.result = run.fed->run();
-  run.hash = outcome_hash(run.fed->outcomes());
+  run.hash = core::outcome_digest(run.fed->outcomes());
   return run;
 }
 

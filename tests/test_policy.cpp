@@ -5,9 +5,9 @@
 // Table 1 resources, two-day calibrated synthetic traces, default seed).
 //
 // The golden hashes below were captured from the pre-refactor tree (the
-// monolithic Gfa at commit "PR 2"): an FNV-1a digest over every job's
-// (id, accepted, executed_on, start, completion, cost, negotiations,
-// messages) tuple in job-id order.  Any behavioural drift in a policy —
+// monolithic Gfa at commit "PR 2"): core::outcome_digest, an FNV-style
+// digest over every job's (id, accepted, executed_on, start, completion,
+// cost, negotiations, messages) tuple in job-id order.  Any behavioural drift in a policy —
 // a different rank walk, a changed message count, a perturbed award
 // ranking — changes the digest.
 //
@@ -16,43 +16,13 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <vector>
-
 #include "cluster/catalog.hpp"
 #include "core/experiment.hpp"
-#include "sim/hash.hpp"
+#include "core/outcome.hpp"
 #include "workload/synthetic.hpp"
 
 namespace gridfed {
 namespace {
-
-template <typename T>
-std::uint64_t mix(std::uint64_t h, T value) {
-  return sim::fnv1a_mix(h, value);
-}
-
-std::uint64_t outcome_hash(const std::vector<core::JobOutcome>& outcomes) {
-  std::vector<const core::JobOutcome*> sorted;
-  sorted.reserve(outcomes.size());
-  for (const auto& o : outcomes) sorted.push_back(&o);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const core::JobOutcome* a, const core::JobOutcome* b) {
-              return a->job.id < b->job.id;
-            });
-  std::uint64_t h = sim::kFnvOffsetBasis;
-  for (const core::JobOutcome* o : sorted) {
-    h = mix(h, o->job.id);
-    h = mix(h, static_cast<std::uint64_t>(o->accepted));
-    h = mix(h, static_cast<std::uint64_t>(o->executed_on));
-    h = mix(h, o->start);
-    h = mix(h, o->completion);
-    h = mix(h, o->cost);
-    h = mix(h, static_cast<std::uint64_t>(o->negotiations));
-    h = mix(h, o->messages);
-  }
-  return h;
-}
 
 struct RunDigest {
   std::uint64_t hash = 0;
@@ -74,9 +44,9 @@ RunDigest digest(const core::FederationConfig& cfg, std::uint32_t oft) {
   }
   fed.load_workload(traces, profile);
   const auto result = fed.run();
-  return RunDigest{outcome_hash(fed.outcomes()), result.total_messages,
-                   result.total_accepted, result.total_rejected,
-                   result.auctions};
+  return RunDigest{core::outcome_digest(fed.outcomes()),
+                   result.total_messages, result.total_accepted,
+                   result.total_rejected, result.auctions};
 }
 
 void expect_seed_identical(const RunDigest& d, std::uint64_t hash,

@@ -17,45 +17,17 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "cluster/catalog.hpp"
 #include "core/experiment.hpp"
-#include "sim/hash.hpp"
+#include "core/outcome.hpp"
 #include "transport/message_arena.hpp"
 #include "transport/tree_transport.hpp"
 #include "workload/synthetic.hpp"
 
 namespace gridfed {
 namespace {
-
-template <typename T>
-std::uint64_t mix(std::uint64_t h, T value) {
-  return sim::fnv1a_mix(h, value);
-}
-
-std::uint64_t outcome_hash(const std::vector<core::JobOutcome>& outcomes) {
-  std::vector<const core::JobOutcome*> sorted;
-  sorted.reserve(outcomes.size());
-  for (const auto& o : outcomes) sorted.push_back(&o);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const core::JobOutcome* a, const core::JobOutcome* b) {
-              return a->job.id < b->job.id;
-            });
-  std::uint64_t h = sim::kFnvOffsetBasis;
-  for (const core::JobOutcome* o : sorted) {
-    h = mix(h, o->job.id);
-    h = mix(h, static_cast<std::uint64_t>(o->accepted));
-    h = mix(h, static_cast<std::uint64_t>(o->executed_on));
-    h = mix(h, o->start);
-    h = mix(h, o->completion);
-    h = mix(h, o->cost);
-    h = mix(h, static_cast<std::uint64_t>(o->negotiations));
-    h = mix(h, o->messages);
-  }
-  return h;
-}
 
 struct RunDigest {
   std::uint64_t hash = 0;
@@ -83,8 +55,8 @@ RunDigest digest(const core::FederationConfig& cfg, std::uint32_t oft,
   }
   fed.load_workload(traces, profile);
   const auto result = fed.run();
-  return RunDigest{outcome_hash(fed.outcomes()), result.total_messages,
-                   result.total_message_bytes,
+  return RunDigest{core::outcome_digest(fed.outcomes()),
+                   result.total_messages, result.total_message_bytes,
                    result.overlay_relay_messages, fed.messages_dropped(),
                    result.total_accepted, result.total_rejected,
                    result.bids_pruned, result.bid_prune_bytes_saved,
