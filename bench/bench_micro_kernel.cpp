@@ -1,14 +1,19 @@
 // Kernel microbenchmarks (google-benchmark): event queue throughput,
-// availability-profile operations, directory ranked queries, and the
-// end-to-end jobs/second of a full federation run — the numbers that
+// availability-profile operations, auction booking and ranking,
+// directory ranked queries, and the end-to-end jobs/second of a full federation run — the numbers that
 // justify replacing the Java GridSim substrate (DESIGN.md substitution 2).
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <numeric>
+#include <vector>
 
 #include "cluster/availability_profile.hpp"
 #include "cluster/catalog.hpp"
 #include "core/experiment.hpp"
 #include "directory/federation_directory.hpp"
+#include "market/auction_engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
@@ -160,6 +165,43 @@ void BM_AvailabilityReserve(benchmark::State& state) {
                           1000);
 }
 BENCHMARK(BM_AvailabilityReserve);
+
+// One auction round in the live shape of the 100-cluster auction runs: a
+// pooled 97-bidder book reopened in cheapest-first solicitation order,
+// every bid added in that order, the book ranked, and the first award
+// taken (a run tries about one award per book).  Items are bids.
+void BM_AuctionBook(benchmark::State& state) {
+  constexpr std::size_t kBidders = 97;
+  sim::Rng rng(11);
+  std::vector<cluster::ResourceIndex> clusters(100);
+  std::iota(clusters.begin(), clusters.end(), cluster::ResourceIndex{0});
+  for (std::size_t i = clusters.size() - 1; i > 0; --i) {
+    std::swap(clusters[i], clusters[rng.uniform_int(0, i)]);
+  }
+  std::vector<federation::ParticipantId> solicited(
+      clusters.begin(), clusters.begin() + kBidders);
+  std::vector<market::Bid> bids;
+  for (const federation::ParticipantId bidder : solicited) {
+    bids.push_back(market::Bid{bidder, rng.uniform(10.0, 100.0),
+                               rng.uniform(100.0, 1000.0), true});
+  }
+  cluster::Job job;
+  job.budget = 80.0;
+  job.deadline = 900.0;
+  const market::AuctionEngine engine(market::ClearingRule::kVickrey, true,
+                                     true);
+  market::AuctionBook book;
+  cluster::JobId id = 0;
+  for (auto _ : state) {
+    book.reopen(id++, solicited);
+    for (const market::Bid& bid : bids) book.add(bid);
+    const market::Ranking ranking = engine.rank(job, book.bids());
+    benchmark::DoNotOptimize(ranking.front().payment);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kBidders));
+}
+BENCHMARK(BM_AuctionBook);
 
 void BM_DirectoryRankedQuery(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

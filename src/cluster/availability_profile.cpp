@@ -9,13 +9,13 @@ namespace gridfed::cluster {
 AvailabilityProfile::AvailabilityProfile(std::uint32_t capacity)
     : capacity_(capacity) {
   GF_EXPECTS(capacity > 0);
-  steps_.emplace(0.0, capacity);
+  steps_.push_back(Step{0.0, capacity});
 }
 
 std::uint32_t AvailabilityProfile::available_at(sim::SimTime t) const {
-  auto it = steps_.upper_bound(t);
+  auto it = std::ranges::upper_bound(steps_, t, {}, &Step::t);
   if (it == steps_.begin()) return capacity_;  // before recorded history
-  return std::prev(it)->second;
+  return std::prev(it)->available;
 }
 
 sim::SimTime AvailabilityProfile::earliest_start(sim::SimTime not_before,
@@ -27,20 +27,19 @@ sim::SimTime AvailabilityProfile::earliest_start(sim::SimTime not_before,
   sim::SimTime candidate = not_before;
   // Walk the steps; whenever a step inside the candidate window dips below
   // `procs`, restart the window just after that step.
-  auto it = steps_.upper_bound(candidate);
+  auto it = std::ranges::upper_bound(steps_, candidate, {}, &Step::t);
   if (it != steps_.begin()) --it;  // step in force at `candidate`
   while (it != steps_.end()) {
-    const sim::SimTime seg_start = std::max(it->first, candidate);
+    const sim::SimTime seg_start = std::max(it->t, candidate);
     if (seg_start >= candidate + duration) break;  // window fully verified
-    if (seg_start >= latest_start_ && it->second >= procs) {
+    if (seg_start >= latest_start_ && it->available >= procs) {
       break;  // no reservation starts later: every later step fits too
     }
-    if (it->second < procs) {
+    if (it->available < procs) {
       // Window fails here; candidate moves past this segment.
-      auto next = std::next(it);
-      GF_ENSURES(next != steps_.end());  // last segment has full capacity
-      candidate = next->first;
-      it = next;
+      ++it;
+      GF_ENSURES(it != steps_.end());  // last segment has full capacity
+      candidate = it->t;
       continue;
     }
     ++it;
@@ -48,14 +47,14 @@ sim::SimTime AvailabilityProfile::earliest_start(sim::SimTime not_before,
   return candidate;
 }
 
-std::map<sim::SimTime, std::uint32_t>::iterator
+std::vector<AvailabilityProfile::Step>::iterator
 AvailabilityProfile::ensure_boundary(sim::SimTime t) {
-  auto it = steps_.lower_bound(t);
-  if (it != steps_.end() && it->first == t) return it;
+  auto it = std::ranges::lower_bound(steps_, t, {}, &Step::t);
+  if (it != steps_.end() && it->t == t) return it;
   // Value in force just before t.
   const std::uint32_t value =
-      (it == steps_.begin()) ? capacity_ : std::prev(it)->second;
-  return steps_.emplace_hint(it, t, value);
+      (it == steps_.begin()) ? capacity_ : std::prev(it)->available;
+  return steps_.insert(it, Step{t, value});
 }
 
 void AvailabilityProfile::reserve(sim::SimTime start, sim::SimTime end,
@@ -64,11 +63,12 @@ void AvailabilityProfile::reserve(sim::SimTime start, sim::SimTime end,
   GF_EXPECTS(start <= end);
   if (start == end) return;  // zero-length reservation is a no-op
 
-  auto first = ensure_boundary(start);
+  // The end boundary first: inserting it second would invalidate the
+  // iterator to the start boundary.
   ensure_boundary(end);
-  for (auto it = first; it != steps_.end() && it->first < end; ++it) {
-    GF_EXPECTS(it->second >= procs);  // caller must have verified the window
-    it->second -= procs;
+  for (auto it = ensure_boundary(start); it->t < end; ++it) {
+    GF_EXPECTS(it->available >= procs);  // caller must have verified the window
+    it->available -= procs;
   }
   latest_start_ = std::max(latest_start_, start);
 }
@@ -79,31 +79,30 @@ void AvailabilityProfile::release(sim::SimTime start, sim::SimTime end,
   GF_EXPECTS(start <= end);
   if (start == end) return;
 
-  auto first = ensure_boundary(start);
   ensure_boundary(end);
-  for (auto it = first; it != steps_.end() && it->first < end; ++it) {
-    GF_EXPECTS(it->second + procs <= capacity_);  // must match a reserve
-    it->second += procs;
+  for (auto it = ensure_boundary(start); it->t < end; ++it) {
+    GF_EXPECTS(it->available + procs <= capacity_);  // must match a reserve
+    it->available += procs;
   }
 }
 
 void AvailabilityProfile::trim(sim::SimTime now) {
-  auto it = steps_.upper_bound(now);
+  auto it = std::ranges::upper_bound(steps_, now, {}, &Step::t);
   if (it == steps_.begin()) return;
   --it;  // step in force at `now`
   if (it == steps_.begin()) return;
   // Re-anchor the in-force step at `now` and drop everything earlier.
-  const std::uint32_t value = it->second;
-  steps_.erase(steps_.begin(), std::next(it));
-  steps_.emplace(now, value);
+  it->t = now;
+  steps_.erase(steps_.begin(), it);
 }
 
 bool AvailabilityProfile::valid() const {
   if (steps_.empty()) return false;
-  for (const auto& [t, avail] : steps_) {
-    if (avail > capacity_) return false;
+  for (std::size_t i = 0; i < steps_.size(); ++i) {
+    if (steps_[i].available > capacity_) return false;
+    if (i > 0 && !(steps_[i - 1].t < steps_[i].t)) return false;
   }
-  return steps_.rbegin()->second == capacity_;
+  return steps_.back().available == capacity_;
 }
 
 }  // namespace gridfed::cluster

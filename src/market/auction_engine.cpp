@@ -1,6 +1,7 @@
 #include "market/auction_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/check.hpp"
 
@@ -12,6 +13,7 @@ AuctionBook::AuctionBook(cluster::JobId job,
       solicited_(std::move(solicited)),
       answered_(solicited_.size(), false),
       outstanding_(solicited_.size()) {
+  build_index();
   bids_.reserve(solicited_.size());
 }
 
@@ -20,82 +22,117 @@ void AuctionBook::reopen(cluster::JobId job,
   job_ = job;
   solicited_.assign(solicited.begin(), solicited.end());
   answered_.assign(solicited_.size(), false);
+  build_index();
   outstanding_ = solicited_.size();
   pruned_ = 0;
   bids_.clear();
   bids_.reserve(solicited_.size());
 }
 
-bool AuctionBook::add(const Bid& bid) {
-  for (std::size_t i = 0; i < solicited_.size(); ++i) {
-    if (solicited_[i] != bid.bidder) continue;
-    if (answered_[i]) return false;  // duplicate
-    answered_[i] = true;
+void AuctionBook::build_index() {
+  index_.assign(std::bit_ceil(2 * solicited_.size()), kFreeCell);
+  const auto mask = static_cast<std::uint32_t>(index_.size() - 1);
+  for (std::uint32_t slot = 0; slot < solicited_.size(); ++slot) {
+    std::uint32_t h = solicited_[slot].value & mask;
+    while (index_[h] != kFreeCell) h = (h + 1) & mask;
+    index_[h] = slot;
+  }
+}
+
+bool AuctionBook::answer(federation::ParticipantId bidder) {
+  if (index_.empty()) return false;  // never opened
+  const auto mask = static_cast<std::uint32_t>(index_.size() - 1);
+  for (std::uint32_t h = bidder.value & mask; index_[h] != kFreeCell;
+       h = (h + 1) & mask) {
+    const std::uint32_t slot = index_[h];
+    if (solicited_[slot] != bidder) continue;
+    if (answered_[slot]) return false;  // duplicate
+    answered_[slot] = true;
     --outstanding_;
-    bids_.push_back(bid);
     return true;
   }
   return false;  // unsolicited
+}
+
+bool AuctionBook::add(const Bid& bid) {
+  if (!answer(bid.bidder)) return false;
+  bids_.push_back(bid);
+  return true;
 }
 
 bool AuctionBook::add_pruned(federation::ParticipantId bidder) {
-  for (std::size_t i = 0; i < solicited_.size(); ++i) {
-    if (solicited_[i] != bidder) continue;
-    if (answered_[i]) return false;  // duplicate (re-delivered tombstone)
-    answered_[i] = true;
-    --outstanding_;
-    ++pruned_;
-    return true;
-  }
-  return false;  // unsolicited
+  // A re-delivered tombstone is a duplicate like a re-delivered bid.
+  if (!answer(bidder)) return false;
+  ++pruned_;
+  return true;
 }
 
-std::vector<Award> AuctionEngine::clear(const cluster::Job& job,
-                                        const std::vector<Bid>& bids) const {
-  struct Scored {
-    Bid bid;
-    double score;
-  };
+const Bid* Ranking::runner_up() const noexcept {
+  // The heap's second-best element is the better child of the root.
+  if (heap_.size() < 2) return nullptr;
+  if (heap_.size() == 2 || ranks_after(heap_[2], heap_[1])) {
+    return &heap_[1].bid;
+  }
+  return &heap_[2].bid;
+}
+
+Award Ranking::front() const {
+  GF_EXPECTS(!heap_.empty());
+  const Bid& best = heap_.front().bid;
+  double payment = best.ask;
+  if (rule_ == ClearingRule::kVickrey) {
+    if (const Bid* next = runner_up(); next != nullptr) {
+      // Under a non-price score the next-ranked ask can undercut this
+      // one; flooring at the own ask keeps the payment individually
+      // rational (generalized second price, see file comment).
+      payment = std::max(best.ask, next->ask);
+    } else if (reserve_) {
+      // Lone (or last-ranked) bidder: the reserve price — the user's
+      // budget — plays the second bid, as in a Vickrey auction with a
+      // reserve.  Without budget enforcement there is no reserve and the
+      // ask itself is the only defensible payment.
+      payment = *reserve_;
+    }
+  }
+  return Award{best, payment};
+}
+
+void Ranking::pop() {
+  GF_EXPECTS(!heap_.empty());
+  std::pop_heap(heap_.begin(), heap_.end(), ranks_after);
+  heap_.pop_back();
+}
+
+Ranking AuctionEngine::rank(const cluster::Job& job,
+                            std::span<const Bid> bids) const {
   const JobQos qos = JobQos::of(job);
-  std::vector<Scored> feasible;
-  feasible.reserve(bids.size());
+  Ranking ranking;
+  ranking.rule_ = rule_;
+  if (scorer_.enforce_budget()) ranking.reserve_ = job.budget;
+  ranking.heap_.reserve(bids.size());
   for (const Bid& bid : bids) {
     GF_EXPECTS(bid.ask >= 0.0 || !bid.feasible);
     if (!scorer_.admissible(qos, bid)) continue;
-    feasible.push_back(Scored{bid, scorer_.score(qos, bid)});
+    ranking.heap_.push_back(Ranking::Scored{bid, scorer_.score(qos, bid)});
   }
-  // Best score wins under the scorer's shared total order (score, ask,
+  // Best score first under the scorer's shared total order (score, ask,
   // completion guarantee, participant id), so clearing is deterministic
   // for any arrival order of the bids — and identical to the rank order
   // the pruning relays preserve.  (Singleton ids equal their cluster
   // index, so solo clearing orders exactly as the pre-participant
   // engine did.)
-  std::sort(feasible.begin(), feasible.end(),
-            [](const Scored& a, const Scored& b) {
-              return BidScorer::rank_less(a.score, a.bid, b.score, b.bid);
-            });
-
-  std::vector<Award> ranking;
-  ranking.reserve(feasible.size());
-  for (std::size_t i = 0; i < feasible.size(); ++i) {
-    double payment = feasible[i].bid.ask;
-    if (rule_ == ClearingRule::kVickrey) {
-      if (i + 1 < feasible.size()) {
-        // Under a non-price score the next-ranked ask can undercut this
-        // one; flooring at the own ask keeps the payment individually
-        // rational (generalized second price, see file comment).
-        payment = std::max(feasible[i].bid.ask, feasible[i + 1].bid.ask);
-      } else if (scorer_.enforce_budget()) {
-        // Lone (or last-ranked) bidder: the reserve price — the user's
-        // budget — plays the second bid, as in a Vickrey auction with a
-        // reserve.  Without budget enforcement there is no reserve and the
-        // ask itself is the only defensible payment.
-        payment = job.budget;
-      }
-    }
-    ranking.push_back(Award{feasible[i].bid, payment});
-  }
+  std::make_heap(ranking.heap_.begin(), ranking.heap_.end(),
+                 Ranking::ranks_after);
   return ranking;
+}
+
+std::vector<Award> AuctionEngine::clear(const cluster::Job& job,
+                                        const std::vector<Bid>& bids) const {
+  Ranking ranking = rank(job, bids);
+  std::vector<Award> awards;
+  awards.reserve(ranking.size());
+  for (; !ranking.empty(); ranking.pop()) awards.push_back(ranking.front());
+  return awards;
 }
 
 }  // namespace gridfed::market

@@ -5,7 +5,7 @@
 //
 // Clearing filters the book down to *feasible* bids (bidder-declared
 // feasibility, the job's deadline when enforced, and the job's budget as
-// the reserve price when enforced), sorts them best-score-first with
+// the reserve price when enforced), ranks them best-score-first with
 // deterministic tie-breaking (score, then ask, then completion estimate,
 // then bidder index), and prices every position under the configured rule:
 //
@@ -25,12 +25,19 @@
 // (no provider is ever paid less than it asked), not an exact VCG
 // transfer.
 //
-// The whole ranking (not just the winner) is returned because an award is
-// only a *proposal*: the winner re-runs admission control at award time,
-// and if its queue filled up since bidding, the origin falls through to
-// the runner-up — whose payment must already be consistent with the rule.
+// The ranking is extracted lazily (Ranking): clearing heapifies the
+// feasible bids in O(bids), and each award tried pops the best remaining
+// one in O(log bids).  An award is only a *proposal* — the winner re-runs
+// admission control at award time, and if its queue filled up since
+// bidding, the origin falls through to the runner-up, whose payment must
+// already be consistent with the rule — but a run tries about one award
+// per book, so sorting the whole book would mostly order bids nobody
+// reads.  The heap's pop order is the sorted order exactly: rank_less is
+// a strict total order over a book's bids, whose bidders are distinct.
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -47,6 +54,12 @@ namespace gridfed::market {
 /// Books are designed to be pooled (see book_pool.hpp): reopen() rewinds
 /// a cleared book for the next job while keeping every internal vector's
 /// capacity, so back-to-back auctions of the same shape allocate nothing.
+///
+/// A bid finds its bidder's solicitation in O(1) through a direct-mapped,
+/// linear-probed index keyed by the low bits of ParticipantId::value:
+/// singleton ids are dense cluster indices and coalition ids are dense
+/// above kCoalitionBase, so the low bits spread both, and every probe
+/// compares the full id.  Building it is O(solicited), with no sort.
 class AuctionBook {
  public:
   /// An unopened book (pool storage); reopen() before use.
@@ -96,9 +109,23 @@ class AuctionBook {
   }
 
  private:
+  /// An index cell that maps no bidder.
+  static constexpr std::uint32_t kFreeCell = ~std::uint32_t{0};
+
+  /// Rebuilds index_ over solicited_: a power-of-two table at least
+  /// twice the solicited count, so every probe chain ends at a free cell.
+  void build_index();
+  /// Marks `bidder` answered; false when it was never solicited or has
+  /// already answered.  A participant solicited twice answers through
+  /// its first slot, which probing always reaches first.
+  bool answer(federation::ParticipantId bidder);
+
   cluster::JobId job_ = 0;
   std::vector<federation::ParticipantId> solicited_;
   std::vector<bool> answered_;  // parallel to solicited_
+  /// Slot in solicited_ of each solicited bidder, at the cell its
+  /// masked id probes to; kFreeCell elsewhere.
+  std::vector<std::uint32_t> index_;
   std::size_t outstanding_ = 0;
   std::size_t pruned_ = 0;
   std::vector<Bid> bids_;
@@ -114,6 +141,47 @@ struct ClearingReport {
   federation::ParticipantId winner = federation::kNoParticipant;
   double winner_ask = 0.0;
   double payment = 0.0;  ///< what the top-ranked award would settle
+};
+
+/// A cleared book's award ranking, extracted best-first on demand: a
+/// binary heap over the scored feasible bids under BidScorer::rank_less.
+/// front() prices the best remaining award exactly as the fully sorted
+/// ranking would at that position; pop() moves on to the runner-up.
+class Ranking {
+ public:
+  /// An empty ranking (no award to try).
+  Ranking() = default;
+
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  /// Awards still to try.
+  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
+
+  /// The best remaining award, priced under the clearing rule: Vickrey
+  /// pays the runner-up's ask (floored at the own ask), or the budget
+  /// reserve when no runner-up is left.  Precondition: !empty().
+  [[nodiscard]] Award front() const;
+  /// The bid ranked right after front()'s, or null when it is the last.
+  [[nodiscard]] const Bid* runner_up() const noexcept;
+  /// Drops the best remaining award.  Precondition: !empty().
+  void pop();
+
+ private:
+  friend class AuctionEngine;
+
+  struct Scored {
+    Bid bid;
+    double score;
+  };
+  /// Heap order: `a` ranks after `b` (the best award sits at the root).
+  [[nodiscard]] static bool ranks_after(const Scored& a,
+                                        const Scored& b) noexcept {
+    return BidScorer::rank_less(b.score, b.bid, a.score, a.bid);
+  }
+
+  std::vector<Scored> heap_;
+  ClearingRule rule_ = ClearingRule::kFirstPrice;
+  /// Vickrey's last-ranked award pays this reserve (the budget) if set.
+  std::optional<double> reserve_;
 };
 
 /// Clears closed books into award rankings.
@@ -134,8 +202,12 @@ class AuctionEngine {
       : rule_(rule),
         scorer_(scoring, time_weight, enforce_budget, enforce_deadline) {}
 
-  /// Deterministic award ranking for `job` over `bids` (see file comment).
-  /// Empty when no bid is feasible.
+  /// The lazily extracted award ranking for `job` over `bids` (see file
+  /// comment).  Empty when no bid is feasible.
+  [[nodiscard]] Ranking rank(const cluster::Job& job,
+                             std::span<const Bid> bids) const;
+
+  /// The whole award ranking, best first: rank() drained.
   [[nodiscard]] std::vector<Award> clear(const cluster::Job& job,
                                          const std::vector<Bid>& bids) const;
 

@@ -1,10 +1,11 @@
 #pragma once
 // AuctionBook recycling.  Every job in auction mode opens a book whose
-// three vectors (solicited, answered, bids) the old code allocated fresh
-// and threw away a few events later.  Back-to-back jobs at the same
-// origin solicit the same provider set ("the same shape"), so a released
-// book's capacity is exactly what the next auction needs — the pool turns
-// the per-auction allocations into plain vector rewinds.
+// vectors (solicited, answered, bids) and bidder index the old code
+// allocated fresh and threw away a few events later.  Back-to-back jobs
+// at the same origin solicit the same provider set ("the same shape"),
+// so a released book's capacity is exactly what the next auction needs
+// — the pool turns the per-auction allocations into plain vector
+// rewinds.
 
 #include <cstddef>
 #include <span>

@@ -43,7 +43,7 @@ void AuctionPolicy::schedule(core::Pending p) {
   const AuctionJobState* st = state_of(p);
   if (st != nullptr && st->dbc_fallback) {
     dbc_fallback_.schedule(std::move(p));
-  } else if (st != nullptr && !st->awards.empty()) {
+  } else if (st != nullptr && st->ranked) {
     advance_awards(std::move(p));
   } else {
     open_auction(std::move(p));
@@ -355,8 +355,8 @@ void AuctionPolicy::clear_auction(cluster::JobId id) {
       cfg.enforce_budget, cfg.enforce_deadline);
   core::Pending p = std::move(auction.pending);
   AuctionJobState& st = ensure_state(p);
-  st.awards = engine.clear(p.job, auction.book.bids());
-  st.next_award = 0;
+  st.ranking = engine.rank(p.job, auction.book.bids());
+  st.ranked = !st.ranking.empty();
 
   market::ClearingReport report;
   report.job = p.job.id;
@@ -365,12 +365,13 @@ void AuctionPolicy::clear_auction(cluster::JobId id) {
   // the overlay just carried a marker instead of the quote — so the
   // bids-per-auction telemetry is invariant under transport pruning.
   report.bids = auction.book.bids().size() + auction.book.pruned();
-  report.feasible = st.awards.size();
-  report.awarded = !st.awards.empty();
+  report.feasible = st.ranking.size();
+  report.awarded = st.ranked;
   if (report.awarded) {
-    report.winner = st.awards.front().bid.bidder;
-    report.winner_ask = st.awards.front().bid.ask;
-    report.payment = st.awards.front().payment;
+    const market::Award winner = st.ranking.front();
+    report.winner = winner.bid.bidder;
+    report.winner_ask = winner.bid.ask;
+    report.payment = winner.payment;
   }
   ctx_.auction_report(report);
 
@@ -410,10 +411,11 @@ void AuctionPolicy::clear_auction(cluster::JobId id) {
       decision.winner = report.winner.value;
       decision.winner_ask = report.winner_ask;
       decision.payment = report.payment;
-      if (st.awards.size() >= 2) {
+      if (const market::Bid* runner_up = st.ranking.runner_up()) {
         decision.has_runner_up = true;
-        decision.runner_up_margin = engine.score(p.job, st.awards[1].bid) -
-                                    engine.score(p.job, st.awards[0].bid);
+        decision.runner_up_margin =
+            engine.score(p.job, *runner_up) -
+            engine.score(p.job, st.ranking.front().bid);
       }
     }
     o->forensics()->record(std::move(decision));
@@ -424,17 +426,18 @@ void AuctionPolicy::clear_auction(cluster::JobId id) {
   // same shape.
   book_pool_.release(std::move(auction.book));
 
-  if (st.awards.empty()) {
-    fallback(std::move(p));
-  } else {
+  if (st.ranked) {
     advance_awards(std::move(p));
+  } else {
+    fallback(std::move(p));
   }
 }
 
 void AuctionPolicy::advance_awards(core::Pending p) {
   AuctionJobState& st = ensure_state(p);
-  while (st.next_award < st.awards.size()) {
-    const market::Award award = st.awards[st.next_award++];
+  while (!st.ranking.empty()) {
+    const market::Award award = st.ranking.front();
+    st.ranking.pop();
     if (award.bid.bidder == ctx_.self()) {
       // Won our own auction: admission is a free local re-check, and the
       // cleared payment (not the posted price) is what gets settled.
@@ -512,10 +515,8 @@ void AuctionPolicy::drain_in_flight(
 
 void AuctionPolicy::fallback(core::Pending p) {
   if (ctx_.config().auction.fallback_to_dbc) {
-    AuctionJobState& st = ensure_state(p);
-    st.dbc_fallback = true;
-    st.awards.clear();
-    st.next_award = 0;
+    // Reached with the ranking exhausted (or never non-empty).
+    ensure_state(p).dbc_fallback = true;
     p.next_rank = 1;  // fresh DBC walk; cluster state moved on since bidding
     dbc_fallback_.schedule(std::move(p));
   } else {

@@ -63,9 +63,11 @@ class AuctionPolicy final : public SchedulingPolicy {
  private:
   /// Auction-mode extension of a Pending (lives behind policy_state).
   struct AuctionJobState final : core::PolicyState {
-    /// Cleared award ranking still to try; awards[next_award] is next.
-    std::vector<market::Award> awards;
-    std::size_t next_award = 0;
+    /// Awards still to try, best first; an award in flight is popped.
+    market::Ranking ranking;
+    /// The book cleared with at least one award: the job works through
+    /// `ranking` (and, once it is exhausted, the fallback) from here on.
+    bool ranked = false;
     /// Payment agreed for the in-flight award; settled instead of the
     /// posted-price cost when the winner accepts.
     double award_payment = 0.0;
@@ -75,7 +77,7 @@ class AuctionPolicy final : public SchedulingPolicy {
 
     /// True while an auction award (not a DBC negotiate) is in flight.
     [[nodiscard]] bool awarding() const noexcept {
-      return !awards.empty() && !dbc_fallback;
+      return ranked && !dbc_fallback;
     }
   };
 

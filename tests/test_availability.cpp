@@ -183,23 +183,38 @@ struct Window {
   std::uint32_t procs;
 };
 
-/// earliest_start by brute force over available_at: the answer is
+/// Processors free at `t` under the live windows: the model, independent
+/// of the profile's own step bookkeeping.
+std::uint32_t model_available(const std::vector<Window>& live,
+                              std::uint32_t capacity, double t) {
+  std::uint32_t busy = 0;
+  for (const Window& w : live) {
+    if (w.start <= t && t < w.end) busy += w.procs;
+  }
+  return capacity - busy;
+}
+
+/// earliest_start by brute force over the model: the answer is
 /// `not_before` or an instant where availability changes (a reservation
 /// edge, all of which are in `edges`), and a window fits iff it fits at
 /// its start and at every change inside it.
-double brute_earliest_start(const AvailabilityProfile& p,
-                            std::vector<double> edges, double not_before,
-                            std::uint32_t procs, double duration) {
+double brute_earliest_start(const std::vector<Window>& live,
+                            std::uint32_t capacity, std::vector<double> edges,
+                            double not_before, std::uint32_t procs,
+                            double duration) {
   std::sort(edges.begin(), edges.end());
   std::vector<double> candidates{not_before};
   for (const double e : edges) {
     if (e > not_before) candidates.push_back(e);
   }
+  const auto fits_at = [&](double t) {
+    return model_available(live, capacity, t) >= procs;
+  };
   for (const double c : candidates) {
-    bool fits = p.available_at(c) >= procs;
+    bool fits = fits_at(c);
     for (auto it = std::upper_bound(edges.begin(), edges.end(), c);
          fits && it != edges.end() && *it < c + duration; ++it) {
-      fits = p.available_at(*it) >= procs;
+      fits = fits_at(*it);
     }
     if (fits) return c;
   }
@@ -213,7 +228,8 @@ enum class StartOrder {
 
 /// Random reserve / trim sequences, optionally cancelling the
 /// latest-starting reservation now and then; every earliest_start must
-/// equal the brute-force answer.
+/// equal the brute-force answer, and after every operation the profile
+/// must agree with the model at every edge from now on.
 void check_early_exit(std::uint64_t seed, StartOrder order,
                       bool release_latest) {
   sim::Rng rng(seed);
@@ -224,9 +240,20 @@ void check_early_exit(std::uint64_t seed, StartOrder order,
     std::vector<double> edges;
     double now = 0.0;
     double last_start = 0.0;
+    const auto check_edges = [&](int op, const char* after) {
+      for (const double e : edges) {
+        if (e < now) continue;
+        ASSERT_EQ(p.available_at(e), model_available(live, capacity, e))
+            << "trial " << trial << " op " << op << " after " << after
+            << " t=" << e;
+      }
+    };
     for (int op = 0; op < 120; ++op) {
       now += rng.uniform(0.0, 4.0);
-      if (rng.uniform01() < 0.2) p.trim(now);
+      if (rng.uniform01() < 0.2) {
+        p.trim(now);
+        ASSERT_NO_FATAL_FAILURE(check_edges(op, "trim"));
+      }
       const auto procs =
           static_cast<std::uint32_t>(rng.uniform_int(1, capacity));
       const double duration = rng.uniform(0.5, 60.0);
@@ -234,20 +261,22 @@ void check_early_exit(std::uint64_t seed, StartOrder order,
                                     ? std::max(now, last_start)
                                     : now + rng.uniform(0.0, 40.0);
       const double start = p.earliest_start(not_before, procs, duration);
-      ASSERT_EQ(start,
-                brute_earliest_start(p, edges, not_before, procs, duration))
+      ASSERT_EQ(start, brute_earliest_start(live, capacity, edges, not_before,
+                                            procs, duration))
           << "trial " << trial << " op " << op;
       p.reserve(start, start + duration, procs);
       live.push_back(Window{start, start + duration, procs});
       edges.push_back(start);
       edges.push_back(start + duration);
       last_start = start;
+      ASSERT_NO_FATAL_FAILURE(check_edges(op, "reserve"));
       if (release_latest && rng.uniform01() < 0.3) {
         const auto latest = std::max_element(
             live.begin(), live.end(),
             [](const Window& a, const Window& b) { return a.start < b.start; });
         p.release(latest->start, latest->end, latest->procs);
         live.erase(latest);
+        ASSERT_NO_FATAL_FAILURE(check_edges(op, "release"));
       }
     }
     ASSERT_TRUE(p.valid());

@@ -8,11 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <functional>
 #include <memory>
-#include <new>
 #include <set>
 #include <utility>
 #include <vector>
@@ -26,31 +23,7 @@
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
 
-// ---- allocation counting ----------------------------------------------------
-// Replacing global new/delete in this test binary lets the zero-allocation
-// contract be asserted instead of assumed.  The counter only ever
-// increments, so tests measure deltas around the region of interest.
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+#include "alloc_counter.hpp"
 
 namespace gridfed::sim {
 namespace {

@@ -12,10 +12,7 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <new>
 #include <optional>
 #include <set>
 #include <string>
@@ -32,30 +29,7 @@
 #include "sim/random.hpp"
 #include "workload/synthetic.hpp"
 
-// ---- allocation counting ----------------------------------------------------
-// Same instrumentation as test_event_kernel.cpp: global new/delete are
-// replaced so the recycling contract is asserted, not assumed.
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+#include "alloc_counter.hpp"
 
 namespace gridfed::sim {
 namespace {

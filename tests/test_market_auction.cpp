@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "core/federation.hpp"
@@ -773,6 +774,266 @@ TEST(AuctionMode, BatchingIsDeterministic) {
   EXPECT_EQ(a.total_accepted, b.total_accepted);
   EXPECT_DOUBLE_EQ(a.total_incentive, b.total_incentive);
   EXPECT_EQ(a.auctions.held, b.auctions.held);
+}
+
+// ---- the book's bidder index against a linear scan --------------------------
+
+/// The book's answer bookkeeping as a linear scan of the solicited list:
+/// the reference the hashed bidder index must reproduce.
+class ScanBook {
+ public:
+  void reopen(const std::vector<federation::ParticipantId>& solicited) {
+    solicited_ = solicited;
+    answered_.assign(solicited_.size(), false);
+    outstanding_ = solicited_.size();
+    pruned_ = 0;
+    bids_.clear();
+  }
+
+  bool add(const market::Bid& bid) {
+    for (std::size_t i = 0; i < solicited_.size(); ++i) {
+      if (solicited_[i] != bid.bidder) continue;
+      if (answered_[i]) return false;  // duplicate
+      answered_[i] = true;
+      --outstanding_;
+      bids_.push_back(bid);
+      return true;
+    }
+    return false;  // unsolicited
+  }
+
+  bool add_pruned(federation::ParticipantId bidder) {
+    for (std::size_t i = 0; i < solicited_.size(); ++i) {
+      if (solicited_[i] != bidder) continue;
+      if (answered_[i]) return false;  // duplicate
+      answered_[i] = true;
+      --outstanding_;
+      ++pruned_;
+      return true;
+    }
+    return false;  // unsolicited
+  }
+
+  [[nodiscard]] bool complete() const { return outstanding_ == 0; }
+  [[nodiscard]] std::size_t pruned() const { return pruned_; }
+  [[nodiscard]] const std::vector<market::Bid>& bids() const { return bids_; }
+
+ private:
+  std::vector<federation::ParticipantId> solicited_;
+  std::vector<bool> answered_;
+  std::size_t outstanding_ = 0;
+  std::size_t pruned_ = 0;
+  std::vector<market::Bid> bids_;
+};
+
+/// A different id with `id`'s low bits under every index mask this test
+/// reaches (tables of at most 1024 cells): the coalition across
+/// kCoalitionBase from a cluster (kCoalitionBase + 3 beside cluster 3)
+/// or the other way round, or `id` shifted by a multiple of 1024.
+federation::ParticipantId low_bits_alias(sim::Rng& rng,
+                                         federation::ParticipantId id) {
+  federation::ParticipantId alias;
+  alias.value =
+      rng.bernoulli(0.5)
+          ? id.value ^ federation::kCoalitionBase
+          : id.value + 1024u * static_cast<std::uint32_t>(
+                                   rng.uniform_int(1, 4));
+  return alias;
+}
+
+/// `n` solicited participants: clusters, low-bits aliases of earlier
+/// entries, and now and then an entry solicited twice.
+std::vector<federation::ParticipantId> colliding_solicitation(
+    sim::Rng& rng, std::size_t n) {
+  std::vector<federation::ParticipantId> solicited;
+  while (solicited.size() < n) {
+    if (solicited.empty() || rng.bernoulli(0.5)) {
+      solicited.emplace_back(
+          static_cast<cluster::ResourceIndex>(rng.uniform_int(0, 199)));
+      continue;
+    }
+    const auto earlier = solicited[rng.uniform_int(0, solicited.size() - 1)];
+    solicited.push_back(rng.bernoulli(0.9) ? low_bits_alias(rng, earlier)
+                                           : earlier);
+  }
+  return solicited;
+}
+
+TEST(AuctionBook, BidderIndexMatchesLinearScan) {
+  sim::Rng rng(515);
+  market::BookPool pool;
+  ScanBook reference;
+  // One pooled book throughout: it reopens smaller, then larger, first.
+  const std::vector<std::size_t> first_sizes = {100, 3, 120, 0, 1, 64};
+  constexpr std::size_t kRounds = 300;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    const std::size_t n = round < first_sizes.size()
+                              ? first_sizes[round]
+                              : rng.uniform_int(0, 120);
+    const auto solicited = colliding_solicitation(rng, n);
+    market::AuctionBook book = pool.acquire(round, solicited);
+    reference.reopen(solicited);
+    ASSERT_EQ(book.complete(), reference.complete()) << "round " << round;
+    for (std::size_t op = 0; op < 3 * n + 4; ++op) {
+      // Solicited bidders (duplicates among them), unsolicited ids that
+      // share a solicited id's low bits, and random ids.
+      federation::ParticipantId bidder;
+      const double u = rng.uniform01();
+      if (n > 0 && u < 0.55) {
+        bidder = solicited[rng.uniform_int(0, n - 1)];
+      } else if (n > 0 && u < 0.9) {
+        bidder = low_bits_alias(rng, solicited[rng.uniform_int(0, n - 1)]);
+      } else {
+        bidder.value = static_cast<std::uint32_t>(rng());
+      }
+      if (rng.bernoulli(0.25)) {
+        ASSERT_EQ(book.add_pruned(bidder), reference.add_pruned(bidder))
+            << "round " << round << " op " << op;
+      } else {
+        const market::Bid bid{bidder, rng.uniform(0.0, 100.0),
+                              rng.uniform(0.0, 1e4), rng.bernoulli(0.8)};
+        ASSERT_EQ(book.add(bid), reference.add(bid))
+            << "round " << round << " op " << op;
+      }
+      ASSERT_EQ(book.complete(), reference.complete())
+          << "round " << round << " op " << op;
+      ASSERT_EQ(book.pruned(), reference.pruned())
+          << "round " << round << " op " << op;
+    }
+    const auto& got = book.bids();
+    const auto& want = reference.bids();
+    ASSERT_EQ(got.size(), want.size()) << "round " << round;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].bidder, want[i].bidder) << "round " << round;
+      ASSERT_EQ(got[i].ask, want[i].ask) << "round " << round;
+      ASSERT_EQ(got[i].completion_estimate, want[i].completion_estimate);
+      ASSERT_EQ(got[i].feasible, want[i].feasible);
+    }
+    pool.release(std::move(book));
+  }
+  EXPECT_EQ(pool.reuses(), kRounds - 1);
+}
+
+// ---- lazy ranking against a full sort ---------------------------------------
+
+/// Clearing as a full sort of the feasible bids, priced position by
+/// position: the reference the lazy Ranking must reproduce award by award.
+std::vector<market::Award> sorted_clear(const market::BidScorer& scorer,
+                                        market::ClearingRule rule,
+                                        const cluster::Job& job,
+                                        const std::vector<market::Bid>& bids) {
+  struct Scored {
+    market::Bid bid;
+    double score;
+  };
+  const market::JobQos qos = market::JobQos::of(job);
+  std::vector<Scored> feasible;
+  feasible.reserve(bids.size());
+  for (const market::Bid& bid : bids) {
+    if (!scorer.admissible(qos, bid)) continue;
+    feasible.push_back(Scored{bid, scorer.score(qos, bid)});
+  }
+  std::sort(feasible.begin(), feasible.end(),
+            [](const Scored& a, const Scored& b) {
+              return market::BidScorer::rank_less(a.score, a.bid, b.score,
+                                                  b.bid);
+            });
+  std::vector<market::Award> ranking;
+  ranking.reserve(feasible.size());
+  for (std::size_t i = 0; i < feasible.size(); ++i) {
+    double payment = feasible[i].bid.ask;
+    if (rule == market::ClearingRule::kVickrey) {
+      if (i + 1 < feasible.size()) {
+        payment = std::max(feasible[i].bid.ask, feasible[i + 1].bid.ask);
+      } else if (scorer.enforce_budget()) {
+        payment = job.budget;
+      }
+    }
+    ranking.push_back(market::Award{feasible[i].bid, payment});
+  }
+  return ranking;
+}
+
+TEST(AuctionRanking, LazyExtractionMatchesFullSort) {
+  sim::Rng rng(4242);
+  // Which rank_less key separated each adjacent pair of the reference:
+  // score, ask, completion estimate, participant id.
+  std::size_t decided_by[4] = {0, 0, 0, 0};
+  std::size_t books = 0;
+  for (const auto rule :
+       {market::ClearingRule::kFirstPrice, market::ClearingRule::kVickrey}) {
+    for (const auto scoring :
+         {market::ScoringRule::kPrice, market::ScoringRule::kCompletion,
+          market::ScoringRule::kWeighted, market::ScoringRule::kPerJob}) {
+      for (const bool enforce_budget : {false, true}) {
+        const market::AuctionEngine engine(rule, scoring, 0.5, enforce_budget,
+                                           true);
+        for (int b = 0; b < 25; ++b, ++books) {
+          cluster::Job job = auction_job(50.0, 1000.0);
+          job.opt = rng.bernoulli(0.5) ? cluster::Optimization::kTime
+                                       : cluster::Optimization::kCost;
+          // Distinct bidders, clusters and coalitions, on coarse ask and
+          // completion grids so scores, asks and estimates all tie; some
+          // asks exceed the budget and some estimates the deadline.
+          const std::size_t n = rng.uniform_int(0, 120);
+          std::vector<market::Bid> bids;
+          for (std::uint32_t i = 0; i < n; ++i) {
+            market::Bid bid;
+            bid.bidder.value =
+                rng.bernoulli(0.2) ? federation::kCoalitionBase + i : i;
+            bid.ask = 10.0 * static_cast<double>(rng.uniform_int(0, 7));
+            bid.completion_estimate =
+                200.0 * static_cast<double>(rng.uniform_int(1, 6));
+            bid.feasible = rng.bernoulli(0.9);
+            bids.push_back(bid);
+          }
+          std::reverse(bids.begin(), bids.begin() + n / 2);
+
+          const auto want = sorted_clear(engine.scorer(), rule, job, bids);
+          for (std::size_t i = 0; i + 1 < want.size(); ++i) {
+            const market::Bid& x = want[i].bid;
+            const market::Bid& y = want[i + 1].bid;
+            const std::size_t key =
+                engine.score(job, x) != engine.score(job, y) ? 0
+                : x.ask != y.ask                             ? 1
+                : x.completion_estimate != y.completion_estimate ? 2
+                                                                 : 3;
+            ++decided_by[key];
+          }
+
+          market::Ranking ranking = engine.rank(job, bids);
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(ranking.size(), want.size() - i) << "book " << books;
+            const market::Award got = ranking.front();
+            ASSERT_EQ(got.bid.bidder, want[i].bid.bidder)
+                << "book " << books << " award " << i;
+            ASSERT_EQ(got.payment, want[i].payment)
+                << "book " << books << " award " << i;
+            const market::Bid* next = ranking.runner_up();
+            ASSERT_EQ(next != nullptr, i + 1 < want.size());
+            if (next != nullptr) {
+              ASSERT_EQ(next->bidder, want[i + 1].bid.bidder);
+            }
+            ranking.pop();
+          }
+          ASSERT_TRUE(ranking.empty()) << "book " << books;
+
+          const auto cleared = engine.clear(job, bids);
+          ASSERT_EQ(cleared.size(), want.size()) << "book " << books;
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(cleared[i].bid.bidder, want[i].bid.bidder);
+            ASSERT_EQ(cleared[i].bid.ask, want[i].bid.ask);
+            ASSERT_EQ(cleared[i].bid.completion_estimate,
+                      want[i].bid.completion_estimate);
+            ASSERT_EQ(cleared[i].payment, want[i].payment)
+                << "book " << books << " award " << i;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(books, 400u);
+  for (const std::size_t count : decided_by) EXPECT_GT(count, 0u);
 }
 
 }  // namespace
