@@ -107,6 +107,28 @@ Federation::Federation(FederationConfig config,
   }
 #endif
 
+  // The coalition extension: latency-proximity buckets over the overlay
+  // ring keys — the same ChordRing order the TreeTransport lays its heap
+  // over, so ring-adjacent (and thus coalesced) clusters are exactly the
+  // ones sharing cheap tree edges.  Only meaningful in auction mode; the
+  // registry also feeds the transports' group-addressed dissemination.
+  // Built before the agents, because each auction policy reads the
+  // manager pointer once, in its constructor.  The manager's constructor
+  // needs nothing the agents provide: only the site count, the ring keys
+  // and the observer.
+  if (cfg_.coalitions.enabled && auction) {
+    std::vector<std::uint64_t> ring_keys;
+    ring_keys.reserve(specs_.size());
+    for (const auto& spec : specs_) {
+      ring_keys.push_back(overlay::ring_hash(spec.name));
+    }
+    // The base conversion must happen here (the base is private, so
+    // make_unique's forwarding could not perform it).
+    coalition::CoalitionContext& coalition_ctx = *this;
+    coalitions_ = std::make_unique<coalition::CoalitionManager>(
+        coalition_ctx, cfg_.coalitions, ring_keys);
+  }
+
   lrms_.reserve(specs_.size());
   gfas_.reserve(specs_.size());
   sim::EntityId next_id = 0;
@@ -124,23 +146,6 @@ Federation::Federation(FederationConfig config,
         });
     // subscribe: the agent joins the federation and advertises its quote.
     dir_.subscribe(directory::Quote::from_spec(index, specs_[i]));
-  }
-  // The coalition extension: latency-proximity buckets over the overlay
-  // ring keys — the same ChordRing order the TreeTransport lays its heap
-  // over, so ring-adjacent (and thus coalesced) clusters are exactly the
-  // ones sharing cheap tree edges.  Only meaningful in auction mode; the
-  // registry also feeds the transports' group-addressed dissemination.
-  if (cfg_.coalitions.enabled && auction) {
-    std::vector<std::uint64_t> ring_keys;
-    ring_keys.reserve(specs_.size());
-    for (const auto& spec : specs_) {
-      ring_keys.push_back(overlay::ring_hash(spec.name));
-    }
-    // The base conversion must happen here (the base is private, so
-    // make_unique's forwarding could not perform it).
-    coalition::CoalitionContext& coalition_ctx = *this;
-    coalitions_ = std::make_unique<coalition::CoalitionManager>(
-        coalition_ctx, cfg_.coalitions, ring_keys);
   }
   // The delivery substrate, wired last: it delivers into the agents and
   // owns the WAN model from here on.
@@ -301,6 +306,8 @@ FederationResult Federation::run() {
 #endif
   sim_.run();
   GF_ENSURES(outcomes_.size() == jobs_loaded_);
+  // Drained: no message is left in flight, so every slab slot is free.
+  GF_ENSURES(free_slots_.size() == slab_slots_);
   // Fold every agent's policy counters in once, so the accessor and the
   // aggregate see the same totals.
   for (const auto& agent : gfas_) {
@@ -513,21 +520,37 @@ void Federation::job_rejected(const cluster::Job& job,
 void Federation::post_delivery(Message&& msg, sim::SimTime delay) {
   std::uint32_t slot;
   if (free_slots_.empty()) {
-    slot = static_cast<std::uint32_t>(in_flight_.size());
-    in_flight_.push_back(std::move(msg));
+    slot = slab_slots_++;
+    if (slot % kSlabChunk == 0) {
+      in_flight_.push_back(std::make_unique<Message[]>(kSlabChunk));
+    }
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
-    in_flight_[slot] = std::move(msg);
   }
+  slot_message(slot) = std::move(msg);
   sim_.schedule_in(delay, sim::EventPriority::kMessage,
                    [this, slot] { deliver_slot(slot); });
 }
 
 void Federation::deliver_slot(std::uint32_t slot) {
-  const Message msg = std::move(in_flight_[slot]);
-  free_slots_.push_back(slot);
+  // The slot is busy until deliver() returns, so the messages it posts
+  // land elsewhere and `msg` stays put (chunks never move).
+  Message& msg = slot_message(slot);
   deliver(msg);
+  msg.arena.reset();  // a parked slot must not pin a flush's job arena
+  if (msg.batch_bids.capacity() != 0) {
+    msg.batch_bids.clear();
+    spare_bids_.push_back(std::move(msg.batch_bids));
+  }
+  free_slots_.push_back(slot);
+}
+
+std::vector<BatchedBid> Federation::bid_buffer() {
+  if (spare_bids_.empty()) return {};
+  std::vector<BatchedBid> buffer = std::move(spare_bids_.back());
+  spare_bids_.pop_back();
+  return buffer;
 }
 
 FederationResult Federation::aggregate() const {

@@ -90,6 +90,7 @@ class Federation final : public GfaHost,
   [[nodiscard]] coalition::CoalitionManager* coalitions() override {
     return coalitions_.get();
   }
+  [[nodiscard]] std::vector<BatchedBid> bid_buffer() override;
   void award_declined(federation::ParticipantId provider) override {
     auction_stats_.record_decline(provider.value);
     GF_OBS(observer(), count_decline(provider.is_coalition()
@@ -179,8 +180,12 @@ class Federation final : public GfaHost,
   /// The message waits in the delivery slab (below) and the event
   /// captures only its slot.
   void post_delivery(Message&& msg, sim::SimTime delay) override;
-  /// Delivers the message parked in slab `slot` and frees the slot.
+  /// Delivers the message parked in slab `slot` in place, then frees the
+  /// slot (see in_flight_).
   void deliver_slot(std::uint32_t slot);
+  [[nodiscard]] Message& slot_message(std::uint32_t slot) {
+    return in_flight_[slot / kSlabChunk][slot % kSlabChunk];
+  }
   /// Ground truth for the transports: a crashed site's edges are down.
   /// Left members stay reachable endpoints (their in-flight work drains
   /// gracefully); membership off degenerates to the base's constant true.
@@ -221,8 +226,10 @@ class Federation final : public GfaHost,
   /// agents (it delivers into them).
   std::unique_ptr<transport::Transport> transport_;
   /// The coalition extension (null unless config.coalitions.enabled in
-  /// auction mode).  Constructed after the agents (joint bids and
-  /// internal placement reach members through them).
+  /// auction mode).  Constructed before the agents: each auction policy
+  /// keeps the pointer from its constructor on.  Joint bids and internal
+  /// placement reach the members through the agents, but only once the
+  /// run is under way.
   std::unique_ptr<coalition::CoalitionManager> coalitions_;
   /// The membership runtime (null when config.membership is inactive).
   /// Constructed after the transport — gossip rides its unicast legs.
@@ -242,11 +249,26 @@ class Federation final : public GfaHost,
   sim::Rng drop_rng_;
   sim::Rng dup_rng_;
   /// Delivery slab: one slot per in-flight message, recycled through
-  /// free_slots_.  A delivery may post more messages and grow the slab,
-  /// so deliver_slot() moves its message out before delivering; no
-  /// reference into the slab outlives a call.
-  std::vector<Message> in_flight_;
+  /// free_slots_.  Slots live in fixed chunks of kSlabChunk messages
+  /// that never move, so a slot's address survives growth:
+  /// deliver_slot() hands the agent the parked message itself, and the
+  /// messages its delivery posts take other slots (appending a chunk
+  /// when every slot is busy).  Only after the delivery returns does the
+  /// slot drop its arena handle, give up its kBid buffer to spare_bids_
+  /// and go back on the free list.  std::deque is no substitute: it
+  /// keeps just two 240-byte messages per node and pays for its index
+  /// arithmetic on every access.
+  static constexpr std::uint32_t kSlabChunk = 256;
+  std::vector<std::unique_ptr<Message[]>> in_flight_;
+  std::uint32_t slab_slots_ = 0;  ///< slots ever handed out
   std::vector<std::uint32_t> free_slots_;
+  /// Cleared batch_bids buffers of delivered kBid answers, handed out
+  /// again by bid_buffer(), so a provider's batched answer reuses the
+  /// capacity of one already delivered instead of allocating.  No cap:
+  /// a fresh buffer is allocated only while this list is empty, so the
+  /// list never holds more than the peak number of kBid answers in
+  /// flight, plus one buffer per answer the network duplicated.
+  std::vector<std::vector<BatchedBid>> spare_bids_;
   std::uint64_t messages_dropped_ = 0;
   cluster::JobId next_job_id_ = 1;
   std::uint64_t jobs_loaded_ = 0;

@@ -100,6 +100,12 @@ class GfaHost {
     return nullptr;
   }
 
+  /// An empty buffer for a batched kBid answer's asks.  The Federation
+  /// hands out the cleared buffer of an answer it already delivered
+  /// (capacity kept) when it has one; see
+  /// policy::SchedulerContext::bid_buffer.
+  [[nodiscard]] virtual std::vector<BatchedBid> bid_buffer() = 0;
+
   /// The observability umbrella of this run (obs/observer.hpp), or null
   /// when disabled.  Instrumentation goes through the GF_OBS macro, so
   /// the null path is a single branch per site.
@@ -254,6 +260,9 @@ class Gfa final : public sim::Entity, public policy::SchedulerContext {
   [[nodiscard]] coalition::CoalitionManager* coalitions() override {
     return host_.coalitions();
   }
+  [[nodiscard]] std::vector<BatchedBid> bid_buffer() override {
+    return host_.bid_buffer();
+  }
   void send(Message&& msg) override { host_.send(std::move(msg)); }
   std::uint64_t multicast(Message&& msg,
                           std::span<const cluster::ResourceIndex> targets,
@@ -322,7 +331,8 @@ class Gfa final : public sim::Entity, public policy::SchedulerContext {
   directory::FederationDirectory& dir_;
   GfaHost& host_;
   /// The configured mode's brain (constructed last: it schedules through
-  /// the members above).
+  /// the members above, and its constructor already reads self(),
+  /// config(), lrms() and coalitions() through them).
   std::unique_ptr<policy::SchedulingPolicy> policy_;
 
   std::unordered_map<cluster::JobId, Pending> pending_;

@@ -153,7 +153,10 @@ struct Message {
   std::span<const cluster::Job> batch_jobs;
   /// Keep-alive for `batch_jobs` (null when the span is empty).
   transport::ArenaHandle arena;
-  std::vector<BatchedBid> batch_bids;  ///< kBid: one ask per asked job
+  /// kBid: one ask per asked job.  The buffer is recycled: once the
+  /// answer is delivered, the Federation clears it and hands it to the
+  /// next batched answer (SchedulerContext::bid_buffer), capacity kept.
+  std::vector<BatchedBid> batch_bids;
   /// kCallForBids: awards to this provider riding the flush for free
   /// (AuctionConfig::piggyback_awards); processed before the bids.
   std::vector<PiggybackedAward> batch_awards;

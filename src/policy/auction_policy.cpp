@@ -13,7 +13,9 @@
 namespace gridfed::policy {
 
 AuctionPolicy::AuctionPolicy(SchedulerContext& ctx)
-    : SchedulingPolicy(ctx), dbc_fallback_(ctx) {}
+    : SchedulingPolicy(ctx),
+      coalitions_(ctx.coalitions()),
+      dbc_fallback_(ctx) {}
 
 AuctionPolicy::AuctionJobState* AuctionPolicy::state_of(
     const core::Pending& p) {
@@ -28,13 +30,13 @@ AuctionPolicy::AuctionJobState& AuctionPolicy::ensure_state(core::Pending& p) {
 }
 
 federation::ParticipantId AuctionPolicy::participant_of(
-    cluster::ResourceIndex resource) {
-  return coalition::participant_of(ctx_.coalitions(), resource);
+    cluster::ResourceIndex resource) const {
+  return coalition::participant_of(coalitions_, resource);
 }
 
 cluster::ResourceIndex AuctionPolicy::representative_of(
-    federation::ParticipantId participant) {
-  return coalition::representative_of(ctx_.coalitions(), participant);
+    federation::ParticipantId participant) const {
+  return coalition::representative_of(coalitions_, participant);
 }
 
 void AuctionPolicy::schedule(core::Pending p) {
@@ -62,8 +64,7 @@ double AuctionPolicy::settled_cost(const core::Pending& p,
 // ---- origin side ------------------------------------------------------------
 
 void AuctionPolicy::open_auction(core::Pending p) {
-  const auto& cfg = ctx_.config();
-  const auto& acfg = cfg.auction;
+  const auto& acfg = cfg_.auction;
   // Candidate providers in cheapest-first directory order: deterministic
   // and compatible with the load-hint filter.  One metered bulk query
   // replaces a per-rank query walk (the results ride back on a single
@@ -71,13 +72,13 @@ void AuctionPolicy::open_auction(core::Pending p) {
   // flat as the federation grows.
   directory::QueryFilter filter;
   filter.min_processors = p.job.processors;
-  filter.exclude = ctx_.self();  // origin enters for free below
-  if (cfg.use_load_hints) filter.max_load_hint = cfg.load_hint_threshold;
+  filter.exclude = self_;  // origin enters for free below
+  if (cfg_.use_load_hints) filter.max_load_hint = cfg_.load_hint_threshold;
   ctx_.directory().query_top_k(directory::OrderBy::kCheapest,
                                acfg.max_bidders, filter, scratch_quotes_);
 
   const bool origin_enters =
-      acfg.origin_bids && p.job.processors <= ctx_.lrms().spec().processors;
+      acfg.origin_bids && p.job.processors <= lrms_.spec().processors;
 
   // One book entrant per *participant*: the first (cheapest) quoted
   // member claims its coalition's slot, and the coalition is addressed
@@ -101,20 +102,19 @@ void AuctionPolicy::open_auction(core::Pending p) {
     }
     scratch_entrants_.push_back(pid);
     const cluster::ResourceIndex rep = representative_of(pid);
-    if (rep == ctx_.self()) {
+    if (rep == self_) {
       own_group_enters = true;
     } else {
       scratch_targets_.push_back(rep);
     }
   }
   const std::size_t n_remote = scratch_targets_.size();
-  if (origin_enters) scratch_entrants_.push_back(ctx_.self());
+  if (origin_enters) scratch_entrants_.push_back(self_);
   market::AuctionBook book = book_pool_.acquire(p.job.id, scratch_entrants_);
   if (own_group_enters) {
     // The origin speaks for a solicited coalition: the joint bid over
     // its (sibling) members enters locally, like the origin's own bid.
-    book.add(ctx_.coalitions()->joint_bid(participant_of(ctx_.self()),
-                                          p.job));
+    book.add(coalitions_->joint_bid(participant_of(self_), p.job));
   }
   if (origin_enters) book.add(make_bid(p.job));  // message-free local bid
 
@@ -130,8 +130,7 @@ void AuctionPolicy::open_auction(core::Pending p) {
         std::max(0.0, p.job.absolute_deadline() - ctx_.now());
     const sim::SimTime not_after =
         ctx_.now() + acfg.solicit_hold_slack_fraction * slack;
-    core::Message msg{core::MessageType::kCallForBids, ctx_.self(),
-                      ctx_.self(), p.job};
+    core::Message msg{core::MessageType::kCallForBids, self_, self_, p.job};
     p.messages += ctx_.multicast(std::move(msg), scratch_targets_,
                                  not_after);
   }
@@ -143,7 +142,7 @@ void AuctionPolicy::open_auction(core::Pending p) {
   // The auction span opens before the synchronous-clear check so an
   // empty book still traces as a (zero-width) round.
   GF_OBS(ctx_.observer(),
-         begin(ctx_.now(), obs::SpanKind::kAuction, ctx_.self(), id,
+         begin(ctx_.now(), obs::SpanKind::kAuction, self_, id,
                it->second.book.solicited(), n_remote));
   GF_OBS(ctx_.observer(), count(obs::Counter::kAuctionsOpened));
   if (it->second.book.complete()) {
@@ -164,7 +163,7 @@ void AuctionPolicy::open_auction(core::Pending p) {
 }
 
 void AuctionPolicy::queue_solicitation(cluster::JobId id) {
-  const auto& acfg = ctx_.config().auction;
+  const auto& acfg = cfg_.auction;
   const auto it = auctions_.find(id);
   GF_EXPECTS(it != auctions_.end());
   // Hold back at most the batch window, and never more than a fraction
@@ -191,7 +190,7 @@ void AuctionPolicy::maybe_flush_solicitations() {
 }
 
 void AuctionPolicy::flush_solicitations() {
-  const auto& acfg = ctx_.config().auction;
+  const auto& acfg = cfg_.auction;
   // One pass over the queue builds per-provider job buckets; providers
   // keep first-seen (cheapest-first) order so the wire order stays
   // deterministic.  scratch_providers_[i] is the provider of
@@ -216,7 +215,7 @@ void AuctionPolicy::flush_solicitations() {
       // origin itself covers (its own bid, a coalition it represents)
       // were answered locally at open time.
       const cluster::ResourceIndex r = representative_of(pid);
-      if (r == ctx_.self()) continue;
+      if (r == self_) continue;
       if (r >= bucket_of_.size()) bucket_of_.resize(r + 1, kNoBucket);
       std::uint32_t& bucket = bucket_of_[r];
       if (bucket == kNoBucket) {
@@ -233,7 +232,7 @@ void AuctionPolicy::flush_solicitations() {
     bucket_of_[r] = kNoBucket;
   }
   GF_OBS(ctx_.observer(),
-         instant(ctx_.now(), obs::SpanKind::kSolicitFlush, ctx_.self(), 0,
+         instant(ctx_.now(), obs::SpanKind::kSolicitFlush, self_, 0,
                  scratch_providers_.size(), solicit_queue_.size()));
   GF_OBS(ctx_.observer(), count(obs::Counter::kSolicitFlushes));
   // Emit one multicast per maximal run of providers sharing a job
@@ -249,7 +248,7 @@ void AuctionPolicy::flush_solicitations() {
     if (!arena) arena = std::make_shared<transport::MessageArena>();
     core::Message msg;
     msg.type = core::MessageType::kCallForBids;
-    msg.from = ctx_.self();
+    msg.from = self_;
     msg.batch_jobs = arena->append(scratch_buckets_[i]);
     msg.arena = arena;
     msg.job = msg.batch_jobs.front();
@@ -349,10 +348,10 @@ void AuctionPolicy::clear_auction(cluster::JobId id) {
   OpenAuction auction = std::move(it->second);
   auctions_.erase(it);
 
-  const auto& cfg = ctx_.config();
   const market::AuctionEngine engine(
-      cfg.auction.clearing, cfg.auction.scoring, cfg.auction.score_time_weight,
-      cfg.enforce_budget, cfg.enforce_deadline);
+      cfg_.auction.clearing, cfg_.auction.scoring,
+      cfg_.auction.score_time_weight, cfg_.enforce_budget,
+      cfg_.enforce_deadline);
   core::Pending p = std::move(auction.pending);
   AuctionJobState& st = ensure_state(p);
   st.ranking = engine.rank(p.job, auction.book.bids());
@@ -376,7 +375,7 @@ void AuctionPolicy::clear_auction(cluster::JobId id) {
   ctx_.auction_report(report);
 
   GF_OBS(ctx_.observer(),
-         end(ctx_.now(), obs::SpanKind::kAuction, ctx_.self(), id,
+         end(ctx_.now(), obs::SpanKind::kAuction, self_, id,
              report.bids, report.awarded ? 1 : 0, report.payment));
   GF_OBS(ctx_.observer(), observe(obs::Histo::kBookDepth,
                                   static_cast<double>(report.bids)));
@@ -438,7 +437,7 @@ void AuctionPolicy::advance_awards(core::Pending p) {
   while (!st.ranking.empty()) {
     const market::Award award = st.ranking.front();
     st.ranking.pop();
-    if (award.bid.bidder == ctx_.self()) {
+    if (award.bid.bidder == self_) {
       // Won our own auction: admission is a free local re-check, and the
       // cleared payment (not the posted price) is what gets settled.
       if (ctx_.local_deadline_ok(p.job)) {
@@ -449,7 +448,7 @@ void AuctionPolicy::advance_awards(core::Pending p) {
     }
     const cluster::ResourceIndex rep = representative_of(award.bid.bidder);
     st.award_payment = award.payment;
-    if (rep == ctx_.self()) {
+    if (rep == self_) {
       // A coalition the origin itself represents won: internal placement
       // runs over the local links (no wire enquiry); the engine ships
       // the payload straight to the chosen member, or hands the job back
@@ -461,7 +460,7 @@ void AuctionPolicy::advance_awards(core::Pending p) {
     // The award is an admission enquiry through the shared seam: the
     // winner re-checks, reserves, and answers with a kReply.  A
     // coalition winner is addressed through its representative.
-    const auto& acfg = ctx_.config().auction;
+    const auto& acfg = cfg_.auction;
     if (acfg.piggyback_awards && acfg.batch_solicitations &&
         !solicit_queue_.empty() &&
         flush_deadline_ <= ctx_.now() + acfg.piggyback_hold_window &&
@@ -496,7 +495,7 @@ void AuctionPolicy::drain_in_flight(
     auctions_.erase(it);
     // Close the trace span the open started; 0 bids, not awarded.
     GF_OBS(ctx_.observer(),
-           end(ctx_.now(), obs::SpanKind::kAuction, ctx_.self(), id, 0, 0));
+           end(ctx_.now(), obs::SpanKind::kAuction, self_, id, 0, 0));
     book_pool_.release(std::move(auction.book));
     sink(std::move(auction.pending));
   }
@@ -514,7 +513,7 @@ void AuctionPolicy::drain_in_flight(
 }
 
 void AuctionPolicy::fallback(core::Pending p) {
-  if (ctx_.config().auction.fallback_to_dbc) {
+  if (cfg_.auction.fallback_to_dbc) {
     // Reached with the ranking exhausted (or never non-empty).
     ensure_state(p).dbc_fallback = true;
     p.next_rank = 1;  // fresh DBC walk; cluster state moved on since bidding
@@ -527,39 +526,37 @@ void AuctionPolicy::fallback(core::Pending p) {
 // ---- provider side ----------------------------------------------------------
 
 market::Bid AuctionPolicy::participant_bid(const cluster::Job& job) {
-  coalition::CoalitionManager* manager = ctx_.coalitions();
-  if (manager != nullptr) {
+  if (coalitions_ != nullptr) {
     const federation::ParticipantId pid =
-        manager->registry().participant_of(ctx_.self());
+        coalitions_->registry().participant_of(self_);
     if (pid.is_coalition() &&
-        manager->registry().representative(pid) == ctx_.self()) {
+        coalitions_->registry().representative(pid) == self_) {
       // This cluster speaks for its coalition: one joint bid aggregated
       // over the members' pricing (fanned out on the local links; the
       // manager counts them).
-      return manager->joint_bid(pid, job);
+      return coalitions_->joint_bid(pid, job);
     }
   }
   return make_bid(job);
 }
 
 market::Bid AuctionPolicy::make_bid(const cluster::Job& job) {
-  const auto& cfg = ctx_.config();
-  const auto& own = ctx_.lrms().spec();
+  const auto& own = lrms_.spec();
   market::Bid bid;
-  bid.bidder = ctx_.self();
+  bid.bidder = self_;
   if (job.processors > own.processors) return bid;  // infeasible
   const sim::SimTime exec = cluster::execution_time(
       job, ctx_.spec_of(job.origin), own);
   const sim::SimTime staged =
-      ctx_.now() + ctx_.payload_staging_time(job, ctx_.self());
-  bid.completion_estimate = ctx_.lrms().estimate_completion(job, exec, staged);
-  bid.feasible = !cfg.enforce_deadline ||
+      ctx_.now() + ctx_.payload_staging_time(job, self_);
+  bid.completion_estimate = lrms_.estimate_completion(job, exec, staged);
+  bid.feasible = !cfg_.enforce_deadline ||
                  bid.completion_estimate <= job.absolute_deadline();
   const double true_cost = economy::job_cost(job, ctx_.spec_of(job.origin),
-                                             own, cfg.cost_model);
-  bid.ask = market::bid_price(cfg.auction.bid_pricing, true_cost,
-                              ctx_.lrms().instantaneous_load(),
-                              cfg.auction.markup, cfg.pricing);
+                                             own, cfg_.cost_model);
+  bid.ask = market::bid_price(cfg_.auction.bid_pricing, true_cost,
+                              lrms_.instantaneous_load(), cfg_.auction.markup,
+                              cfg_.pricing);
   return bid;
 }
 
@@ -571,19 +568,21 @@ void AuctionPolicy::on_call_for_bids(const core::Message& msg) {
   // Piggybacked awards ride in front of the bids: each is an admission
   // enquiry whose reservation the subsequent estimates must price around.
   for (const core::PiggybackedAward& award : msg.batch_awards) {
-    core::Message enquiry{core::MessageType::kAward, msg.from, ctx_.self(),
+    core::Message enquiry{core::MessageType::kAward, msg.from, self_,
                           award.job};
     enquiry.price = award.payment;
     ctx_.admit_enquiry(enquiry);
   }
   if (!msg.batch_jobs.empty()) {
     // Batched solicitation: one sealed ask per carried job, all riding
-    // home in a single wire message.
+    // home in a single wire message.  The asks go into a recycled
+    // buffer, so the answer usually allocates nothing.
     core::Message answer;
     answer.type = core::MessageType::kBid;
-    answer.from = ctx_.self();
+    answer.from = self_;
     answer.to = msg.from;
     answer.job = msg.batch_jobs.front();
+    answer.batch_bids = ctx_.bid_buffer();
     answer.batch_bids.reserve(msg.batch_jobs.size());
     for (const cluster::Job& job : msg.batch_jobs) {
       const market::Bid bid = participant_bid(job);
@@ -591,7 +590,7 @@ void AuctionPolicy::on_call_for_bids(const core::Message& msg) {
           job.id, bid.ask, bid.completion_estimate, bid.feasible});
     }
     GF_OBS(ctx_.observer(),
-           instant(ctx_.now(), obs::SpanKind::kBidAnswered, ctx_.self(),
+           instant(ctx_.now(), obs::SpanKind::kBidAnswered, self_,
                    msg.batch_jobs.front().id, msg.from,
                    msg.batch_jobs.size()));
     GF_OBS(ctx_.observer(),
@@ -600,11 +599,11 @@ void AuctionPolicy::on_call_for_bids(const core::Message& msg) {
     return;
   }
   const market::Bid bid = participant_bid(msg.job);
-  core::Message answer{core::MessageType::kBid, ctx_.self(), msg.from,
-                       msg.job, bid.feasible, bid.completion_estimate};
+  core::Message answer{core::MessageType::kBid, self_, msg.from, msg.job,
+                       bid.feasible, bid.completion_estimate};
   answer.price = bid.ask;
   GF_OBS(ctx_.observer(),
-         instant(ctx_.now(), obs::SpanKind::kBidAnswered, ctx_.self(),
+         instant(ctx_.now(), obs::SpanKind::kBidAnswered, self_,
                  msg.job.id, msg.from, 1));
   GF_OBS(ctx_.observer(), count(obs::Counter::kBidsAnswered));
   ctx_.send(std::move(answer));

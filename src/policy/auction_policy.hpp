@@ -106,10 +106,10 @@ class AuctionPolicy final : public SchedulingPolicy {
   /// singleton when the coalition layer is off — the identity map the
   /// solo-parity digests pin down).
   [[nodiscard]] federation::ParticipantId participant_of(
-      cluster::ResourceIndex resource);
+      cluster::ResourceIndex resource) const;
   /// Wire address of `participant` (a singleton represents itself).
   [[nodiscard]] cluster::ResourceIndex representative_of(
-      federation::ParticipantId participant);
+      federation::ParticipantId participant) const;
 
   /// Opens the book: solicits bids from every eligible provider and
   /// enters the origin's own message-free bid when configured.
@@ -145,6 +145,9 @@ class AuctionPolicy final : public SchedulingPolicy {
   /// Exhausted every auction avenue: DBC walk or rejection per config.
   void fallback(core::Pending p);
 
+  /// The run's coalition layer, or null without one (read once: the
+  /// Federation builds it before the agents).
+  coalition::CoalitionManager* const coalitions_;
   /// The DBC walk serving as the fallback chain (shares this context).
   DbcPolicy dbc_fallback_;
 

@@ -5,13 +5,12 @@
 namespace gridfed::policy {
 
 void DbcPolicy::schedule(core::Pending p) {
-  const auto& cfg = ctx_.config();
   auto& dir = ctx_.directory();
   const auto order = directory::order_for(p.job.opt);
   while (true) {
     const auto quote =
-        cfg.use_load_hints
-            ? dir.query_filtered(order, p.next_rank, cfg.load_hint_threshold)
+        cfg_.use_load_hints
+            ? dir.query_filtered(order, p.next_rank, cfg_.load_hint_threshold)
             : dir.query(order, p.next_rank);
     if (!quote) {
       ctx_.reject(std::move(p));
@@ -19,11 +18,11 @@ void DbcPolicy::schedule(core::Pending p) {
     }
     ++p.next_rank;
     if (quote->processors < p.job.processors) continue;
-    if (cfg.enforce_budget &&
+    if (cfg_.enforce_budget &&
         ctx_.cost_from_quote(p.job, *quote) > p.job.budget) {
       continue;  // the quote alone rules this site out
     }
-    if (quote->resource == ctx_.self()) {
+    if (quote->resource == self_) {
       if (ctx_.local_deadline_ok(p.job)) {
         ctx_.execute_here(std::move(p), -1.0);
         return;

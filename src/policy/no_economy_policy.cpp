@@ -12,20 +12,19 @@ void NoEconomyPolicy::schedule(core::Pending p) {
     ctx_.execute_here(std::move(p), -1.0);
     return;
   }
-  const auto& cfg = ctx_.config();
   auto& dir = ctx_.directory();
   while (true) {
     const auto quote =
-        cfg.use_load_hints
+        cfg_.use_load_hints
             ? dir.query_filtered(directory::OrderBy::kFastest, p.next_rank,
-                                 cfg.load_hint_threshold)
+                                 cfg_.load_hint_threshold)
             : dir.query(directory::OrderBy::kFastest, p.next_rank);
     if (!quote) {
       ctx_.reject(std::move(p));
       return;
     }
     ++p.next_rank;
-    if (quote->resource == ctx_.self()) continue;  // local already checked
+    if (quote->resource == self_) continue;  // local already checked
     if (quote->processors < p.job.processors) continue;  // statically too small
     // Dynamic feasibility needs the remote queue: negotiate.
     ctx_.send_negotiate(std::move(p), quote->resource);

@@ -13,7 +13,7 @@ namespace gridfed::policy {
 double SchedulingPolicy::settled_cost(const core::Pending& p,
                                       cluster::ResourceIndex exec) const {
   return economy::job_cost(p.job, ctx_.spec_of(p.job.origin),
-                           ctx_.spec_of(exec), ctx_.config().cost_model);
+                           ctx_.spec_of(exec), cfg_.cost_model);
 }
 
 void SchedulingPolicy::on_call_for_bids(const core::Message& msg) {

@@ -24,6 +24,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "cluster/job.hpp"
 #include "cluster/lrms.hpp"
@@ -70,6 +71,10 @@ class SchedulerContext {
   /// disabled — in which case every participant is a singleton and
   /// participant_of() degenerates to the identity.
   [[nodiscard]] virtual coalition::CoalitionManager* coalitions() = 0;
+  /// An empty buffer to fill with a batched kBid answer's asks.  It may
+  /// carry the capacity of an answer already delivered (the host
+  /// recycles those), so filling it usually allocates nothing.
+  [[nodiscard]] virtual std::vector<core::BatchedBid> bid_buffer() = 0;
 
   // -- feasibility predicates ---------------------------------------------
   /// True when the local LRMS can complete `job` within its deadline.
@@ -127,10 +132,14 @@ class SchedulerContext {
 /// One scheduling mode's brain.  Constructed per GFA at wiring time; the
 /// engine calls schedule() at submission and again whenever an enquiry
 /// ends without a placement (decline or timeout), and routes the
-/// auction-only message legs to on_call_for_bids()/on_bid().
+/// auction-only message legs to on_call_for_bids()/on_bid().  The
+/// constructor reads the context's fixed facts (self_, cfg_, lrms_)
+/// once, so the context must already answer self(), config() and lrms()
+/// when it builds its policy.
 class SchedulingPolicy {
  public:
-  explicit SchedulingPolicy(SchedulerContext& ctx) : ctx_(ctx) {}
+  explicit SchedulingPolicy(SchedulerContext& ctx)
+      : ctx_(ctx), self_(ctx.self()), cfg_(ctx.config()), lrms_(ctx.lrms()) {}
   virtual ~SchedulingPolicy() = default;
   SchedulingPolicy(const SchedulingPolicy&) = delete;
   SchedulingPolicy& operator=(const SchedulingPolicy&) = delete;
@@ -176,6 +185,11 @@ class SchedulingPolicy {
 
  protected:
   SchedulerContext& ctx_;
+  // Facts fixed for the agent's lifetime, read once at construction
+  // instead of through a virtual call at every use.
+  const cluster::ResourceIndex self_;  ///< ctx_.self()
+  const core::FederationConfig& cfg_;  ///< ctx_.config()
+  cluster::Lrms& lrms_;                ///< ctx_.lrms()
 };
 
 /// Builds the policy for `mode` (the only place mode dispatch survives).

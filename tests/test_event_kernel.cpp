@@ -2,8 +2,9 @@
 // semantics, the 4-ary heap's deterministic (time, priority, seq) pop
 // order under randomized workloads, the pop_into hot path, the
 // no-heap-traffic contract for small trivially copyable captures, and
-// the Federation's delivery slab (in-flight messages parked by slot, so
-// a delivery event allocates nothing).
+// the Federation's delivery slab (in-flight messages parked by slot and
+// delivered in place, so a delivery event allocates nothing, nor does a
+// batched bid answer once its buffer is recycled).
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "sim/inline_function.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
+#include "transport/message_arena.hpp"
 
 #include "alloc_counter.hpp"
 
@@ -372,41 +374,84 @@ TEST(DeliverySlab, UnicastDeliveryIsAllocationFreeInSteadyState) {
   EXPECT_EQ(ledger.count_of(core::MessageType::kBid), 128u);
 }
 
+TEST(DeliverySlab, BatchedBidAnswersAreAllocationFreeInSteadyState) {
+  // Cluster 1 answers each batched call-for-bids with one kBid whose
+  // asks fill a buffer recycled from an answer already delivered.  The
+  // answers reach cluster 0 as stale (no book is open there) and are
+  // dropped.  After a warm-up round the slab, the queue and the spare
+  // buffers are at their high-water mark, so a round allocates nothing.
+  constexpr std::uint64_t kCalls = 16;
+  auto cfg = core::make_config(core::SchedulingMode::kAuction);
+  cfg.network_latency = 1.0;
+  core::Federation fed(cfg, cluster::replicated_specs(2));
+  Simulation& sim = fed.simulation();
+  const std::vector<cluster::Job> jobs{slab_job(1, 0), slab_job(2, 0),
+                                       slab_job(3, 0)};
+  const std::vector<const cluster::Job*> bucket{&jobs[0], &jobs[1], &jobs[2]};
+  auto arena = std::make_shared<transport::MessageArena>();
+  core::Message call{core::MessageType::kCallForBids, 0, 1, jobs.front()};
+  call.batch_jobs = arena->append(bucket);
+  call.arena = arena;
+  const auto round = [&] {
+    for (std::uint64_t i = 0; i < kCalls; ++i) fed.send(core::Message(call));
+    // Every call arrives one latency later, every answer one after that.
+    for (std::uint64_t i = 0; i < 2 * kCalls; ++i) ASSERT_TRUE(sim.step());
+  };
+  round();  // warm-up
+
+  const std::uint64_t events = sim.events_executed();
+  const std::uint64_t before = g_allocations.load();
+  round();
+  const std::uint64_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 0u) << "batched bid answers allocated";
+  EXPECT_EQ(sim.events_executed() - events, 2 * kCalls);
+  const core::MessageLedger& ledger = std::as_const(fed).ledger();
+  EXPECT_EQ(ledger.count_of(core::MessageType::kCallForBids), 2 * kCalls);
+  EXPECT_EQ(ledger.count_of(core::MessageType::kBid), 2 * kCalls);
+}
+
 TEST(DeliverySlab, MessagesPostedMidDeliveryArriveIntact) {
   // One call-for-bids carrying piggybacked awards: its delivery admits
   // every award and answers each with a kReply, plus the bid, so the
-  // slab grows while the message being delivered came out of it.  Each
-  // reply then drives its award's payload and completion legs, so every
-  // job completing on the provider proves every message arrived intact.
-  constexpr cluster::JobId kAwards = 8;
-  auto cfg = core::make_config(core::SchedulingMode::kAuction);
-  cfg.network_latency = 1.0;
-  core::Federation fed(cfg, cluster::replicated_specs(3));
-  policy::SchedulerContext& origin = fed.gfa(0);
-  core::Message call{core::MessageType::kCallForBids, 0, 1, slab_job(1, 0)};
-  for (cluster::JobId id = 1; id <= kAwards; ++id) {
-    core::Pending p;
-    p.job = slab_job(id, 0);
-    origin.park_award(std::move(p), 1);  // as a piggybacking flush does
-    call.batch_awards.push_back(core::PiggybackedAward{slab_job(id, 0), 5.0});
-  }
-  fed.send(std::move(call));
-  fed.simulation().run();
+  // slab grows while the message being delivered is read in place.
+  // Each reply then drives its award's payload and completion legs, so
+  // every job completing on the provider proves every message arrived
+  // intact.  The second input posts more replies than one slab chunk
+  // holds, so that delivery also appends a chunk.
+  for (const cluster::JobId kAwards :
+       {cluster::JobId{8}, cluster::JobId{300}}) {
+    SCOPED_TRACE(kAwards);
+    auto cfg = core::make_config(core::SchedulingMode::kAuction);
+    cfg.network_latency = 1.0;
+    core::Federation fed(cfg, cluster::replicated_specs(3));
+    policy::SchedulerContext& origin = fed.gfa(0);
+    core::Message call{core::MessageType::kCallForBids, 0, 1, slab_job(1, 0)};
+    for (cluster::JobId id = 1; id <= kAwards; ++id) {
+      core::Pending p;
+      p.job = slab_job(id, 0);
+      origin.park_award(std::move(p), 1);  // as a piggybacking flush does
+      call.batch_awards.push_back(core::PiggybackedAward{slab_job(id, 0), 5.0});
+    }
+    fed.send(std::move(call));
+    fed.simulation().run();
 
-  // kAwards replies + 1 bid left the provider in the one delivery.
-  const core::MessageLedger& ledger = std::as_const(fed).ledger();
-  EXPECT_EQ(ledger.count_of(core::MessageType::kReply), kAwards);
-  EXPECT_EQ(ledger.count_of(core::MessageType::kBid), 1u);
-  ASSERT_EQ(fed.outcomes().size(), kAwards);
-  std::vector<cluster::JobId> ids;
-  for (const core::JobOutcome& o : fed.outcomes()) {
-    EXPECT_TRUE(o.accepted);
-    EXPECT_EQ(o.executed_on, 1u);
-    EXPECT_DOUBLE_EQ(o.job.length_mi, slab_job(o.job.id, 0).length_mi);
-    ids.push_back(o.job.id);
+    // kAwards replies + 1 bid left the provider in the one delivery.
+    const core::MessageLedger& ledger = std::as_const(fed).ledger();
+    EXPECT_EQ(ledger.count_of(core::MessageType::kReply), kAwards);
+    EXPECT_EQ(ledger.count_of(core::MessageType::kBid), 1u);
+    ASSERT_EQ(fed.outcomes().size(), kAwards);
+    std::vector<cluster::JobId> ids;
+    for (const core::JobOutcome& o : fed.outcomes()) {
+      EXPECT_TRUE(o.accepted);
+      EXPECT_EQ(o.executed_on, 1u);
+      EXPECT_DOUBLE_EQ(o.job.length_mi, slab_job(o.job.id, 0).length_mi);
+      ids.push_back(o.job.id);
+    }
+    std::sort(ids.begin(), ids.end());
+    for (cluster::JobId id = 1; id <= kAwards; ++id) {
+      EXPECT_EQ(ids[id - 1], id);
+    }
   }
-  std::sort(ids.begin(), ids.end());
-  for (cluster::JobId id = 1; id <= kAwards; ++id) EXPECT_EQ(ids[id - 1], id);
 }
 
 }  // namespace
