@@ -16,13 +16,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "cluster/availability_profile.hpp"
 #include "cluster/job.hpp"
 #include "cluster/resource.hpp"
 #include "sim/entity.hpp"
+#include "sim/flat_map.hpp"
 #include "stats/utilization.hpp"
 
 namespace gridfed::cluster {
@@ -197,7 +197,7 @@ class Lrms : public sim::Entity {
   std::uint64_t kill_below_ = 0;
   std::uint64_t killed_ = 0;
   // Reservations cancelled before start; their events no-op on firing.
-  std::unordered_set<std::uint64_t> cancelled_;  // by Reservation::serial
+  sim::FlatSet<std::uint64_t> cancelled_;  // by Reservation::serial
 };
 
 }  // namespace gridfed::cluster

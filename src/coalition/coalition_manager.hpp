@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/job.hpp"
@@ -41,6 +40,7 @@
 #include "federation/participant.hpp"
 #include "market/bid.hpp"
 #include "obs/observer.hpp"
+#include "sim/flat_map.hpp"
 
 namespace gridfed::coalition {
 
@@ -208,7 +208,7 @@ class CoalitionManager {
   CoalitionContext& ctx_;
   CoalitionConfig config_;
   federation::ParticipantRegistry registry_;
-  std::unordered_map<cluster::JobId, AwardNote> notes_;
+  sim::FlatMap<cluster::JobId, AwardNote> notes_;
   std::vector<SplitRecord> splits_;
   std::vector<ReformationRecord> reformations_;
   std::uint64_t local_messages_ = 0;

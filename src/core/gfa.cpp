@@ -499,9 +499,9 @@ void Gfa::finalize(cluster::JobId id, cluster::ResourceIndex exec,
 // ---- membership churn -------------------------------------------------------
 
 namespace {
-/// Sorted snapshot of a job-keyed map's ids: the engine's maps are
-/// unordered, and every churn drain must replay in identical order run
-/// to run (outcome order feeds the digests).
+/// Sorted snapshot of a job-keyed table's ids.  Every churn drain
+/// replays in job-id order, which keeps the outcome order (it feeds the
+/// digests) independent of the order the table happens to iterate in.
 template <typename Map>
 std::vector<cluster::JobId> sorted_ids(const Map& map) {
   std::vector<cluster::JobId> ids;

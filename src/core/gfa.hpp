@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 
 #include "cluster/lrms.hpp"
 #include "coalition/coalition_manager.hpp"
@@ -44,6 +43,7 @@
 #include "obs/observer.hpp"
 #include "policy/scheduling_policy.hpp"
 #include "sim/entity.hpp"
+#include "sim/flat_map.hpp"
 
 namespace gridfed::core {
 
@@ -335,9 +335,9 @@ class Gfa final : public sim::Entity, public policy::SchedulerContext {
   /// config(), lrms() and coalitions() through them).
   std::unique_ptr<policy::SchedulingPolicy> policy_;
 
-  std::unordered_map<cluster::JobId, Pending> pending_;
-  std::unordered_map<cluster::JobId, Awaiting> awaiting_;
-  std::unordered_map<cluster::JobId, RemoteHold> holds_;
+  sim::FlatMap<cluster::JobId, Pending> pending_;
+  sim::FlatMap<cluster::JobId, Awaiting> awaiting_;
+  sim::FlatMap<cluster::JobId, RemoteHold> holds_;
   std::uint64_t next_hold_token_ = 0;
   std::uint64_t remote_accepted_ = 0;
   bool down_ = false;     ///< crashed (kCrash churn); lifts on rejoin

@@ -16,11 +16,11 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "directory/query_cost.hpp"
 #include "directory/quote.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/types.hpp"
 
 namespace gridfed::directory {
@@ -136,7 +136,7 @@ class FederationDirectory {
   void meter_query();
 
   std::vector<Quote> quotes_;  // unordered storage (swap-and-pop erase)
-  std::unordered_map<cluster::ResourceIndex, std::size_t> index_;
+  sim::FlatMap<cluster::ResourceIndex, std::size_t> index_;
   std::vector<RankEntry> by_price_;  // ascending price
   std::vector<RankEntry> by_speed_;  // descending mips
   DirectoryTraffic traffic_;

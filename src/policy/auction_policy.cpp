@@ -199,6 +199,12 @@ void AuctionPolicy::flush_solicitations() {
   // pass derives the transport's fan-out bound: the tree transport may
   // batch the call-for-bids further, but never past the slack fraction
   // this policy applies to its own hold.
+  //
+  // The buckets point at jobs inside auctions_ entries, which any insert
+  // or erase of auctions_ may move (sim/flat_map.hpp).  They are safe
+  // until the last multicast below: nothing here opens or clears an
+  // auction — park_award parks with the engine, and multicast only
+  // queues deliveries and fan-outs, which run as later events.
   scratch_providers_.clear();
   for (auto& bucket : scratch_buckets_) bucket.clear();
   sim::SimTime not_after = sim::kTimeInfinity;
@@ -482,9 +488,9 @@ void AuctionPolicy::advance_awards(core::Pending p) {
 
 void AuctionPolicy::drain_in_flight(
     const std::function<void(core::Pending)>& sink) {
-  // Deterministic drain order: auctions_ is an unordered map, so walk the
-  // open books sorted by job id — the sink records outcomes, and their
-  // order must replay identically run to run.
+  // Drain the open books in job-id order: the sink records outcomes, and
+  // the sort keeps their order independent of the table's iteration
+  // order (erases move its entries).
   std::vector<cluster::JobId> open;
   open.reserve(auctions_.size());
   for (const auto& [id, auction] : auctions_) open.push_back(id);

@@ -19,12 +19,12 @@
 
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "market/book_pool.hpp"
 #include "policy/dbc_policy.hpp"
 #include "policy/scheduling_policy.hpp"
+#include "sim/flat_map.hpp"
 
 namespace gridfed::policy {
 
@@ -151,7 +151,7 @@ class AuctionPolicy final : public SchedulingPolicy {
   /// The DBC walk serving as the fallback chain (shares this context).
   DbcPolicy dbc_fallback_;
 
-  std::unordered_map<cluster::JobId, OpenAuction> auctions_;
+  sim::FlatMap<cluster::JobId, OpenAuction> auctions_;
 
   // -- batched solicitation state (batch_solicitations) -------------------
   /// Jobs whose call-for-bids await the next flush, in submission order.
@@ -173,7 +173,8 @@ class AuctionPolicy final : public SchedulingPolicy {
   std::vector<cluster::ResourceIndex> scratch_targets_;
   std::vector<cluster::ResourceIndex> scratch_providers_;
   /// Per-provider job buckets built by flush_solicitations; parallel to
-  /// scratch_providers_, capacity retained across flushes.
+  /// scratch_providers_, capacity retained across flushes.  They point
+  /// into auctions_ entries and are valid only within one flush.
   std::vector<std::vector<const cluster::Job*>> scratch_buckets_;
   /// Provider cluster -> its index in scratch_providers_ during a flush
   /// (kNoBucket otherwise); the flush resets only the entries it set.

@@ -93,9 +93,7 @@ EventQueue::EventHandle EventQueue::update_key(EventHandle h,
 
 void EventQueue::drop_cancelled_min() {
   while (!cancelled_.empty()) {
-    const auto it = cancelled_.find(fel_low64(active_min()));
-    if (it == cancelled_.end()) return;
-    cancelled_.erase(it);
+    if (cancelled_.erase(fel_low64(active_min())) == 0) return;
     (void)active_pop();
   }
 }

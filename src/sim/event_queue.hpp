@@ -28,11 +28,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/event.hpp"
 #include "sim/fel.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/ladder_queue.hpp"
 
 namespace gridfed::sim {
@@ -184,7 +184,7 @@ class EventQueue {
 
   /// Low-64 identities of cancelled keys still inside the backing
   /// structure.  The structural minimum is never in here.
-  std::unordered_set<std::uint64_t> cancelled_;
+  FlatSet<std::uint64_t> cancelled_;
   std::size_t live_ = 0;               ///< pending minus cancelled
   SimTime next_time_ = kTimeInfinity;  ///< time of the structural min
   std::vector<FelKey> migrate_scratch_;

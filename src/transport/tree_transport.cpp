@@ -501,6 +501,8 @@ void TreeTransport::relay(std::span<const RelayItem> items,
       const std::uint64_t key =
           static_cast<std::uint64_t>(scratch_path_[h]) * n +
           scratch_path_[h + 1];
+      // `it` is held across the scratch_shape_seen_ inserts below; an
+      // insert invalidates iterators into its own table only.
       auto [it, inserted] = scratch_edge_index_.emplace(
           key, static_cast<std::uint32_t>(scratch_edges_.size()));
       if (inserted) {
@@ -536,7 +538,7 @@ void TreeTransport::relay(std::span<const RelayItem> items,
             sim::fnv1a_mix(sim::kFnvOffsetBasis,
                            static_cast<std::uint64_t>(it->second)),
             m.shape);
-        if (scratch_shape_seen_.insert(shape_key).second) {
+        if (scratch_shape_seen_.insert(shape_key)) {
           frame.bases += 1;
         } else {
           frame.deltas += 1;

@@ -38,11 +38,10 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "market/bid_scorer.hpp"
+#include "sim/flat_map.hpp"
 #include "transport/transport.hpp"
 
 namespace gridfed::transport {
@@ -245,7 +244,7 @@ class TreeTransport final : public Transport {
   std::uint32_t prune_k_ = 0;      ///< 0 = forward every bid whole
   bool encode_bids_ = false;       ///< compact per-edge frame accounting
   market::BidScorer scorer_;       ///< the engine's exact rank order
-  std::unordered_map<cluster::JobId, JobFacts> job_facts_;
+  sim::FlatMap<cluster::JobId, JobFacts> job_facts_;
   std::uint64_t bids_pruned_ = 0;
   std::uint64_t prune_bytes_saved_ = 0;
   /// True while relay() runs on a convergecast flush whose entry meta
@@ -256,7 +255,7 @@ class TreeTransport final : public Transport {
   // Scratch reused across flushes (hot path at 50 clusters).
   std::vector<RelayItem> scratch_items_;
   std::vector<EdgeUse> scratch_edges_;
-  std::unordered_map<std::uint64_t, std::uint32_t> scratch_edge_index_;
+  sim::FlatMap<std::uint64_t, std::uint32_t> scratch_edge_index_;
   std::vector<std::uint32_t> scratch_path_;
   /// path_positions is logically const (path_hops introspection).
   mutable std::vector<std::uint32_t> scratch_up_;
@@ -264,9 +263,9 @@ class TreeTransport final : public Transport {
   // per-job rank candidates, per-(job, edge) better-ranked counters, and
   // the per-edge shape groups / frame tallies of the current relay.
   std::vector<std::vector<BidEntryMeta>> scratch_entry_meta_;
-  std::unordered_map<std::uint64_t, std::uint32_t> scratch_rank_counts_;
+  sim::FlatMap<std::uint64_t, std::uint32_t> scratch_rank_counts_;
   std::vector<EdgeFrame> scratch_edge_frames_;
-  std::unordered_set<std::uint64_t> scratch_shape_seen_;
+  sim::FlatSet<std::uint64_t> scratch_shape_seen_;
 };
 
 }  // namespace gridfed::transport

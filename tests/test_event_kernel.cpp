@@ -4,7 +4,9 @@
 // no-heap-traffic contract for small trivially copyable captures, and
 // the Federation's delivery slab (in-flight messages parked by slot and
 // delivered in place, so a delivery event allocates nothing, nor does a
-// batched bid answer once its buffer is recycled).
+// batched bid answer once its buffer is recycled), and the protocol
+// engine's job tables (a warm enquiry round trip allocates nothing but
+// the LRMS's boxed finish events).
 
 #include <gtest/gtest.h>
 
@@ -408,6 +410,64 @@ TEST(DeliverySlab, BatchedBidAnswersAreAllocationFreeInSteadyState) {
   const core::MessageLedger& ledger = std::as_const(fed).ledger();
   EXPECT_EQ(ledger.count_of(core::MessageType::kCallForBids), 2 * kCalls);
   EXPECT_EQ(ledger.count_of(core::MessageType::kBid), 2 * kCalls);
+}
+
+TEST(EngineTables, EnquiryRoundTripsAllocateOnlyTheLrmsFinishEvents) {
+  // Cluster 0 parks kEnquiries negotiates on cluster 1 (pending_), which
+  // reserves and holds each (holds_) and replies; each accepted reply
+  // resumes in handle_reply (pending_ out, awaiting_ in, payload out).
+  // Every round reuses the same job shapes and drains completely, so
+  // after a warm-up round the engine's job tables, the slab and the
+  // queue are at their high-water mark: parking and reply handling
+  // allocate nothing, and admission allocates exactly one block per
+  // reservation — the LRMS boxes each finish event, which captures the
+  // Job.  Node-based tables add one node per insert to each phase.
+  constexpr std::uint64_t kEnquiries = 32;
+  auto cfg = core::make_config(core::SchedulingMode::kEconomy);
+  cfg.network_latency = 1.0;
+  core::Federation fed(cfg, cluster::replicated_specs(2));
+  Simulation& sim = fed.simulation();
+  policy::SchedulerContext& origin = fed.gfa(0);
+  const cluster::Lrms& provider = fed.lrms(1);
+  cluster::JobId next_id = 1;
+  struct Allocations {
+    std::uint64_t park = 0;
+    std::uint64_t admit = 0;
+    std::uint64_t reply = 0;
+  };
+  const auto round = [&] {
+    Allocations a;
+    const SimTime t = sim.now();
+    std::uint64_t before = g_allocations.load();
+    for (std::uint64_t i = 0; i < kEnquiries; ++i) {
+      core::Pending p;
+      p.job = slab_job(next_id++, 0);
+      p.job.length_mi = 1e7 * static_cast<double>(i + 1);
+      origin.send_negotiate(std::move(p), 1);
+    }
+    a.park = g_allocations.load() - before;
+    before = g_allocations.load();
+    sim.run_until(t + 1.5);  // negotiates land at t + 1: admit and hold
+    a.admit = g_allocations.load() - before;
+    before = g_allocations.load();
+    sim.run_until(t + 2.5);  // replies land at t + 2: ship the payloads
+    a.reply = g_allocations.load() - before;
+    sim.run();  // payloads, executions and completions drain the tables
+    return a;
+  };
+  (void)round();  // warm-up
+
+  const std::uint64_t accepted = provider.jobs_accepted();
+  const Allocations a = round();
+  EXPECT_EQ(provider.jobs_accepted() - accepted, kEnquiries);
+  EXPECT_EQ(a.park, 0u) << "parking enquiries allocated";
+  EXPECT_EQ(a.admit, kEnquiries) << "holds allocated beyond the LRMS";
+  EXPECT_EQ(a.reply, 0u) << "reply handling allocated";
+  ASSERT_EQ(fed.outcomes().size(), 2 * kEnquiries);
+  for (const core::JobOutcome& o : fed.outcomes()) {
+    EXPECT_TRUE(o.accepted);
+    EXPECT_EQ(o.executed_on, 1u);
+  }
 }
 
 TEST(DeliverySlab, MessagesPostedMidDeliveryArriveIntact) {
