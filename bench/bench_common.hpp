@@ -117,19 +117,12 @@ inline std::vector<std::size_t> sizes_arg(
 
 /// One point of the auction-batching comparison: the same federation and
 /// seed run in auction mode without batching, with batched solicitation,
-/// and — on a 1 s-latency WAN, where awards and open solicitations
-/// actually overlap in time — batched with and without award
-/// piggybacking (kAwards riding the flush).  Under the paper's
-/// instantaneous network the whole solicit/bid/award cascade collapses
-/// into one instant, so there is never a queued solicitation for an award
-/// to ride; the WAN pair is what makes the piggyback comparison
-/// apples-to-apples.
+/// and with batched solicitation over the tree transport, without and
+/// with coalitions.
 struct BatchingPoint {
   std::size_t size = 0;
   core::FederationResult unbatched;
   core::FederationResult batched;
-  core::FederationResult batched_wan;  ///< batching at kBenchPiggybackLatency
-  core::FederationResult piggyback;    ///< batched_wan + piggyback_awards
   /// Batched solicitation over TransportKind::kTree (default fan-out and
   /// epoch): the cross-origin overlay aggregation on top of batching.
   core::FederationResult tree;
@@ -141,10 +134,6 @@ struct BatchingPoint {
   [[nodiscard]] double reduction_pct() const {
     const double u = unbatched.msgs_per_job.mean();
     return u > 0.0 ? 100.0 * (1.0 - batched.msgs_per_job.mean() / u) : 0.0;
-  }
-  [[nodiscard]] double piggyback_reduction_pct() const {
-    const double u = batched_wan.msgs_per_job.mean();
-    return u > 0.0 ? 100.0 * (1.0 - piggyback.msgs_per_job.mean() / u) : 0.0;
   }
   /// Tree-vs-batched uses the ledger-based wire metric: tree edge
   /// messages are shared across origins and not per-job attributable.
@@ -164,9 +153,6 @@ struct BatchingPoint {
 /// calibrated workload batches aggressively while the slack-fraction cap
 /// keeps acceptance untouched; see bench/README.md).
 inline constexpr double kBenchBatchWindow = 300.0;
-
-/// One-way message latency of the piggyback comparison's WAN setting.
-inline constexpr double kBenchPiggybackLatency = 1.0;
 
 /// Ring-bucket size of the coalition comparison (4 ring-adjacent
 /// clusters per coalition, the CoalitionConfig default).
@@ -192,10 +178,6 @@ inline std::vector<BatchingPoint> auction_batching_series(
     tree_cfg.coalitions.enabled = true;
     tree_cfg.coalitions.bucket_size = kBenchCoalitionBucket;
     point.coalition = core::run_experiment(tree_cfg, n, oft_percent);
-    cfg.network_latency = kBenchPiggybackLatency;
-    point.batched_wan = core::run_experiment(cfg, n, oft_percent);
-    cfg.auction.piggyback_awards = true;
-    point.piggyback = core::run_experiment(cfg, n, oft_percent);
     points.push_back(std::move(point));
   }
   return points;

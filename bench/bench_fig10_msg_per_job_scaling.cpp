@@ -394,22 +394,6 @@ int main(int argc, char** argv) {
     std::printf("%s\n", cht.str().c_str());
   }
 
-  std::printf("Award piggybacking on a %.0f s-latency WAN (awards overlap "
-              "open solicitations\nand ride the flush for free):\n\n",
-              bench::kBenchPiggybackLatency);
-  stats::Table pt({"System size", "WAN batched msgs/job",
-                   "+Piggyback msgs/job", "Reduction %", "Awards ridden",
-                   "Accept % (p)"});
-  for (const auto& p : batching) {
-    pt.add_row({std::to_string(p.size),
-                stats::Table::num(p.batched_wan.msgs_per_job.mean(), 2),
-                stats::Table::num(p.piggyback.msgs_per_job.mean(), 2),
-                stats::Table::num(p.piggyback_reduction_pct(), 1),
-                std::to_string(p.piggyback.auctions.awards_piggybacked),
-                stats::Table::num(p.piggyback.acceptance_pct(), 2)});
-  }
-  std::printf("%s\n", pt.str().c_str());
-
   const std::string json = bench::json_path(argc, argv);
   if (!json.empty()) {
     std::FILE* f = std::fopen(json.c_str(), "w");
@@ -470,12 +454,7 @@ int main(int argc, char** argv) {
           "\"coalition_awards\": %llu, "
           "\"coalition_accept_pct\": %.2f, "
           "\"coalition_mean_response_s\": %.2f, "
-          "\"wan_batched_msgs_per_job\": %.4f, "
-          "\"wan_piggyback_msgs_per_job\": %.4f, "
-          "\"piggyback_reduction_pct\": %.2f, "
-          "\"awards_piggybacked\": %llu, "
           "\"unbatched_accept_pct\": %.2f, \"batched_accept_pct\": %.2f, "
-          "\"piggyback_accept_pct\": %.2f, "
           "\"bids_per_auction_unbatched\": %.4f, "
           "\"bids_per_auction_batched\": %.4f, "
           "\"bids_per_auction_tree\": %.4f, "
@@ -500,12 +479,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(p.coalition.coalition_awards),
           p.coalition.acceptance_pct(),
           p.coalition.fed_response_excl.mean(),
-          p.batched_wan.msgs_per_job.mean(),
-          p.piggyback.msgs_per_job.mean(), p.piggyback_reduction_pct(),
-          static_cast<unsigned long long>(
-              p.piggyback.auctions.awards_piggybacked),
           p.unbatched.acceptance_pct(), p.batched.acceptance_pct(),
-          p.piggyback.acceptance_pct(),
           p.unbatched.auctions.bids_per_auction.mean(),
           p.batched.auctions.bids_per_auction.mean(),
           p.tree.auctions.bids_per_auction.mean(),

@@ -58,23 +58,18 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> auction_sizes{8, 20, 50};
   const auto batching = bench::auction_batching_series(auction_sizes);
   stats::Table at({"System size", "Unbatched msgs/GFA", "Batched msgs/GFA",
-                   "Reduction %", "Tree msgs/GFA", "Tree red. %",
-                   "WAN batched", "WAN +piggyback", "Piggy red. %"});
+                   "Reduction %", "Tree msgs/GFA", "Tree red. %"});
   for (const auto& p : batching) {
     const double u = p.unbatched.msgs_per_gfa.mean();
     const double b = p.batched.msgs_per_gfa.mean();
     // Tree per-GFA load counts relay traffic at both edge endpoints
     // (MessageLedger::relay_at) — the honest per-node series.
     const double t = p.tree.msgs_per_gfa.mean();
-    const double w = p.batched_wan.msgs_per_gfa.mean();
-    const double g = p.piggyback.msgs_per_gfa.mean();
     at.add_row({std::to_string(p.size), stats::Table::num(u, 0),
                 stats::Table::num(b, 0),
                 stats::Table::num(u > 0.0 ? 100.0 * (1.0 - b / u) : 0.0, 1),
                 stats::Table::num(t, 0),
-                stats::Table::num(b > 0.0 ? 100.0 * (1.0 - t / b) : 0.0, 1),
-                stats::Table::num(w, 0), stats::Table::num(g, 0),
-                stats::Table::num(w > 0.0 ? 100.0 * (1.0 - g / w) : 0.0, 1)});
+                stats::Table::num(b > 0.0 ? 100.0 * (1.0 - t / b) : 0.0, 1)});
   }
   std::printf("%s\n", at.str().c_str());
 
@@ -105,17 +100,10 @@ int main(int argc, char** argv) {
       std::fprintf(f,
                    "    {\"size\": %zu, \"unbatched_msgs_per_gfa\": %.2f, "
                    "\"batched_msgs_per_gfa\": %.2f, "
-                   "\"tree_msgs_per_gfa\": %.2f, "
-                   "\"wan_batched_msgs_per_gfa\": %.2f, "
-                   "\"wan_piggyback_msgs_per_gfa\": %.2f, "
-                   "\"awards_piggybacked\": %llu}%s\n",
+                   "\"tree_msgs_per_gfa\": %.2f}%s\n",
                    p.size, p.unbatched.msgs_per_gfa.mean(),
                    p.batched.msgs_per_gfa.mean(),
                    p.tree.msgs_per_gfa.mean(),
-                   p.batched_wan.msgs_per_gfa.mean(),
-                   p.piggyback.msgs_per_gfa.mean(),
-                   static_cast<unsigned long long>(
-                       p.piggyback.auctions.awards_piggybacked),
                    i + 1 < batching.size() ? "," : "");
     }
     std::fprintf(f, "  ]}\n}\n");

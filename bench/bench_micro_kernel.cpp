@@ -38,42 +38,15 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n) * 2);
 }
-// 1024/16384 are the historical heap-regime points; 65536/262144 are the
-// cold-cache regimes where the hybrid queue spills to the ladder and the
-// O(log n) heap comparisons stop fitting in cache (bench/README.md,
+// 1024/16384 are cache-resident pending sets; 65536/262144 are the
+// cold-cache regimes where a comparison heap's dependent loads stop
+// fitting in cache and the ladder's O(1) tiers pay (bench/README.md,
 // "Future-event list").
 BENCHMARK(BM_EventQueuePushPop)
     ->Arg(1024)
     ->Arg(16384)
     ->Arg(65536)
     ->Arg(262144);
-
-// The same push-all/pop-all kernel with the future-event-list backend
-// forced, one column per FelConfig::Kind: 0 = hybrid (the EventQueue
-// default, heap below the spill threshold), 1 = heap-only (the seed's
-// 4-ary heap), 2 = ladder-only (spilled from the first key).  The
-// heap-vs-ladder columns locate the crossover; the hybrid column must
-// track whichever backend wins at each size.
-void BM_EventQueueFel(benchmark::State& state) {
-  const auto kind = static_cast<sim::FelConfig::Kind>(state.range(0));
-  const auto n = static_cast<std::size_t>(state.range(1));
-  sim::Rng rng(1);
-  std::vector<double> times(n);
-  for (auto& t : times) t = rng.uniform(0.0, 1e6);
-  for (auto _ : state) {
-    sim::EventQueue q(sim::FelConfig{kind, 8192});
-    for (std::size_t i = 0; i < n; ++i) {
-      q.push(sim::Event{times[i], sim::EventPriority::kArrival,
-                        static_cast<sim::EventSeq>(i), [] {}});
-    }
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop().time);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n) * 2);
-}
-BENCHMARK(BM_EventQueueFel)
-    ->ArgNames({"kind", "n"})
-    ->ArgsProduct({{0, 1, 2}, {1024, 16384, 65536, 262144}});
 
 void BM_SimulationEventDispatch(benchmark::State& state) {
   for (auto _ : state) {

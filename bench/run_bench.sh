@@ -33,7 +33,7 @@ trap 'rm -rf "$tmpdir"' EXIT
 echo "== kernel microbenchmarks -> $OUT_DIR/BENCH_kernel_micro.json"
 if [[ -x "$BUILD_DIR/bench_micro_kernel" ]]; then
   "$BUILD_DIR/bench_micro_kernel" \
-    --benchmark_filter='BM_EventQueuePushPop|BM_EventQueueFel|BM_SimulationEventDispatch|BM_SimulationEventDispatchProbed|BM_DirectoryRankedQuery' \
+    --benchmark_filter='BM_EventQueuePushPop|BM_SimulationEventDispatch|BM_SimulationEventDispatchProbed|BM_DirectoryRankedQuery' \
     --benchmark_repetitions=5 \
     --benchmark_report_aggregates_only=true \
     --benchmark_out="$OUT_DIR/BENCH_kernel_micro.json" \

@@ -15,7 +15,6 @@
 #include "membership/membership_config.hpp"
 #include "network/latency_model.hpp"
 #include "obs/obs_config.hpp"
-#include "sim/fel.hpp"
 #include "sim/types.hpp"
 #include "transport/transport_options.hpp"
 #include "workload/calibration.hpp"
@@ -140,14 +139,6 @@ struct FederationConfig {
   /// the dark path is bit-identical to a build without the subsystem
   /// (and GRIDFED_TRACE=0 compiles the instrumentation out entirely).
   obs::ObsConfig obs = {};
-
-  /// Future-event-list selection for the simulation engine: the
-  /// heap/ladder hybrid by default, or a forced pure structure for A/B
-  /// benchmarking.  Both structures pop in the identical
-  /// (time, priority, seq) total order, so this knob never
-  /// changes outcomes or digests — only push/pop cost at scale (see
-  /// sim/fel.hpp and bench/README.md "Future-event list").
-  sim::FelConfig fel = {};
 
   /// Master seed for workload generation and population assignment.
   std::uint64_t seed = 0x9042005ULL;

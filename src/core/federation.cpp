@@ -13,7 +13,6 @@ Federation::Federation(FederationConfig config,
                        std::vector<cluster::ResourceSpec> specs)
     : cfg_(config),
       specs_(std::move(specs)),
-      sim_(config.fel),
       ledger_(specs_.empty() ? 1 : specs_.size()),
       bank_(specs_.empty() ? 1 : specs_.size()),
       util_at_window_(specs_.size(), 0.0),
@@ -33,10 +32,7 @@ Federation::Federation(FederationConfig config,
     wan.emplace(*cfg_.wan, specs_);
   }
   // Lossy enquiries need timeouts to make progress, and the timeout must
-  // outlast an enquiry+reply round trip.  In auction mode over the tree
-  // transport a piggybacked award's enquiry leg rides the call-for-bids
-  // relay path (up to 2 * depth hops to the LCA and back down) before
-  // its reply returns point-to-point, so the bound is hop-aware there.
+  // outlast an enquiry+reply round trip: two point-to-point hops.
   GF_EXPECTS(cfg_.message_drop_rate == 0.0 || cfg_.negotiate_timeout > 0.0);
   const sim::SimTime worst_latency =
       wan ? wan->max_latency() : cfg_.network_latency;
@@ -45,12 +41,12 @@ Federation::Federation(FederationConfig config,
   const double tree_depth = static_cast<double>(std::max(
       1u, transport::tree_depth(specs_.size(), cfg_.transport.tree_fanout)));
   const bool auction = cfg_.mode == SchedulingMode::kAuction;
+  // On the tree in auction mode the bound is conservative: every
+  // enquiry and reply travels point to point, yet the timeout must also
+  // clear the relay path (2 * depth hops to the LCA and back down) and a
+  // full fan-out epoch.  Relaxing it would change which configs are
+  // accepted, so it stays until that is decided on its own.
   const double enquiry_hops = auction && tree ? 2.0 * tree_depth + 1.0 : 2.0;
-  // On the tree in auction mode a piggybacked award's enquiry can also
-  // sit out a full fan-out epoch before the relay flushes it, so the
-  // timeout must clear the hold ON TOP of the hop round trip — a
-  // timeout inside the epoch would systematically expire every held
-  // enquiry before it even left the origin.
   const sim::SimTime enquiry_hold =
       auction && tree ? cfg_.transport.tree_epoch : 0.0;
   GF_EXPECTS(cfg_.negotiate_timeout == 0.0 ||
@@ -308,12 +304,6 @@ FederationResult Federation::run() {
   GF_ENSURES(outcomes_.size() == jobs_loaded_);
   // Drained: no message is left in flight, so every slab slot is free.
   GF_ENSURES(free_slots_.size() == slab_slots_);
-  // Fold every agent's policy counters in once, so the accessor and the
-  // aggregate see the same totals.
-  for (const auto& agent : gfas_) {
-    auction_stats_.awards_piggybacked +=
-        agent->scheduling_policy().counters().awards_piggybacked;
-  }
 #if GRIDFED_TRACE
   // The closing sample: the queue has drained, so the series ends on
   // ledger columns equal to aggregate()'s FederationResult totals.

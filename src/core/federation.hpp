@@ -256,7 +256,7 @@ class Federation final : public GfaHost,
   /// when every slot is busy).  Only after the delivery returns does the
   /// slot drop its arena handle, give up its kBid buffer to spare_bids_
   /// and go back on the free list.  std::deque is no substitute: it
-  /// keeps just two 240-byte messages per node and pays for its index
+  /// keeps just two 216-byte messages per node and pays for its index
   /// arithmetic on every access.
   static constexpr std::uint32_t kSlabChunk = 256;
   std::vector<std::unique_ptr<Message[]>> in_flight_;

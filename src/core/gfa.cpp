@@ -78,10 +78,10 @@ double Gfa::cost_from_quote(const cluster::Job& job,
 // ---- enquiry seam (DBC negotiate + auction award) ---------------------------
 
 void Gfa::park_enquiry(Pending p, cluster::ResourceIndex target,
-                       MessageType type, double price, bool on_wire) {
+                       MessageType type, double price) {
   GF_EXPECTS(type == MessageType::kNegotiate || type == MessageType::kAward);
   ++p.negotiations;
-  if (on_wire) ++p.messages;  // the enquiry (piggybacked awards ride free)
+  ++p.messages;  // the enquiry
   p.current_target = target;
   p.award_in_flight = type == MessageType::kAward;
   ++p.attempt;
@@ -94,16 +94,10 @@ void Gfa::park_enquiry(Pending p, cluster::ResourceIndex target,
   GF_OBS(host_.observer(), count(obs::Counter::kEnquiriesStarted));
   const cluster::JobId id = p.job.id;
   const std::uint64_t attempt = p.attempt;
-  if (on_wire) {
-    Message enquiry{type, index_, target, p.job};
-    enquiry.price = price;
-    pending_.insert_or_assign(id, std::move(p));
-    host_.send(std::move(enquiry));
-  } else {
-    // The enquiry text travels on a piggybacked solicitation; only the
-    // state and the timeout are needed here.
-    pending_.insert_or_assign(id, std::move(p));
-  }
+  Message enquiry{type, index_, target, p.job};
+  enquiry.price = price;
+  pending_.insert_or_assign(id, std::move(p));
+  host_.send(std::move(enquiry));
 
   const auto& cfg = host_.config();
   if (cfg.negotiate_timeout > 0.0) {
@@ -114,18 +108,12 @@ void Gfa::park_enquiry(Pending p, cluster::ResourceIndex target,
 }
 
 void Gfa::send_negotiate(Pending p, cluster::ResourceIndex target) {
-  park_enquiry(std::move(p), target, MessageType::kNegotiate, 0.0, true);
+  park_enquiry(std::move(p), target, MessageType::kNegotiate, 0.0);
 }
 
 void Gfa::send_award(Pending p, cluster::ResourceIndex target,
                      double payment) {
-  park_enquiry(std::move(p), target, MessageType::kAward, payment, true);
-}
-
-void Gfa::park_award(Pending p, cluster::ResourceIndex target) {
-  // The award text travels on a piggybacked solicitation the policy sends
-  // itself; only the enquiry state and the timeout are needed here.
-  park_enquiry(std::move(p), target, MessageType::kAward, 0.0, false);
+  park_enquiry(std::move(p), target, MessageType::kAward, payment);
 }
 
 void Gfa::on_negotiate_timeout(cluster::JobId id, std::uint64_t attempt) {
@@ -527,8 +515,8 @@ void Gfa::on_crash() {
     }
     reject(std::move(p));
   }
-  // Open auction books and undispatched held awards die with us; their
-  // armed bid timeouts and flush wake-ups find nothing afterwards.
+  // Open auction books die with us; their armed bid timeouts and flush
+  // wake-ups find nothing afterwards.
   policy_->drain_in_flight([this](Pending p) { reject(std::move(p)); });
   // Placed jobs: a local placement's completion was killed by the LRMS
   // shutdown, a remote one's completion message will be addressed to a

@@ -159,7 +159,7 @@ class Gfa final : public sim::Entity, public policy::SchedulerContext {
   // -- membership churn (driven by the Federation's churn hooks) ----------
   /// Fail-stop: this cluster crashed.  Every job the engine holds in
   /// flight dies with the machine — pending enquiries, open policy state
-  /// (auction books, held awards), placed-and-awaiting jobs, and remote
+  /// (auction books), placed-and-awaiting jobs, and remote
   /// holds — and each of OUR origin jobs still produces exactly one
   /// (rejected) outcome; the run-level outcome accounting depends on it.
   /// Later arrivals from this cluster's users bounce until a rejoin.
@@ -253,7 +253,6 @@ class Gfa final : public sim::Entity, public policy::SchedulerContext {
   void send_negotiate(Pending p, cluster::ResourceIndex target) override;
   void send_award(Pending p, cluster::ResourceIndex target,
                   double payment) override;
-  void park_award(Pending p, cluster::ResourceIndex target) override;
   void place_in_coalition(Pending p, federation::ParticipantId coalition,
                           double payment) override;
   void reject(Pending p) override;
@@ -269,7 +268,6 @@ class Gfa final : public sim::Entity, public policy::SchedulerContext {
                           sim::SimTime not_after) override {
     return host_.multicast(std::move(msg), targets, not_after);
   }
-  void admit_enquiry(const Message& msg) override { admit_and_reply(msg); }
   void auction_report(const market::ClearingReport& report) override {
     host_.auction_report(report);
   }
@@ -279,11 +277,10 @@ class Gfa final : public sim::Entity, public policy::SchedulerContext {
 
   // -- enquiry seam (DBC negotiate + auction award) -----------------------
   /// Shared enquiry plumbing: parks the job in pending_, sends `type`
-  /// (kNegotiate or kAward) to `target` unless the award already rode a
-  /// piggybacked solicitation (`on_wire` false), and arms the reply
-  /// timeout when the config enables it.  Replies resume in handle_reply.
+  /// (kNegotiate or kAward) to `target`, and arms the reply timeout when
+  /// the config enables it.  Replies resume in handle_reply.
   void park_enquiry(Pending p, cluster::ResourceIndex target,
-                    MessageType type, double price, bool on_wire);
+                    MessageType type, double price);
   /// Fires when no reply arrived in time: abandon the enquiry, hand the
   /// job back to the policy.
   void on_negotiate_timeout(cluster::JobId id, std::uint64_t attempt);

@@ -24,7 +24,7 @@ std::uint64_t wire_bytes(const Message& msg) noexcept {
   return kMessageHeaderBytes +
          kJobWireBytes *
              std::max<std::uint64_t>(1, msg.batch_jobs.size()) +
-         bid_bytes + kAwardWireBytes * msg.batch_awards.size();
+         bid_bytes;
 }
 
 std::uint64_t encoded_bid_frame_bytes(std::uint64_t sources,

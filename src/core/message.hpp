@@ -86,14 +86,6 @@ struct BatchedBid {
   bool pruned = false;
 };
 
-/// One award riding on a batched call-for-bids instead of its own kAward
-/// wire message (AuctionConfig::piggyback_awards): the full job (the
-/// winner re-runs admission on it) plus the cleared payment.
-struct PiggybackedAward {
-  cluster::Job job;
-  double payment = 0.0;
-};
-
 /// One inter-GFA message.  The full Job rides along: negotiate needs the
 /// QoS parameters for the remote estimate, submission needs the payload,
 /// and reply/completion use it for identification/accounting.
@@ -157,9 +149,6 @@ struct Message {
   /// answer is delivered, the Federation clears it and hands it to the
   /// next batched answer (SchedulerContext::bid_buffer), capacity kept.
   std::vector<BatchedBid> batch_bids;
-  /// kCallForBids: awards to this provider riding the flush for free
-  /// (AuctionConfig::piggyback_awards); processed before the bids.
-  std::vector<PiggybackedAward> batch_awards;
 
   /// kGossip: the sender's full membership digest (empty otherwise).
   /// `accept` doubles as the push-pull flag — true marks the answering
@@ -186,8 +175,6 @@ struct Message {
 inline constexpr std::uint64_t kMessageHeaderBytes = 64;  ///< fixed fields
 inline constexpr std::uint64_t kJobWireBytes = 96;        ///< one Job record
 inline constexpr std::uint64_t kBidWireBytes = 32;        ///< one BatchedBid
-inline constexpr std::uint64_t kAwardWireBytes =
-    kJobWireBytes + 16;  ///< PiggybackedAward: job + payment
 
 // Compact convergecast frame (TreeTransport bid aggregation): an edge
 // message that merges every bid payload crossing one tree edge in one

@@ -68,21 +68,6 @@ struct AuctionConfig {
   /// remaining deadline slack, so tight-deadline jobs flush (nearly)
   /// immediately while loose jobs ride out the full window.
   double solicit_hold_slack_fraction = 0.25;
-
-  /// Piggyback kAward notifications on the batched solicitation flush:
-  /// an award issued while a flush is already due within
-  /// piggyback_hold_window is held for it and rides the coalesced
-  /// call-for-bids to its winner for free (awards to providers the flush
-  /// does not solicit go standalone at the flush).  Strictly
-  /// opportunistic — an award never waits for a flush that is not
-  /// already scheduled, because an award is an admission re-check and
-  /// delaying it decays the winner's estimate (measured: anticipatory
-  /// holding costs far more decline rounds than the saved messages).
-  /// Only effective with batch_solicitations.
-  bool piggyback_awards = false;
-
-  /// Maximum imminence of the flush an award will wait for (see above).
-  sim::SimTime piggyback_hold_window = 120.0;
 };
 
 }  // namespace gridfed::market

@@ -203,8 +203,8 @@ void AuctionPolicy::flush_solicitations() {
   // The buckets point at jobs inside auctions_ entries, which any insert
   // or erase of auctions_ may move (sim/flat_map.hpp).  They are safe
   // until the last multicast below: nothing here opens or clears an
-  // auction — park_award parks with the engine, and multicast only
-  // queues deliveries and fan-outs, which run as later events.
+  // auction, and multicast only queues deliveries and fan-outs, which
+  // run as later events.
   scratch_providers_.clear();
   for (auto& bucket : scratch_buckets_) bucket.clear();
   sim::SimTime not_after = sim::kTimeInfinity;
@@ -245,12 +245,15 @@ void AuctionPolicy::flush_solicitations() {
   // bucket.  With the default full-book solicitation every provider
   // shares one bucket, so the flush writes the job list into the arena
   // ONCE and all 50 provider messages view it — no per-provider Job
-  // copies.  A provider with held awards is carved into its own message
-  // (its payload differs), preserving the per-provider wire order.
+  // copies.
   std::shared_ptr<transport::MessageArena> arena;
   std::size_t i = 0;
   while (i < scratch_providers_.size()) {
-    const std::size_t j = solicit_run_end(i);
+    std::size_t j = i + 1;
+    while (j < scratch_providers_.size() &&
+           scratch_buckets_[j] == scratch_buckets_[i]) {
+      ++j;
+    }
     if (!arena) arena = std::make_shared<transport::MessageArena>();
     core::Message msg;
     msg.type = core::MessageType::kCallForBids;
@@ -258,44 +261,19 @@ void AuctionPolicy::flush_solicitations() {
     msg.batch_jobs = arena->append(scratch_buckets_[i]);
     msg.arena = arena;
     msg.job = msg.batch_jobs.front();
-    // Awards held for this run's (single) provider ride the flush for
-    // free: their text joins this message and the Pending parks without
-    // a wire message of its own (the reply still counts).
-    for (auto& held : held_awards_) {
-      if (held.dispatched || held.target != scratch_providers_[i]) continue;
-      msg.batch_awards.push_back(
-          core::PiggybackedAward{held.pending.job, held.payment});
-      ++counters_.awards_piggybacked;
-      held.dispatched = true;
-      ctx_.park_award(std::move(held.pending), held.target);
-    }
     // Attribute the run's wire cost to the batch's first job so the
     // per-job counters still sum to the ledger total (on the direct
     // transport; the tree's shared edge messages return 0 and live in
-    // the ledger's relay counters instead).  A run carrying piggybacked
-    // awards must leave NOW: an award is an admission re-check whose
-    // reply timeout is already armed, so the transport gets no room to
-    // hold it back (the epoch hold that is fine for solicitations would
-    // systematically expire awards).
+    // the ledger's relay counters instead).
     const cluster::JobId front_id = msg.job.id;
-    const sim::SimTime run_not_after =
-        msg.batch_awards.empty() ? not_after : ctx_.now();
     const std::uint64_t wire = ctx_.multicast(
         std::move(msg),
         std::span<const cluster::ResourceIndex>(
             scratch_providers_.data() + i, j - i),
-        run_not_after);
+        not_after);
     auctions_.find(front_id)->second.pending.messages += wire;
     i = j;
   }
-  // Held awards whose provider saw no solicitation after all (its
-  // auctions cleared while the award waited) go out standalone: every
-  // hold was taken against THIS flush, so nothing waits beyond it.
-  for (auto& held : held_awards_) {
-    if (held.dispatched) continue;
-    ctx_.send_award(std::move(held.pending), held.target, held.payment);
-  }
-  held_awards_.clear();
   if (acfg.bid_timeout > 0.0) {
     for (const cluster::JobId id : solicit_queue_) {
       if (auctions_.find(id) == auctions_.end()) continue;
@@ -312,41 +290,6 @@ void AuctionPolicy::on_bid_timeout(cluster::JobId id) {
   // bid beat the timeout (the book already cleared and erased itself).
   clear_auction(id);
 }
-
-bool AuctionPolicy::flush_solicits(
-    federation::ParticipantId participant) const {
-  for (const cluster::JobId id : solicit_queue_) {
-    const auto it = auctions_.find(id);
-    if (it == auctions_.end()) continue;  // cleared while queued
-    const auto& list = it->second.book.solicited_list();
-    if (std::find(list.begin(), list.end(), participant) != list.end()) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool AuctionPolicy::has_held_award(cluster::ResourceIndex provider) const {
-  for (const HeldAward& held : held_awards_) {
-    if (!held.dispatched && held.target == provider) return true;
-  }
-  return false;
-}
-
-std::size_t AuctionPolicy::solicit_run_end(std::size_t i) const {
-  // A provider with held awards gets a message of its own (the award
-  // text joins the payload); otherwise the run extends while the job
-  // buckets stay equal and no award interrupts it.
-  std::size_t j = i + 1;
-  if (has_held_award(scratch_providers_[i])) return j;
-  while (j < scratch_providers_.size() &&
-         !has_held_award(scratch_providers_[j]) &&
-         scratch_buckets_[j] == scratch_buckets_[i]) {
-    ++j;
-  }
-  return j;
-}
-
 
 void AuctionPolicy::clear_auction(cluster::JobId id) {
   const auto it = auctions_.find(id);
@@ -466,20 +409,6 @@ void AuctionPolicy::advance_awards(core::Pending p) {
     // The award is an admission enquiry through the shared seam: the
     // winner re-checks, reserves, and answers with a kReply.  A
     // coalition winner is addressed through its representative.
-    const auto& acfg = cfg_.auction;
-    if (acfg.piggyback_awards && acfg.batch_solicitations &&
-        !solicit_queue_.empty() &&
-        flush_deadline_ <= ctx_.now() + acfg.piggyback_hold_window &&
-        flush_solicits(award.bid.bidder)) {
-      // A flush is already due soon AND it will solicit this winner: hold
-      // the award so that flush carries it for free.  Strictly
-      // opportunistic — an award never waits for a ride that isn't
-      // coming, because delaying an admission re-check decays the
-      // winner's estimate (and with it acceptance).
-      held_awards_.push_back(
-          HeldAward{std::move(p), rep, award.payment, false});
-      return;
-    }
     ctx_.send_award(std::move(p), rep, award.payment);
     return;  // resume in the engine's reply handler (or the timeout)
   }
@@ -509,13 +438,6 @@ void AuctionPolicy::drain_in_flight(
   // wake-ups and bid timeouts now find nothing.
   solicit_queue_.clear();
   flush_deadline_ = sim::kTimeInfinity;
-  // Undispatched held awards still own their Pending; dispatched ones
-  // were parked with the engine and are drained there.
-  for (HeldAward& held : held_awards_) {
-    if (held.dispatched) continue;
-    sink(std::move(held.pending));
-  }
-  held_awards_.clear();
 }
 
 void AuctionPolicy::fallback(core::Pending p) {
@@ -570,15 +492,6 @@ void AuctionPolicy::on_call_for_bids(const core::Message& msg) {
   // Provider side: answer with a sealed ask.  Bidding is non-binding (no
   // reservation); the award re-runs admission, so a stale estimate only
   // costs the origin a declined award, never a broken guarantee.
-  //
-  // Piggybacked awards ride in front of the bids: each is an admission
-  // enquiry whose reservation the subsequent estimates must price around.
-  for (const core::PiggybackedAward& award : msg.batch_awards) {
-    core::Message enquiry{core::MessageType::kAward, msg.from, self_,
-                          award.job};
-    enquiry.price = award.payment;
-    ctx_.admit_enquiry(enquiry);
-  }
   if (!msg.batch_jobs.empty()) {
     // Batched solicitation: one sealed ask per carried job, all riding
     // home in a single wire message.  The asks go into a recycled

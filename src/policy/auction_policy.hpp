@@ -13,9 +13,8 @@
 //
 // The policy owns every piece of auction-only state the Gfa god class
 // used to carry: the open books, the batched-solicitation queue, the
-// book pool and scratch buffers, the award ranking riding each Pending
-// (as an AuctionJobState behind Pending::policy_state), and the held
-// awards awaiting a piggyback flush.
+// book pool and scratch buffers, and the award ranking riding each
+// Pending (as an AuctionJobState behind Pending::policy_state).
 
 #include <cstdint>
 #include <limits>
@@ -37,7 +36,6 @@ class AuctionPolicy final : public SchedulingPolicy {
                                     cluster::ResourceIndex exec) const override;
   void on_call_for_bids(const core::Message& msg) override;
   void on_bid(const core::Message& msg) override;
-  [[nodiscard]] PolicyCounters counters() const override { return counters_; }
   [[nodiscard]] std::size_t open_auctions() const override {
     return auctions_.size();
   }
@@ -53,10 +51,9 @@ class AuctionPolicy final : public SchedulingPolicy {
   /// the cheap intra-coalition links.
   [[nodiscard]] market::Bid participant_bid(const cluster::Job& job);
 
-  /// Crash drain (membership churn): hands back the jobs in every open
-  /// book and every undispatched held award and empties the solicitation
-  /// queue.  Armed bid timeouts and flush wakes find nothing to act on
-  /// afterwards.
+  /// Crash drain (membership churn): hands back the job in every open
+  /// book and empties the solicitation queue.  Armed bid timeouts and
+  /// flush wakes find nothing to act on afterwards.
   void drain_in_flight(
       const std::function<void(core::Pending)>& sink) override;
 
@@ -87,16 +84,6 @@ class AuctionPolicy final : public SchedulingPolicy {
     market::AuctionBook book;
   };
 
-  /// An award waiting (bounded) for a solicitation flush to carry it.
-  /// `target` is the wire address — the winning participant's
-  /// representative cluster.
-  struct HeldAward {
-    core::Pending pending;
-    cluster::ResourceIndex target = cluster::kNoResource;
-    double payment = 0.0;
-    bool dispatched = false;  ///< rode a flush or went standalone
-  };
-
   [[nodiscard]] static AuctionJobState* state_of(const core::Pending& p);
   /// Ensures `p` carries an AuctionJobState, allocating on first touch.
   static AuctionJobState& ensure_state(core::Pending& p);
@@ -120,7 +107,7 @@ class AuctionPolicy final : public SchedulingPolicy {
   /// Flush wake-up; a no-op unless the earliest queued deadline is due.
   void maybe_flush_solicitations();
   /// Sends one coalesced kCallForBids per provider covering every queued
-  /// job (held awards ride along), then arms the per-job bid timeouts.
+  /// job, then arms the per-job bid timeouts.
   void flush_solicitations();
   /// Closes the book, clears it through the engine, reports telemetry and
   /// starts awarding (or falls back / rejects on an empty ranking).
@@ -128,20 +115,6 @@ class AuctionPolicy final : public SchedulingPolicy {
   /// Tries the next award in the cleared ranking; exhausted = fallback.
   void advance_awards(core::Pending p);
   void on_bid_timeout(cluster::JobId id);
-  /// True when some queued (still-open) auction solicits `participant`,
-  /// so the pending flush will actually send its representative a
-  /// call-for-bids an award could ride.
-  [[nodiscard]] bool flush_solicits(
-      federation::ParticipantId participant) const;
-  /// True when an undispatched held award targets `provider` — shared by
-  /// the flush's run grouping (a provider carrying awards is carved into
-  /// its own message) and the piggyback bookkeeping.
-  [[nodiscard]] bool has_held_award(cluster::ResourceIndex provider) const;
-  /// End of the maximal run [i, end) of flush providers that can share
-  /// one multicast: equal job buckets and no held awards (a payload with
-  /// piggybacked awards differs per provider).  The single place the
-  /// equal-bucket grouping rule lives.
-  [[nodiscard]] std::size_t solicit_run_end(std::size_t i) const;
   /// Exhausted every auction avenue: DBC walk or rejection per config.
   void fallback(core::Pending p);
 
@@ -158,8 +131,6 @@ class AuctionPolicy final : public SchedulingPolicy {
   std::vector<cluster::JobId> solicit_queue_;
   /// Earliest flush deadline among queued jobs (infinity when empty).
   sim::SimTime flush_deadline_ = sim::kTimeInfinity;
-  /// Awards waiting to ride the next flush (piggyback_awards).
-  std::vector<HeldAward> held_awards_;
 
   /// Cleared books are recycled here instead of reallocating per job.
   market::BookPool book_pool_;
@@ -181,8 +152,6 @@ class AuctionPolicy final : public SchedulingPolicy {
   static constexpr std::uint32_t kNoBucket =
       std::numeric_limits<std::uint32_t>::max();
   std::vector<std::uint32_t> bucket_of_;
-
-  PolicyCounters counters_;
 };
 
 }  // namespace gridfed::policy

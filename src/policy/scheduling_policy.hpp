@@ -43,12 +43,6 @@ class CoalitionManager;
 
 namespace gridfed::policy {
 
-/// Counters a policy accumulates over a run (surfaced through
-/// stats::AuctionStats; all-zero for policies without the feature).
-struct PolicyCounters {
-  std::uint64_t awards_piggybacked = 0; ///< kAwards that rode a solicitation
-};
-
 /// Protocol-engine services a policy schedules through.  Implemented by
 /// core::Gfa; policies hold a reference and never outlive it.
 class SchedulerContext {
@@ -94,10 +88,6 @@ class SchedulerContext {
   /// Auction award enquiry through the same seam (kAward + payment).
   virtual void send_award(core::Pending p, cluster::ResourceIndex target,
                           double payment) = 0;
-  /// Parks `p` as an in-flight award to `target` WITHOUT a wire message of
-  /// its own — the award text rides on a piggybacked solicitation the
-  /// policy sends separately.  Arms the reply timeout like send_award.
-  virtual void park_award(core::Pending p, cluster::ResourceIndex target) = 0;
   /// An award won by a coalition the origin itself represents: internal
   /// placement runs locally (no wire enquiry), then the payload ships
   /// straight to the chosen member — or, if every member declines, `p`
@@ -119,9 +109,6 @@ class SchedulerContext {
                                   std::span<const cluster::ResourceIndex>
                                       targets,
                                   sim::SimTime not_after) = 0;
-  /// Provider-side admission for an enquiry delivered out of band (a
-  /// piggybacked kAward): exact estimate, reserve, answer with a kReply.
-  virtual void admit_enquiry(const core::Message& msg) = 0;
   /// Auction telemetry sink (host's ClearingReport channel).
   virtual void auction_report(const market::ClearingReport& report) = 0;
   /// The observability umbrella, or null when disabled (GF_OBS sites
@@ -166,18 +153,14 @@ class SchedulingPolicy {
   [[nodiscard]] virtual market::Bid make_bid(const cluster::Job& job);
 
   /// Membership churn: this GFA's cluster crashed.  Hand every job the
-  /// policy is holding in flight (open auction books, undispatched held
-  /// awards) to `sink` and drop the machinery around them — armed
-  /// timeouts must find nothing to act on afterwards.  Policies without
-  /// job-holding state need nothing (the engine drains its own pending
-  /// enquiries separately).
+  /// policy is holding in flight (open auction books) to `sink` and drop
+  /// the machinery around them — armed timeouts must find nothing to act
+  /// on afterwards.  Policies without job-holding state need nothing
+  /// (the engine drains its own pending enquiries separately).
   virtual void drain_in_flight(
       const std::function<void(core::Pending)>& sink) {
     (void)sink;
   }
-
-  /// Run counters (see PolicyCounters); default all-zero.
-  [[nodiscard]] virtual PolicyCounters counters() const { return {}; }
 
   /// Auction books currently open at this policy (the metrics layer's
   /// book-depth gauge; 0 for policies without a market).

@@ -1,8 +1,7 @@
 // LadderQueue cold paths: Bottom refill (bucket pull + sort), rung
 // spawning/retirement with storage recycling, the Top transfer, and the
 // structural self-check.  The hot push/pop/min paths are header-inline
-// (ladder_queue.hpp) so the hybrid EventQueue folds them into its
-// dispatch loop.
+// (ladder_queue.hpp) so EventQueue folds them into its dispatch loop.
 
 #include "sim/ladder_queue.hpp"
 
@@ -165,25 +164,6 @@ void LadderQueue::clear() noexcept {
   top_floor_ = -1.0;
   top_min_ = 0.0;
   top_max_ = 0.0;
-}
-
-void LadderQueue::drain_into(std::vector<FelKey>& out) {
-  out.insert(out.end(), top_.begin(), top_.end());
-  out.insert(out.end(),
-             bottom_.begin() + static_cast<std::ptrdiff_t>(bottom_head_),
-             bottom_.end());
-  for (const Rung& r : rungs_) {
-    for (std::size_t b = r.cur; b < kBucketsPerRung; ++b) {
-      out.insert(out.end(), r.buckets[b].begin(), r.buckets[b].end());
-    }
-  }
-  clear();
-}
-
-void LadderQueue::build_from(const std::vector<FelKey>& keys) {
-  clear();
-  top_.reserve(keys.size());
-  for (const FelKey k : keys) push(k);
 }
 
 void LadderQueue::debug_validate() const {

@@ -1,7 +1,8 @@
 #pragma once
-// Ladder queue: an O(1)-amortized future-event list for the cold-cache
-// regime (Tang, Goh & Thng's classic Rung/Bucket/Bottom design, adapted
-// to the kernel's packed 128-bit keys — see fel.hpp for the layout).
+// Ladder queue: the event kernel's future-event list, O(1) amortized per
+// push/pop independent of the pending-set size (Tang, Goh & Thng's
+// classic Rung/Bucket/Bottom design, adapted to the kernel's packed
+// 128-bit keys — see fel.hpp for the layout).
 //
 // Three tiers:
 //
@@ -22,13 +23,13 @@
 //             read Bottom's head; sorting happens once per bucket, not
 //             per pop — "Bottom is sorted only when a bucket is popped".
 //
-// Contract with the heap FEL (fel.hpp): pops come out in the exact
-// full-key order — (time, priority, seq, slot) — because bucket binning
-// is monotone in time (floor((t-start)/width) with defensive clamping)
-// and every tier is finally ordered by the complete 128-bit key.  The
-// hybrid EventQueue can therefore migrate between heap and ladder
-// without perturbing a single golden digest (tests/test_ladder_queue.cpp
-// asserts pop-order and digest equality under fuzzed interleavings).
+// Pops come out in the exact full-key order — (time, priority, seq,
+// slot) — because bucket binning is monotone in time
+// (floor((t-start)/width) with defensive clamping) and every tier is
+// finally ordered by the complete 128-bit key: the order a binary heap
+// over the same keys would produce (tests/test_ladder_queue.cpp checks
+// pop order against std::priority_queue and pins whole federation runs
+// to digests recorded with a 4-ary heap as the FEL).
 //
 // Tie order at a shared timestamp needs one boundary care: a push at
 // exactly `top_floor_` may rank *before* same-time keys already spread
@@ -127,14 +128,6 @@ class LadderQueue {
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
   void clear() noexcept;
-
-  /// Moves every key into `out` (appended, unspecified order) and
-  /// empties the queue.  The heap↔ladder migration path.
-  void drain_into(std::vector<FelKey>& out);
-
-  /// Bulk-load from an unordered key set: everything stages through Top
-  /// (O(n)); the first pop spreads it.
-  void build_from(const std::vector<FelKey>& keys);
 
   // ---- introspection (tests, debug checks) --------------------------------
 
@@ -264,7 +257,5 @@ class LadderQueue {
   std::vector<FelKey> scratch_;   ///< bucket staging (swapped, not grown)
   std::size_t size_ = 0;
 };
-
-static_assert(Fel<LadderQueue>);
 
 }  // namespace gridfed::sim

@@ -39,9 +39,6 @@ using EventAction = InlineFunction;
 class Simulation {
  public:
   Simulation() = default;
-  /// FEL selection for the event queue (see sim::FelConfig): the
-  /// hybrid default, or a forced heap/ladder for A/B benchmarking.
-  explicit Simulation(const FelConfig& fel) : queue_(fel) {}
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 

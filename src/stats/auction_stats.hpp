@@ -24,10 +24,6 @@ struct AuctionStats {
   Accumulator clearing_price;         ///< payment of the top-ranked award
   Accumulator winner_surplus;         ///< payment - winner ask (Vickrey premium)
 
-  /// kAward notifications that rode a batched solicitation flush instead
-  /// of paying their own wire message (AuctionConfig::piggyback_awards).
-  std::uint64_t awards_piggybacked = 0;
-
   // Reputation input signals, keyed by the *participant* that gave the
   // broken promise (federation::ParticipantId::value — a singleton's key
   // equals its cluster index, a coalition's is its registered id).  The

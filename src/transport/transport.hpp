@@ -206,7 +206,7 @@ class Transport {
   /// the wire order stays deterministic).  Identity without a registry.
   /// Idempotent over the AuctionPolicy's own representative mapping —
   /// the policy addresses representatives anyway because its book slots
-  /// and piggyback targets are per-participant — so this pass normally
+  /// are per-participant — so this pass normally
   /// finds nothing to collapse; it exists so group addressing is a
   /// property of the substrate, enforced for every caller, not a
   /// convention each caller must re-implement.  O(targets) per

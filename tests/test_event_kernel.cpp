@@ -471,35 +471,34 @@ TEST(EngineTables, EnquiryRoundTripsAllocateOnlyTheLrmsFinishEvents) {
 }
 
 TEST(DeliverySlab, MessagesPostedMidDeliveryArriveIntact) {
-  // One call-for-bids carrying piggybacked awards: its delivery admits
-  // every award and answers each with a kReply, plus the bid, so the
-  // slab grows while the message being delivered is read in place.
-  // Each reply then drives its award's payload and completion legs, so
-  // every job completing on the provider proves every message arrived
-  // intact.  The second input posts more replies than one slab chunk
-  // holds, so that delivery also appends a chunk.
-  for (const cluster::JobId kAwards :
-       {cluster::JobId{8}, cluster::JobId{300}}) {
-    SCOPED_TRACE(kAwards);
+  // Cluster 0 opens kJobs auctions at one instant, with cluster 1 as the
+  // only bidder.  They share one solicitation flush, so cluster 1
+  // answers with one kBid of kJobs asks, and that single delivery
+  // completes every book and posts kJobs kAwards: the slab grows while
+  // the message being delivered is read in place.  Each award then
+  // drives its reply, payload and completion legs, so every job
+  // completing on the provider proves every message arrived intact.
+  // The second input posts more awards than one slab chunk holds, so
+  // that delivery also appends a chunk.
+  for (const cluster::JobId kJobs : {cluster::JobId{8}, cluster::JobId{300}}) {
+    SCOPED_TRACE(kJobs);
     auto cfg = core::make_config(core::SchedulingMode::kAuction);
     cfg.network_latency = 1.0;
-    core::Federation fed(cfg, cluster::replicated_specs(3));
-    policy::SchedulerContext& origin = fed.gfa(0);
-    core::Message call{core::MessageType::kCallForBids, 0, 1, slab_job(1, 0)};
-    for (cluster::JobId id = 1; id <= kAwards; ++id) {
-      core::Pending p;
-      p.job = slab_job(id, 0);
-      origin.park_award(std::move(p), 1);  // as a piggybacking flush does
-      call.batch_awards.push_back(core::PiggybackedAward{slab_job(id, 0), 5.0});
+    cfg.auction.origin_bids = false;
+    cfg.auction.batch_solicitations = true;
+    core::Federation fed(cfg, cluster::replicated_specs(2));
+    for (cluster::JobId id = 1; id <= kJobs; ++id) {
+      fed.gfa(0).submit_local(slab_job(id, 0));
     }
-    fed.send(std::move(call));
     fed.simulation().run();
 
-    // kAwards replies + 1 bid left the provider in the one delivery.
+    // One call, one answer, and kJobs awards posted by its delivery.
     const core::MessageLedger& ledger = std::as_const(fed).ledger();
-    EXPECT_EQ(ledger.count_of(core::MessageType::kReply), kAwards);
+    EXPECT_EQ(ledger.count_of(core::MessageType::kCallForBids), 1u);
     EXPECT_EQ(ledger.count_of(core::MessageType::kBid), 1u);
-    ASSERT_EQ(fed.outcomes().size(), kAwards);
+    EXPECT_EQ(ledger.count_of(core::MessageType::kAward), kJobs);
+    EXPECT_EQ(ledger.count_of(core::MessageType::kReply), kJobs);
+    ASSERT_EQ(fed.outcomes().size(), kJobs);
     std::vector<cluster::JobId> ids;
     for (const core::JobOutcome& o : fed.outcomes()) {
       EXPECT_TRUE(o.accepted);
@@ -508,7 +507,7 @@ TEST(DeliverySlab, MessagesPostedMidDeliveryArriveIntact) {
       ids.push_back(o.job.id);
     }
     std::sort(ids.begin(), ids.end());
-    for (cluster::JobId id = 1; id <= kAwards; ++id) {
+    for (cluster::JobId id = 1; id <= kJobs; ++id) {
       EXPECT_EQ(ids[id - 1], id);
     }
   }

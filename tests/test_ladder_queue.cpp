@@ -1,19 +1,21 @@
-// Property/fuzz tests for the ladder-queue FEL and the hybrid EventQueue
-// (sim/fel.hpp, sim/ladder_queue.hpp, sim/event_queue.hpp): randomized
-// push/pop/erase/update interleavings asserting pop-order and digest
-// equality between the heap, ladder, and hybrid backings against a
-// std::set reference — including equal-key ties, skewed/bursty timestamp
-// distributions, and the zero-width-bucket pathological case — plus the
-// allocation-free steady-state contract (rung/bucket recycling), the
-// erase-of-minimum next_time() regression, and whole federation runs
-// pinned bit-identical across the three FEL backends.
+// Property/fuzz tests for the ladder-queue FEL and the EventQueue over it
+// (sim/fel.hpp, sim/ladder_queue.hpp, sim/event_queue.hpp): the raw
+// ladder's pop order against a binary heap over the same keys, and
+// randomized push/pop/erase/update interleavings of the EventQueue
+// against a std::set reference — including equal-key ties,
+// skewed/bursty timestamp distributions, and the zero-width-bucket
+// pathological case — plus the allocation-free steady-state contract
+// (rung/bucket recycling), the erase-of-minimum next_time() regression,
+// and whole federation runs pinned to digests recorded with a 4-ary heap
+// as the FEL.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
+#include <functional>
 #include <optional>
+#include <queue>
 #include <set>
 #include <string>
 #include <vector>
@@ -34,7 +36,7 @@
 namespace gridfed::sim {
 namespace {
 
-// ---- raw LadderQueue vs HeapFel: key-level equivalence ----------------------
+// ---- raw LadderQueue vs a binary heap: key-level equivalence ----------------
 
 [[nodiscard]] FelKey make_key(SimTime t, unsigned prio, std::uint64_t seq,
                               std::uint32_t slot) {
@@ -43,9 +45,19 @@ namespace {
          (seq << kFelSlotBits) | slot;
 }
 
+/// The reference model: a binary min-heap over the same keys.
+using RefHeap =
+    std::priority_queue<FelKey, std::vector<FelKey>, std::greater<>>;
+
+FelKey pop_min(RefHeap& heap) {
+  const FelKey key = heap.top();
+  heap.pop();
+  return key;
+}
+
 TEST(LadderQueue, PopOrderMatchesHeapOnRandomKeys) {
   Rng rng(7);
-  HeapFel heap;
+  RefHeap heap;
   LadderQueue ladder;
   for (std::uint64_t seq = 0; seq < 20000; ++seq) {
     const SimTime t = rng.uniform01() * 1e6;
@@ -56,8 +68,8 @@ TEST(LadderQueue, PopOrderMatchesHeapOnRandomKeys) {
   }
   ASSERT_EQ(heap.size(), ladder.size());
   while (!heap.empty()) {
-    ASSERT_EQ(heap.min_key(), ladder.min_key());
-    ASSERT_EQ(heap.pop_min(), ladder.pop_min());
+    ASSERT_EQ(heap.top(), ladder.min_key());
+    ASSERT_EQ(pop_min(heap), ladder.pop_min());
   }
   EXPECT_TRUE(ladder.empty());
   ladder.debug_validate();
@@ -68,7 +80,7 @@ TEST(LadderQueue, InterleavedPushPopMatchesHeap) {
   // time (the simulation's usage pattern), so keys route through every
   // tier: Top, rungs mid-consumption, and direct Bottom inserts.
   Rng rng(21);
-  HeapFel heap;
+  RefHeap heap;
   LadderQueue ladder;
   SimTime now = 0.0;
   std::uint64_t seq = 0;
@@ -82,14 +94,14 @@ TEST(LadderQueue, InterleavedPushPopMatchesHeap) {
       heap.push(k);
       ladder.push(k);
     } else {
-      const FelKey a = heap.pop_min();
+      const FelKey a = pop_min(heap);
       const FelKey b = ladder.pop_min();
       ASSERT_EQ(a, b) << "divergence at step " << step;
       now = fel_time_of(a);
     }
     if ((step & 4095) == 0) ladder.debug_validate();
   }
-  while (!heap.empty()) ASSERT_EQ(heap.pop_min(), ladder.pop_min());
+  while (!heap.empty()) ASSERT_EQ(pop_min(heap), ladder.pop_min());
   EXPECT_TRUE(ladder.empty());
 }
 
@@ -121,7 +133,7 @@ TEST(LadderQueue, ClusteredTimestampsDegradeGracefully) {
   // Oversized same-time buckets must hit the kMaxRungs / zero-width
   // guards and still pop in exact key order.
   Rng rng(1234);
-  HeapFel heap;
+  RefHeap heap;
   LadderQueue ladder;
   std::uint64_t seq = 0;
   for (int burst = 0; burst < 40; ++burst) {
@@ -138,7 +150,7 @@ TEST(LadderQueue, ClusteredTimestampsDegradeGracefully) {
     }
   }
   while (!heap.empty()) {
-    ASSERT_EQ(heap.pop_min(), ladder.pop_min());
+    ASSERT_EQ(pop_min(heap), ladder.pop_min());
   }
   EXPECT_TRUE(ladder.empty());
 }
@@ -152,7 +164,7 @@ TEST(LadderQueue, KeysStampedOnRungEdgesPopInOrder) {
   // would make the next refill read past its bucket array.
   Rng rng(2718);
   for (int trial = 0; trial < 300; ++trial) {
-    HeapFel heap;
+    RefHeap heap;
     LadderQueue ladder;
     std::uint64_t seq = 0;
     const auto push = [&](SimTime t) {
@@ -168,7 +180,7 @@ TEST(LadderQueue, KeysStampedOnRungEdgesPopInOrder) {
     for (int i = 0; i < 3000; ++i) push(lo + (hi - lo) * rng.uniform01());
     for (int i = 0; i < 64; ++i) push(hi);
     while (!heap.empty()) {
-      const FelKey a = heap.pop_min();
+      const FelKey a = pop_min(heap);
       ASSERT_EQ(a, ladder.pop_min()) << "trial " << trial;
       const SimTime now = fel_time_of(a);
       const double dice = rng.uniform01();
@@ -188,7 +200,7 @@ TEST(LadderQueue, KeysStampedOnRungEdgesPopInOrder) {
   }
 }
 
-// ---- hybrid EventQueue: backend-equivalence fuzz ----------------------------
+// ---- EventQueue vs a std::set reference -------------------------------------
 
 struct PopRecord {
   SimTime time;
@@ -202,34 +214,18 @@ bool record_before(const PopRecord& a, const PopRecord& b) {
   return a.seq < b.seq;
 }
 
-// The four configurations under test: every op sequence is applied to
-// all of them in lockstep, and each must agree with the std::set
-// reference at every step.  The small-threshold hybrid crosses the
-// spill (128) and un-spill (32) boundaries many times per run.
-constexpr std::size_t kNumQueues = 4;
-
-std::array<FelConfig, kNumQueues> fuzz_configs() {
-  return {FelConfig{FelConfig::Kind::kHeap, 8192},
-          FelConfig{FelConfig::Kind::kLadder, 8192},
-          FelConfig{FelConfig::Kind::kHybrid, 8192},
-          FelConfig{FelConfig::Kind::kHybrid, 128}};
-}
-
 struct LiveEvent {
   PopRecord rec;
-  std::array<EventQueue::EventHandle, kNumQueues> handles;
+  EventQueue::EventHandle handle;
 };
 
-/// Drives an identical random push/pop/erase/update interleaving through
-/// all four backends; `next_push_time` shapes the timestamp distribution.
+/// Drives a random push/pop/erase/update interleaving through the queue,
+/// which must agree with the std::set reference at every step;
+/// `next_push_time` shapes the timestamp distribution.
 template <typename NextTime>
-void run_backend_fuzz(std::uint64_t seed, int steps, NextTime next_push_time) {
+void run_queue_fuzz(std::uint64_t seed, int steps, NextTime next_push_time) {
   Rng rng(seed);
-  const auto cfgs = fuzz_configs();
-  std::vector<EventQueue> queues;
-  queues.reserve(kNumQueues);
-  for (const auto& cfg : cfgs) queues.emplace_back(cfg);
-
+  EventQueue q;
   std::set<PopRecord, decltype(&record_before)> ref(&record_before);
   std::vector<LiveEvent> live;
   SimTime now = 0.0;
@@ -242,22 +238,18 @@ void run_backend_fuzz(std::uint64_t seed, int steps, NextTime next_push_time) {
       const auto prio = static_cast<EventPriority>(rng.uniform_int(0, 3));
       LiveEvent ev;
       ev.rec = PopRecord{t, prio, seq};
-      for (std::size_t q = 0; q < kNumQueues; ++q) {
-        ev.handles[q] = queues[q].push(Event{t, prio, seq, [] {}});
-      }
+      ev.handle = q.push(Event{t, prio, seq, [] {}});
       ref.insert(ev.rec);
       live.push_back(ev);
       ++seq;
     } else if (dice < 0.84) {  // pop
       const PopRecord want = *ref.begin();
       ref.erase(ref.begin());
-      for (std::size_t q = 0; q < kNumQueues; ++q) {
-        ASSERT_DOUBLE_EQ(queues[q].next_time(), want.time) << "queue " << q;
-        const Event got = queues[q].pop();
-        ASSERT_DOUBLE_EQ(got.time, want.time) << "queue " << q;
-        ASSERT_EQ(got.priority, want.priority) << "queue " << q;
-        ASSERT_EQ(got.seq, want.seq) << "queue " << q;
-      }
+      ASSERT_DOUBLE_EQ(q.next_time(), want.time);
+      const Event got = q.pop();
+      ASSERT_DOUBLE_EQ(got.time, want.time);
+      ASSERT_EQ(got.priority, want.priority);
+      ASSERT_EQ(got.seq, want.seq);
       for (std::size_t i = 0; i < live.size(); ++i) {
         if (live[i].rec.seq == want.seq) {
           live[i] = live.back();
@@ -273,11 +265,8 @@ void run_backend_fuzz(std::uint64_t seed, int steps, NextTime next_push_time) {
       live[idx] = live.back();
       live.pop_back();
       ref.erase(victim.rec);
-      for (std::size_t q = 0; q < kNumQueues; ++q) {
-        ASSERT_TRUE(queues[q].erase(victim.handles[q])) << "queue " << q;
-        ASSERT_FALSE(queues[q].erase(victim.handles[q]))
-            << "double erase must fail, queue " << q;
-      }
+      ASSERT_TRUE(q.erase(victim.handle));
+      ASSERT_FALSE(q.erase(victim.handle)) << "double erase must fail";
     } else {  // reschedule a random pending event
       const auto idx =
           static_cast<std::size_t>(rng.uniform_int(0, live.size() - 1));
@@ -287,43 +276,31 @@ void run_backend_fuzz(std::uint64_t seed, int steps, NextTime next_push_time) {
       ev.rec.time = t;
       ev.rec.seq = seq;
       ref.insert(ev.rec);
-      for (std::size_t q = 0; q < kNumQueues; ++q) {
-        const auto old = ev.handles[q];
-        ev.handles[q] = queues[q].update_key(old, t, seq);
-        ASSERT_TRUE(ev.handles[q].valid()) << "queue " << q;
-        ASSERT_FALSE(queues[q].erase(old))
-            << "stale handle must be dead, queue " << q;
-      }
+      const auto old = ev.handle;
+      ev.handle = q.update_key(old, t, seq);
+      ASSERT_TRUE(ev.handle.valid());
+      ASSERT_FALSE(q.erase(old)) << "stale handle must be dead";
       ++seq;
     }
 
-    const SimTime want_next = ref.empty() ? kTimeInfinity : ref.begin()->time;
-    for (std::size_t q = 0; q < kNumQueues; ++q) {
-      ASSERT_EQ(queues[q].size(), ref.size()) << "queue " << q;
-      ASSERT_DOUBLE_EQ(queues[q].next_time(), want_next) << "queue " << q;
-    }
-    if ((step & 1023) == 0) {
-      for (auto& q : queues) q.debug_validate();
-    }
+    ASSERT_EQ(q.size(), ref.size());
+    ASSERT_DOUBLE_EQ(q.next_time(),
+                     ref.empty() ? kTimeInfinity : ref.begin()->time);
+    if ((step & 1023) == 0) q.debug_validate();
   }
 
-  // Drain: every queue hands out the identical remaining stream.
+  // Drain: the queue hands out the reference's remaining stream.
   while (!ref.empty()) {
     const PopRecord want = *ref.begin();
     ref.erase(ref.begin());
-    for (std::size_t q = 0; q < kNumQueues; ++q) {
-      const Event got = queues[q].pop();
-      ASSERT_EQ(got.seq, want.seq) << "queue " << q;
-    }
+    ASSERT_EQ(q.pop().seq, want.seq);
   }
-  for (auto& q : queues) {
-    EXPECT_TRUE(q.empty());
-    q.debug_validate();
-  }
+  EXPECT_TRUE(q.empty());
+  q.debug_validate();
 }
 
 TEST(EventQueueFuzz, UniformTimestamps) {
-  run_backend_fuzz(101, 20000,
+  run_queue_fuzz(101, 20000,
                    [](Rng& rng) { return rng.uniform01() * 256.0; });
 }
 
@@ -331,7 +308,7 @@ TEST(EventQueueFuzz, BurstyTimestamps) {
   // Dense same-instant bursts with rare far jumps: heavy (time,
   // priority) collisions exercise the seq tie-break through the rung
   // binning, plus occasional huge spans exercise re-spawning.
-  run_backend_fuzz(202, 20000, [](Rng& rng) -> SimTime {
+  run_queue_fuzz(202, 20000, [](Rng& rng) -> SimTime {
     const double d = rng.uniform01();
     if (d < 0.45) return 0.0;
     if (d < 0.9) return static_cast<double>(rng.uniform_int(1, 4));
@@ -342,61 +319,57 @@ TEST(EventQueueFuzz, BurstyTimestamps) {
 TEST(EventQueueFuzz, SkewedTimestamps) {
   // Heavy-tailed deltas (pow-8 skew): most keys cluster tightly, a few
   // land far out — the distribution that forces deep rung recursion.
-  run_backend_fuzz(303, 20000, [](Rng& rng) {
+  run_queue_fuzz(303, 20000, [](Rng& rng) {
     return std::pow(rng.uniform01(), 8.0) * 4096.0;
   });
 }
 
 TEST(EventQueueFuzz, ZeroWidthTimestamps) {
   // Every push at the current instant: the all-equal pathological case
-  // end-to-end through the hybrid (buckets can never subdivide).
-  run_backend_fuzz(404, 12000, [](Rng&) { return 0.0; });
+  // end-to-end through the queue (buckets can never subdivide).
+  run_queue_fuzz(404, 12000, [](Rng&) { return 0.0; });
 }
 
 // ---- satellite fix: erase of the minimum vs cached next_time ----------------
 
 TEST(EventQueueErase, EraseOfMinimumInvalidatesCachedNextTime) {
-  for (const auto& cfg : fuzz_configs()) {
-    EventQueue q(cfg);
-    const auto h1 = q.push(Event{1.0, EventPriority::kArrival, 0, [] {}});
-    (void)q.push(Event{2.0, EventPriority::kArrival, 1, [] {}});
-    const auto h3 = q.push(Event{3.0, EventPriority::kArrival, 2, [] {}});
-    ASSERT_DOUBLE_EQ(q.next_time(), 1.0);
-    // The regression: erasing the head must re-derive the cache, not
-    // leave it pointing at the dead event.
-    ASSERT_TRUE(q.erase(h1));
-    ASSERT_DOUBLE_EQ(q.next_time(), 2.0);
-    q.debug_validate();
-    // Erasing a non-minimum leaves the cache alone...
-    ASSERT_TRUE(q.erase(h3));
-    ASSERT_DOUBLE_EQ(q.next_time(), 2.0);
-    EXPECT_EQ(q.size(), 1u);
-    // ...and the tombstone never surfaces through pop.
-    const Event got = q.pop();
-    EXPECT_EQ(got.seq, 1u);
-    EXPECT_TRUE(q.empty());
-    EXPECT_DOUBLE_EQ(q.next_time(), kTimeInfinity);
-    q.debug_validate();
-  }
+  EventQueue q;
+  const auto h1 = q.push(Event{1.0, EventPriority::kArrival, 0, [] {}});
+  (void)q.push(Event{2.0, EventPriority::kArrival, 1, [] {}});
+  const auto h3 = q.push(Event{3.0, EventPriority::kArrival, 2, [] {}});
+  ASSERT_DOUBLE_EQ(q.next_time(), 1.0);
+  // The regression: erasing the head must re-derive the cache, not
+  // leave it pointing at the dead event.
+  ASSERT_TRUE(q.erase(h1));
+  ASSERT_DOUBLE_EQ(q.next_time(), 2.0);
+  q.debug_validate();
+  // Erasing a non-minimum leaves the cache alone...
+  ASSERT_TRUE(q.erase(h3));
+  ASSERT_DOUBLE_EQ(q.next_time(), 2.0);
+  EXPECT_EQ(q.size(), 1u);
+  // ...and the tombstone never surfaces through pop.
+  const Event got = q.pop();
+  EXPECT_EQ(got.seq, 1u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_DOUBLE_EQ(q.next_time(), kTimeInfinity);
+  q.debug_validate();
 }
 
 TEST(EventQueueErase, UpdateKeyMovesEventAndCachedTime) {
-  for (const auto& cfg : fuzz_configs()) {
-    EventQueue q(cfg);
-    auto ha = q.push(Event{5.0, EventPriority::kMessage, 0, [] {}});
-    (void)q.push(Event{7.0, EventPriority::kMessage, 1, [] {}});
-    // Reschedule the minimum later: the cache must follow.
-    ha = q.update_key(ha, 9.0, 2);
-    ASSERT_TRUE(ha.valid());
-    ASSERT_DOUBLE_EQ(q.next_time(), 7.0);
-    // Reschedule it earliest again.
-    ha = q.update_key(ha, 1.0, 3);
-    ASSERT_DOUBLE_EQ(q.next_time(), 1.0);
-    EXPECT_EQ(q.size(), 2u);
-    EXPECT_EQ(q.pop().seq, 3u);
-    EXPECT_EQ(q.pop().seq, 1u);
-    q.debug_validate();
-  }
+  EventQueue q;
+  auto ha = q.push(Event{5.0, EventPriority::kMessage, 0, [] {}});
+  (void)q.push(Event{7.0, EventPriority::kMessage, 1, [] {}});
+  // Reschedule the minimum later: the cache must follow.
+  ha = q.update_key(ha, 9.0, 2);
+  ASSERT_TRUE(ha.valid());
+  ASSERT_DOUBLE_EQ(q.next_time(), 7.0);
+  // Reschedule it earliest again.
+  ha = q.update_key(ha, 1.0, 3);
+  ASSERT_DOUBLE_EQ(q.next_time(), 1.0);
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.pop().seq, 3u);
+  EXPECT_EQ(q.pop().seq, 1u);
+  q.debug_validate();
 }
 
 TEST(EventQueueErase, HandlesDieOnPop) {
@@ -407,105 +380,63 @@ TEST(EventQueueErase, HandlesDieOnPop) {
   EXPECT_FALSE(q.update_key(h, 2.0, 1).valid());
 }
 
-// ---- hybrid spill / un-spill ------------------------------------------------
-
-TEST(EventQueueHybrid, SpillsAndUnspillsAcrossTheHysteresisBand) {
-  EventQueue q(FelConfig{FelConfig::Kind::kHybrid, 256});
-  EventSeq seq = 0;
-  for (int i = 0; i < 255; ++i) {
-    (void)q.push(Event{static_cast<double>(i), EventPriority::kArrival, seq++,
-                       [] {}});
-  }
-  EXPECT_FALSE(q.spilled());
-  (void)q.push(
-      Event{255.0, EventPriority::kArrival, seq++, [] {}});  // 256th key
-  EXPECT_TRUE(q.spilled());
-  // Hysteresis: draining to just above threshold/4 keeps the ladder.
-  while (q.size() > 65) (void)q.pop();
-  EXPECT_TRUE(q.spilled());
-  (void)q.pop();  // 64 == 256/4: un-spill
-  EXPECT_FALSE(q.spilled());
-  q.debug_validate();
-  // The events themselves are untouched by both migrations.
-  SimTime prev = -1.0;
-  while (!q.empty()) {
-    const SimTime t = q.pop().time;
-    EXPECT_GT(t, prev);
-    prev = t;
-  }
-}
-
-TEST(EventQueueHybrid, ForcedLadderSpillsFromTheFirstKey) {
-  EventQueue q(FelConfig{FelConfig::Kind::kLadder, 8192});
-  EXPECT_TRUE(q.spilled());
-  (void)q.push(Event{1.0, EventPriority::kControl, 0, [] {}});
-  EXPECT_TRUE(q.spilled());
-  (void)q.pop();
-  EXPECT_TRUE(q.spilled());  // kLadder never un-spills
-}
-
 // ---- the allocation-free steady state ---------------------------------------
 
 TEST(LadderQueueAlloc, SteadyStatePushPopIsAllocationFree) {
-  // Two identical passes (same Rng seed, same interleaving).  The first
+  // Each input runs twice on a fresh queue, identically.  The first pass
   // takes every vector, rung, and bucket to its high-water mark; the
   // second must run entirely on recycled storage — rungs park in the
   // pool with their buckets intact, Bottom/scratch swap buffers, Top
   // keeps its capacity.
-  EventQueue q(FelConfig{FelConfig::Kind::kLadder, 8192});
-  const auto pass = [&q] {
-    Rng rng(5150);
-    SimTime now = 0.0;
-    EventSeq seq = 0;
-    InlineFunction action;
-    for (int i = 0; i < 6000; ++i) {
-      (void)q.push(Event{now + rng.uniform01() * 128.0,
-                         EventPriority::kArrival, seq++, [] {}});
-    }
-    for (int step = 0; step < 30000; ++step) {
-      if (rng.uniform01() < 0.5) {
-        (void)q.push(Event{now + rng.uniform01() * 128.0,
-                           EventPriority::kArrival, seq++, [] {}});
-      } else if (!q.empty()) {
-        now = q.pop_into(action);
-      }
-    }
-    while (!q.empty()) (void)q.pop_into(action);
+  const std::function<void(EventQueue&)> inputs[] = {
+      // A deep pending set, pushes and pops interleaved at random.
+      [](EventQueue& q) {
+        Rng rng(5150);
+        SimTime now = 0.0;
+        EventSeq seq = 0;
+        InlineFunction action;
+        for (int i = 0; i < 6000; ++i) {
+          (void)q.push(Event{now + rng.uniform01() * 128.0,
+                             EventPriority::kArrival, seq++, [] {}});
+        }
+        for (int step = 0; step < 30000; ++step) {
+          if (rng.uniform01() < 0.5) {
+            (void)q.push(Event{now + rng.uniform01() * 128.0,
+                               EventPriority::kArrival, seq++, [] {}});
+          } else if (!q.empty()) {
+            now = q.pop_into(action);
+          }
+        }
+        while (!q.empty()) (void)q.pop_into(action);
+      },
+      // 1024 keys at 97 integer times, all pushed, then all popped: a
+      // small pending set full of equal-time ties.
+      [](EventQueue& q) {
+        InlineFunction action;
+        for (EventSeq s = 0; s < 1024; ++s) {
+          (void)q.push(Event{static_cast<double>((s * 31) % 97),
+                             EventPriority::kArrival, s, [] {}});
+        }
+        while (!q.empty()) (void)q.pop_into(action);
+      },
   };
-  pass();  // warm-up
-  const std::uint64_t before = g_allocations.load();
-  pass();
-  const std::uint64_t after = g_allocations.load();
-  EXPECT_EQ(after - before, 0u) << "ladder steady state allocated";
+  for (std::size_t i = 0; i < std::size(inputs); ++i) {
+    SCOPED_TRACE(i);
+    EventQueue q;
+    inputs[i](q);  // warm-up
+    const std::uint64_t before = g_allocations.load();
+    inputs[i](q);
+    const std::uint64_t after = g_allocations.load();
+    EXPECT_EQ(after - before, 0u) << "ladder steady state allocated";
+  }
 }
 
-TEST(HybridAlloc, HeapResidentSteadyStateStaysAllocationFree) {
-  // Below the spill threshold the hybrid is the PR 2 heap path; the
-  // original zero-allocation contract must still hold.
-  EventQueue q;  // hybrid, threshold 8192
-  const auto pass = [&q] {
-    InlineFunction action;
-    for (EventSeq s = 0; s < 1024; ++s) {
-      (void)q.push(Event{static_cast<double>((s * 31) % 97),
-                         EventPriority::kArrival, s, [] {}});
-    }
-    while (!q.empty()) (void)q.pop_into(action);
-  };
-  pass();
-  const std::uint64_t before = g_allocations.load();
-  pass();
-  EXPECT_FALSE(q.spilled());
-  const std::uint64_t after = g_allocations.load();
-  EXPECT_EQ(after - before, 0u) << "hybrid heap-resident steady state allocated";
-}
-
-// ---- FEL backend invariance on whole federation runs ------------------------
-// Both FEL structures pop in the identical (time, priority, seq) total
-// order, so swapping the backing — or migrating mid-run — must leave a
-// federation run bit-identical: same draw order, same FP accumulation
-// order.  The hybrid runs with a tiny spill threshold so it genuinely
-// rides the ladder (and crosses the spill/un-spill hysteresis) during the
-// run instead of idling below the default 8192-key threshold.
+// ---- whole federation runs pinned to heap-FEL digests -----------------------
+// The ladder pops in the (time, priority, seq) total order a heap over
+// the same keys pops in, so a federation run must reproduce, field for
+// field, the digest the same run gave with a 4-ary min-heap as the FEL:
+// same draw order, same FP accumulation order.  Every golden below was
+// recorded with that heap.
 
 /// What the pins compare, every field exactly.
 struct FederationDigest {
@@ -560,58 +491,54 @@ core::FederationConfig wan_config(core::SchedulingMode mode) {
   return cfg;
 }
 
-core::FederationConfig with_fel(core::FederationConfig cfg,
-                                FelConfig::Kind kind,
-                                std::size_t spill_threshold) {
-  cfg.fel.kind = kind;
-  cfg.fel.spill_threshold = spill_threshold;
-  return cfg;
-}
+/// One scheduling mode's WAN run at 12 clusters and its heap-FEL digest.
+struct ModePin {
+  core::SchedulingMode mode;
+  FederationDigest heap;
+};
 
-class FelBackendModes
-    : public ::testing::TestWithParam<core::SchedulingMode> {};
+class FelBackendModes : public ::testing::TestWithParam<ModePin> {};
 
-TEST_P(FelBackendModes, LadderAndHybridAreBitIdenticalToHeap) {
-  const auto base = wan_config(GetParam());
-  expect_identical(
-      run_federation(with_fel(base, FelConfig::Kind::kHeap, 8192), 12),
-      run_federation(with_fel(base, FelConfig::Kind::kHybrid, 64), 12));
+TEST_P(FelBackendModes, MatchesHeapDigest) {
+  expect_identical(run_federation(wan_config(GetParam().mode), 12),
+                   GetParam().heap);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllModes, FelBackendModes,
-    ::testing::Values(core::SchedulingMode::kIndependent,
-                      core::SchedulingMode::kFederationNoEconomy,
-                      core::SchedulingMode::kEconomy,
-                      core::SchedulingMode::kAuction),
+    ::testing::Values(
+        ModePin{core::SchedulingMode::kIndependent,
+                {0x6f5b8921c9fe221dULL, 0, 0, 0, 0, 2487413213.677989, 0.0}},
+        ModePin{core::SchedulingMode::kFederationNoEconomy,
+                {0x7285fcad87aa1e24ULL, 10860, 1737600, 0, 0,
+                 2868069773.9816551, 2.5409452503509584}},
+        ModePin{core::SchedulingMode::kEconomy,
+                {0xe889aa2f4b56f409ULL, 28130, 4500800, 0, 0,
+                 2767664531.8655791, 6.5816565278427799}},
+        ModePin{core::SchedulingMode::kAuction,
+                {0x9d5e379c9ff25391ULL, 106060, 16969600, 0, 0,
+                 2557973287.3077283, 24.815161441272824}}),
     [](const auto& info) {
-      std::string name = to_string(info.param);
+      std::string name = to_string(info.param.mode);
       std::replace(name.begin(), name.end(), '+', '_');
       return name;
     });
 
-TEST(FelBackend, ForcedLadderMatchesHeapExactly) {
-  // The pure-ladder A/B column, every key on the ladder from the first:
-  // the economy rank walk at 12 clusters, and the auction with batched
-  // solicitation over the direct transport at 50 clusters.
-  const auto pin = [](const core::FederationConfig& base, std::size_t n) {
-    SCOPED_TRACE(std::string(to_string(base.mode)) + " at " +
-                 std::to_string(n) + " clusters");
-    expect_identical(
-        run_federation(with_fel(base, FelConfig::Kind::kHeap, 8192), n),
-        run_federation(with_fel(base, FelConfig::Kind::kLadder, 8192), n));
-  };
-  pin(wan_config(core::SchedulingMode::kEconomy), 12);
+TEST(FelBackend, BatchedAuctionMatchesHeapDigestAt50Clusters) {
+  // The auction with batched solicitation over the direct transport at
+  // 50 clusters: the deepest pending set of the pins.
   auto batched = core::make_config(core::SchedulingMode::kAuction);
   batched.auction.batch_solicitations = true;
   batched.auction.solicit_batch_window = 300.0;
   batched.network_latency = kWanLatency;
-  pin(batched, 50);
+  expect_identical(run_federation(batched, 50),
+                   {0x1fd7eade7185713eULL, 895188, 204278144, 0, 0,
+                    11206189212.69622, 54.083373610439786});
 }
 
-TEST(FelBackend, TreeCoalitionChurnPinsAcrossBackends) {
-  // The hardest configuration — tree transport + coalitions + membership
-  // churn — with the hybrid spilling mid-run.
+TEST(FelBackend, TreeCoalitionChurnMatchesHeapDigest) {
+  // The hardest configuration: tree transport + coalitions + membership
+  // churn.
   auto cfg = wan_config(core::SchedulingMode::kAuction);
   cfg.transport.kind = transport::TransportKind::kTree;
   cfg.coalitions.enabled = true;
@@ -626,9 +553,9 @@ TEST(FelBackend, TreeCoalitionChurnPinsAcrossBackends) {
       membership::ChurnEvent{50000.0, 5, membership::ChurnKind::kLeave});
   cfg.membership.churn.events.push_back(
       membership::ChurnEvent{90000.0, 5, membership::ChurnKind::kJoin});
-  expect_identical(
-      run_federation(with_fel(cfg, FelConfig::Kind::kHeap, 8192), 16),
-      run_federation(with_fel(cfg, FelConfig::Kind::kHybrid, 64), 16));
+  expect_identical(run_federation(cfg, 16),
+                   {0xb10ef5b5eef7f81dULL, 136764, 48208040, 37169, 0,
+                    3375337772.6612234, 3.1508264462809952});
 }
 
 }  // namespace

@@ -512,8 +512,8 @@ TEST(CoalitionReformation, MidFlightSettlementsSplitOverTheSnapshot) {
 // ---- construction-time validation -------------------------------------------
 
 TEST(MembershipValidation, TreeAuctionTimeoutMustClearEpochHold) {
-  // A negotiate timeout inside the fan-out epoch would expire every
-  // held enquiry before it left the origin.
+  // On the tree in auction mode the negotiate timeout must clear the
+  // relayed hops plus a full fan-out epoch.
   auto cfg = core::make_config(core::SchedulingMode::kAuction);
   cfg.transport.kind = transport::TransportKind::kTree;
   cfg.negotiate_timeout = 50.0;  // < relayed hops + tree_epoch (120)

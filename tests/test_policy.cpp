@@ -11,8 +11,7 @@
 // a different rank walk, a changed message count, a perturbed award
 // ranking — changes the digest.
 //
-// Also covers the policy layer's own seams: the stray-message defaults
-// and the award piggybacking counters.
+// Also covers the policy layer's own seams: the stray-message defaults.
 
 #include <gtest/gtest.h>
 
@@ -29,7 +28,6 @@ struct RunDigest {
   std::uint64_t messages = 0;
   std::uint64_t accepted = 0;
   std::uint64_t rejected = 0;
-  stats::AuctionStats auctions;
 };
 
 RunDigest digest(const core::FederationConfig& cfg, std::uint32_t oft) {
@@ -46,7 +44,7 @@ RunDigest digest(const core::FederationConfig& cfg, std::uint32_t oft) {
   const auto result = fed.run();
   return RunDigest{core::outcome_digest(fed.outcomes()),
                    result.total_messages, result.total_accepted,
-                   result.total_rejected, result.auctions};
+                   result.total_rejected};
 }
 
 void expect_seed_identical(const RunDigest& d, std::uint64_t hash,
@@ -128,7 +126,6 @@ TEST(PolicyLayer, StrayAuctionMessagesIgnoredOutsideAuctionMode) {
   stray.type = core::MessageType::kBid;
   fed.gfa(0).receive(stray);
   EXPECT_EQ(fed.gfa(0).scheduling_policy().open_auctions(), 0u);
-  EXPECT_EQ(fed.gfa(0).scheduling_policy().counters().awards_piggybacked, 0u);
 }
 
 TEST(PolicyLayer, MultiAttributeScoringBuysResponseTimeForOftUsers) {
@@ -145,54 +142,6 @@ TEST(PolicyLayer, MultiAttributeScoringBuysResponseTimeForOftUsers) {
   // Same workload, same acceptance bar: the market clears the same jobs.
   EXPECT_EQ(a.total_accepted + a.total_rejected,
             b.total_accepted + b.total_rejected);
-}
-
-// ---- award piggybacking -----------------------------------------------------
-
-TEST(Piggyback, AwardsRideTheSolicitationFlush) {
-  // Piggybacking needs awards and open solicitations to overlap in time,
-  // which only happens with nonzero message latency: under the paper's
-  // instantaneous network the whole solicit/bid/award cascade runs in one
-  // event instant and the flush queue is always empty at award time.
-  auto cfg = core::make_config(core::SchedulingMode::kAuction);
-  cfg.network_latency = 1.0;
-  cfg.auction.batch_solicitations = true;
-  cfg.auction.solicit_batch_window = 300.0;
-  const auto batched = digest(cfg, 30);
-  EXPECT_EQ(batched.auctions.awards_piggybacked, 0u);  // off by default
-
-  cfg.auction.piggyback_awards = true;
-  const auto piggy = digest(cfg, 30);
-  EXPECT_GT(piggy.auctions.awards_piggybacked, 0u);
-  // Each ridden award saves (at least) its own wire message.
-  EXPECT_LT(piggy.messages, batched.messages);
-  EXPECT_EQ(piggy.accepted + piggy.rejected, 2662u);
-}
-
-TEST(Piggyback, NoOverlapUnderInstantaneousNetworkIsHarmless) {
-  // With zero latency the flag is a no-op: nothing to ride, awards go
-  // standalone, and results match plain batching bit-for-bit.
-  auto cfg = core::make_config(core::SchedulingMode::kAuction);
-  cfg.auction.batch_solicitations = true;
-  cfg.auction.solicit_batch_window = 300.0;
-  const auto batched = digest(cfg, 30);
-  cfg.auction.piggyback_awards = true;
-  const auto piggy = digest(cfg, 30);
-  EXPECT_EQ(piggy.auctions.awards_piggybacked, 0u);
-  EXPECT_EQ(piggy.hash, batched.hash);
-  EXPECT_EQ(piggy.messages, batched.messages);
-}
-
-TEST(Piggyback, DeterministicUnderPiggybacking) {
-  auto cfg = core::make_config(core::SchedulingMode::kAuction);
-  cfg.network_latency = 1.0;
-  cfg.auction.batch_solicitations = true;
-  cfg.auction.solicit_batch_window = 300.0;
-  cfg.auction.piggyback_awards = true;
-  const auto a = digest(cfg, 30);
-  const auto b = digest(cfg, 30);
-  EXPECT_EQ(a.hash, b.hash);
-  EXPECT_EQ(a.auctions.awards_piggybacked, b.auctions.awards_piggybacked);
 }
 
 }  // namespace
