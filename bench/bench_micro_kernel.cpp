@@ -48,6 +48,38 @@ BENCHMARK(BM_EventQueuePushPop)
     ->Arg(65536)
     ->Arg(262144);
 
+// The classic hold model: the live set stays at 4096 keys, and each pop
+// pushes one key a message latency past the clock, or far ahead (a
+// window-end timer) for 1 push in 16.  Far keys accumulate until the
+// model reaches its stationary state, where nearly every pending key is
+// a far one and each short-latency push sorts into a small Bottom.
+// Items are holds: one pop plus one push.
+void BM_EventQueueHold(benchmark::State& state) {
+  constexpr std::size_t kLive = 4096;
+  constexpr std::size_t kFar = 16;
+  constexpr double kLatency = 0.1;
+  sim::Rng rng(3);
+  std::vector<double> far(1024);
+  for (auto& t : far) t = rng.uniform(1e4, 1e5);
+  sim::EventQueue q;
+  sim::EventSeq seq = 0;
+  for (std::size_t i = 0; i < kLive; ++i) {
+    q.push(sim::Event{rng.uniform(0.0, kLatency), sim::EventPriority::kMessage,
+                      seq++, [] {}});
+  }
+  sim::InlineFunction action;
+  for (auto _ : state) {
+    const double now = q.pop_into(action);
+    const double delay = seq % kFar == 0 ? far[seq / kFar % far.size()]
+                                         : kLatency;
+    q.push(sim::Event{now + delay, sim::EventPriority::kMessage, seq++,
+                      [] {}});
+  }
+  benchmark::DoNotOptimize(q.next_time());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueHold);
+
 void BM_SimulationEventDispatch(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulation sim;

@@ -1,5 +1,6 @@
 #include "baselines/broadcast.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 
@@ -69,10 +70,21 @@ class BroadcastDriver {
         // acceptance is comparable (budget unused here).
         economy::fabricate_qos(job, origin,
                                economy::CostModel::kWallTime);
-        sim_.schedule_at(job.submit, sim::EventPriority::kArrival,
-                         [this, job] { on_arrival(job); });
+        arrivals_.push_back(job);
       }
     }
+    // Streamed like the federation's arrivals: one kArrival event at a
+    // time, in (submit, id) order.
+    std::sort(arrivals_.begin(), arrivals_.end(), cluster::arrives_before);
+    if (!arrivals_.empty()) arm_arrival();
+  }
+
+  void arm_arrival() {
+    sim_.schedule_at(arrivals_[next_arrival_].submit,
+                     sim::EventPriority::kArrival, [this] {
+                       on_arrival(arrivals_[next_arrival_++]);
+                       if (next_arrival_ < arrivals_.size()) arm_arrival();
+                     });
   }
 
   void arm_volunteer_scans() {
@@ -180,6 +192,8 @@ class BroadcastDriver {
   sim::Simulation sim_;
   std::vector<std::unique_ptr<cluster::Lrms>> lrms_;
   std::vector<bool> volunteer_;
+  std::vector<cluster::Job> arrivals_;  ///< (submit, id) order
+  std::size_t next_arrival_ = 0;
   BroadcastResult result_;
 };
 

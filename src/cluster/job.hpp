@@ -45,6 +45,12 @@ struct Job {
   }
 };
 
+/// Arrival order: submit instant, then id.  Loaders hand out ids in load
+/// order, so jobs that share a submit instant arrive in load order.
+[[nodiscard]] inline bool arrives_before(const Job& a, const Job& b) noexcept {
+  return a.submit < b.submit || (a.submit == b.submit && a.id < b.id);
+}
+
 /// Eq. 1 — total data transferred during execution: Gamma = alpha * gamma_k
 /// (Gb).  Communication overhead scales with the origin's interconnect.
 [[nodiscard]] double data_transferred(const Job& job,

@@ -263,6 +263,9 @@ void Federation::load_workload(
     const std::vector<workload::ResourceTrace>& traces,
     std::optional<workload::PopulationProfile> profile) {
   GF_EXPECTS(!ran_);
+  std::size_t jobs = arrivals_.size();
+  for (const auto& trace : traces) jobs += trace.jobs.size();
+  arrivals_.reserve(jobs);
   for (const auto& trace : traces) {
     GF_EXPECTS(trace.resource < specs_.size());
     const auto& origin_spec = specs_[trace.resource];
@@ -274,13 +277,25 @@ void Federation::load_workload(
         job.opt = profile->preference(job.origin, job.user, cfg_.seed);
       }
       ++jobs_loaded_;
-      Gfa* agent = gfas_[trace.resource].get();
-      sim_.schedule_at(job.submit, sim::EventPriority::kArrival,
-                       [agent, job = std::move(job)] {
-                         agent->submit_local(job);
-                       });
+      arrivals_.push_back(std::move(job));
     }
   }
+  std::sort(arrivals_.begin(), arrivals_.end(), cluster::arrives_before);
+}
+
+void Federation::arm_arrival() {
+  sim_.schedule_at(arrivals_[next_arrival_].submit,
+                   sim::EventPriority::kArrival, [this] {
+                     const cluster::Job& job = arrivals_[next_arrival_++];
+                     gfas_[job.origin]->submit_local(job);
+                     if (next_arrival_ < arrivals_.size()) {
+                       arm_arrival();
+                     } else {
+                       // The last arrival: free the storage (`= {}`
+                       // would keep the capacity).
+                       arrivals_ = std::vector<cluster::Job>();
+                     }
+                   });
 }
 
 FederationResult Federation::run() {
@@ -300,7 +315,9 @@ FederationResult Federation::run() {
     sim_.set_dispatch_probe(probe, observer_->metrics());
   }
 #endif
+  if (!arrivals_.empty()) arm_arrival();
   sim_.run();
+  GF_ENSURES(next_arrival_ == jobs_loaded_);
   GF_ENSURES(outcomes_.size() == jobs_loaded_);
   // Drained: no message is left in flight, so every slab slot is free.
   GF_ENSURES(free_slots_.size() == slab_slots_);

@@ -1,7 +1,8 @@
 #pragma once
 // The Grid-Federation driver: owns the simulation engine, the clusters,
-// the agents, the directory, the bank and the ledgers; feeds a workload;
-// runs it to completion; and aggregates the per-job outcomes into a
+// the agents, the directory, the bank and the ledgers; feeds a workload,
+// streaming each job's arrival into the event list as the clock reaches
+// it; runs it to completion; and aggregates the per-job outcomes into a
 // FederationResult.
 //
 // Typical use (this is the public API the examples exercise):
@@ -59,11 +60,13 @@ class Federation final : public GfaHost,
 
   /// Converts raw traces into federation jobs (Eqs. 1-3 split, Eqs. 7/8
   /// QoS fabrication), applies the population profile (economy runs), and
-  /// schedules every arrival.  May be called multiple times before run().
+  /// queues them in arrival order; nothing is scheduled until run().  May
+  /// be called multiple times before run().
   void load_workload(const std::vector<workload::ResourceTrace>& traces,
                      std::optional<workload::PopulationProfile> profile);
 
-  /// Runs the simulation until every accepted job has completed, then
+  /// Streams the loaded jobs in as the clock reaches each submit time,
+  /// runs the simulation until every accepted job has completed, then
   /// aggregates.  Call once.
   [[nodiscard]] FederationResult run();
 
@@ -166,6 +169,9 @@ class Federation final : public GfaHost,
 
  private:
   void arm_periodic_behaviours();
+  /// Schedules the next loaded job's arrival event, which submits it at
+  /// its home agent and arms the one after.
+  void arm_arrival();
   [[nodiscard]] FederationResult aggregate() const;
 
   // ---- transport::TransportContext --------------------------------------
@@ -270,6 +276,12 @@ class Federation final : public GfaHost,
   /// flight, plus one buffer per answer the network duplicated.
   std::vector<std::vector<BatchedBid>> spare_bids_;
   std::uint64_t messages_dropped_ = 0;
+  /// Every loaded job in (submit, id) order; ids follow load order, so
+  /// jobs sharing an instant arrive in load order.  run() streams them
+  /// through one kArrival event at a time, the only users of that
+  /// priority class, and frees the vector after the last arrival.
+  std::vector<cluster::Job> arrivals_;
+  std::uint64_t next_arrival_ = 0;  ///< arrivals dispatched so far
   cluster::JobId next_job_id_ = 1;
   std::uint64_t jobs_loaded_ = 0;
   bool ran_ = false;

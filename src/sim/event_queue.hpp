@@ -3,7 +3,10 @@
 // [ time : 64 | priority : 2 | seq : 40 | slot : 22 ] (fel.hpp), where
 // the IEEE bit pattern of a non-negative double orders like its value,
 // held in a LadderQueue (ladder_queue.hpp): O(1) amortized push/pop
-// independent of the pending-set size.
+// independent of the pending-set size, in storage that follows the live
+// keys.  A federation run streams its job arrivals in one event at a
+// time, so the pending set is the events in flight plus one arrival: a
+// few thousand keys at 100 clusters, not the whole trace.
 //
 // The inline callbacks live in a stable slot-indexed side array of
 // cache-line-sized records (callback + occupant identity together, so a

@@ -11,10 +11,11 @@
 //             the last Top transfer) lands here in O(1): one store, no
 //             comparisons, no sift.
 //   Rungs   — a stack of progressively finer bucket arrays.  When Top is
-//             first needed it is spread across rung 0's buckets (width =
-//             span / kBucketsPerRung).  A bucket that surfaces with more
-//             than kSortThreshold keys is re-spread across a child rung
-//             whose buckets are kBucketsPerRung× finer; one that
+//             needed it is spread across a fresh coarsest rung (width =
+//             span / kBucketsPerRung), however few keys it holds, unless
+//             they all share one timestamp.  A bucket that surfaces with
+//             more than kSortThreshold keys is re-spread across a child
+//             rung whose buckets are kBucketsPerRung× finer; one that
 //             surfaces small is sorted straight into Bottom.  Each key
 //             is touched O(#rungs) ≤ kMaxRungs times in total, so the
 //             re-spreading amortizes to O(1) per event.
@@ -22,6 +23,20 @@
 //             prefix cursor, holding the earliest bucket's keys.  Pops
 //             read Bottom's head; sorting happens once per bucket, not
 //             per pop — "Bottom is sorted only when a bucket is popped".
+//
+// A shallow queue (a few thousand live keys, most pushes a short latency
+// past the clock) keeps pushing below the finest rung's frontier, into
+// Bottom.  Appends stay O(1), but a push that must sort into the middle
+// of a Bottom already holding more than kSortThreshold live keys spills
+// Bottom instead: its keys re-spread into a finer rung spanning Bottom's
+// head time up to the finest rung's frontier (up to `top_floor_` when no
+// rung exists), so later pushes land in O(1) buckets instead of shifting
+// thousands of keys.  Only the keys past that rung's first bucket move:
+// the first bucket's keys are Bottom's sorted prefix and stay put, so a
+// same-time cluster is never re-spread just to be sorted straight back.
+// The consumed prefix is compacted, before Bottom's buffer would grow,
+// once it fills half of it, so a Bottom that never drains cannot grow
+// with the number of events processed.
 //
 // Pops come out in the exact full-key order — (time, priority, seq,
 // slot) — because bucket binning is monotone in time
@@ -40,17 +55,24 @@
 // parent bins into the bucket it was spawned from (its `end` is the
 // exact FP threshold of the parent's next bucket, found at spawn time),
 // so a key stamped on a rung edge — the window end, say — never lands
-// in an already-consumed bucket.  The zero-width pathological case — a
-// bucket (or the whole Top batch) whose timestamps are all identical and
-// thus cannot be subdivided — short-circuits to a Bottom sort regardless
-// of size.
+// in an already-consumed bucket.  A child spawned from its parent's last
+// live bucket replaces the drained parent and inherits its `end`.  The
+// zero-width pathological case — a bucket (or the whole Top batch) whose
+// timestamps are all identical and thus cannot be subdivided —
+// short-circuits to a Bottom sort regardless of size.
 //
-// Steady state is allocation-free: retired rungs park in a pool with
-// their bucket storage intact, Bottom/scratch swap buffers instead of
-// reallocating, and Top keeps its high-water capacity (the counting-new
-// assert in tests/test_ladder_queue.cpp holds the line).
+// Storage is O(live keys): every bucket is a singly linked list threaded
+// through one node pool (a key plus a 32-bit next index, freed nodes on a
+// free list), so a rung is just kBucketsPerRung list heads and spreading
+// never allocates past the pool's high-water mark.  A bucket surfaces
+// straight into Bottom's buffer, and a zero-width Top batch trades
+// buffers with Bottom, so nothing reallocates once every buffer reached
+// its high-water mark: the steady state is allocation-free (the
+// counting-new asserts in tests/test_ladder_queue.cpp hold the line on
+// both counts).
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -66,12 +88,14 @@ class LadderQueue {
   LadderQueue() {
     top_.reserve(kInitialCapacity);
     bottom_.reserve(kInitialCapacity);
-    scratch_.reserve(kInitialCapacity);
+    nodes_.reserve(kInitialCapacity);
+    rungs_.reserve(kMaxRungs);  // references into rungs_ never dangle
   }
 
   /// O(1) (amortized): Top append, a ≤ kMaxRungs rung walk, or a Bottom
-  /// sorted insert (O(1) for the ascending pushes the mailbox drain and
-  /// same-instant reschedules produce; O(|Bottom|) worst case).
+  /// append (the ascending pushes the mailbox drain and same-instant
+  /// reschedules produce); a Bottom sorted insert, O(kSortThreshold),
+  /// only while Bottom is small or cannot spill.
   void push(FelKey key) {
     const SimTime t = fel_time_of(key);
     ++size_;
@@ -93,8 +117,7 @@ class LadderQueue {
       Rung& r = rungs_[i];
       const std::size_t idx = bucket_of(r, t);
       if (idx >= r.cur) {
-        r.buckets[idx].push_back(key);
-        ++r.count;
+        link(r, idx, key);
         return;
       }
       // Below the consumption frontier: belongs among Bottom's keys.
@@ -127,6 +150,7 @@ class LadderQueue {
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
+  /// Drops every key; storage capacity is retained.
   void clear() noexcept;
 
   // ---- introspection (tests, debug checks) --------------------------------
@@ -161,22 +185,34 @@ class LadderQueue {
 
   /// Always-compiled structural self-check (GF_SIM_CHECK wires it into
   /// every mutating EventQueue op in debug builds; Release fuzz tests
-  /// call it explicitly): tier sizes sum to size(), Bottom is sorted,
-  /// rung bucket counts are consistent.  Throws ContractViolation.
+  /// call it explicitly): tier sizes sum to size(), Bottom is sorted and
+  /// below the finest rung's frontier, every bucket list holds exactly
+  /// the keys its rung bins there, and every pool node is either on a
+  /// bucket list or on the free list.  Throws ContractViolation.
   void debug_validate() const;
 
- private:
-  /// Buckets per rung.  128 keeps a rung's bucket headers (128 × 24 B
-  /// vector headers) inside two pages while giving each spawn a 128×
-  /// width refinement.
+  /// Buckets per rung.  128 keeps a rung's list heads (128 × 4 B) inside
+  /// eight cache lines while giving each spawn a 128× width refinement.
   static constexpr std::size_t kBucketsPerRung = 128;
   /// A bucket surfacing with more keys than this is re-spread into a
-  /// child rung; at or below it, sorted straight into Bottom.
+  /// child rung; at or below it, sorted straight into Bottom.  A Bottom
+  /// holding more live keys than this spills on a sorted insert.
   static constexpr std::size_t kSortThreshold = 64;
-  /// Depth cap: beyond it buckets sort into Bottom regardless of size
-  /// (graceful degradation for adversarially clustered timestamps).
+  /// Depth cap: beyond it buckets sort into Bottom regardless of size,
+  /// and Bottom no longer spills (graceful degradation for
+  /// adversarially clustered timestamps).
   static constexpr std::size_t kMaxRungs = 8;
+
+ private:
   static constexpr std::size_t kInitialCapacity = 1024;
+  /// End of a bucket list, and of the free list.
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  /// One pooled key: a bucket-list (or free-list) link.
+  struct Node {
+    FelKey key;
+    std::uint32_t next;
+  };
 
   struct Rung {
     SimTime start = 0.0;   ///< timestamp of bucket 0's left edge
@@ -187,7 +223,7 @@ class LadderQueue {
     SimTime end = kTimeInfinity;
     std::size_t cur = 0;   ///< first unconsumed bucket
     std::size_t count = 0; ///< live keys across buckets [cur, end)
-    std::vector<std::vector<FelKey>> buckets;  ///< kBucketsPerRung entries
+    std::array<std::uint32_t, kBucketsPerRung> heads;  ///< list heads
   };
 
   [[nodiscard]] static SimTime rung_cur_start(const Rung& r) noexcept {
@@ -213,9 +249,31 @@ class LadderQueue {
   [[nodiscard]] static SimTime bucket_threshold(const Rung& r,
                                                 std::size_t b) noexcept;
 
+  /// Prepends `key` to bucket `b` of `r`, taking a node off the free
+  /// list (or growing the pool).
+  void link(Rung& r, std::size_t b, FelKey key) {
+    std::uint32_t n = free_;
+    if (n != kNil) {
+      free_ = nodes_[n].next;
+      nodes_[n] = Node{key, r.heads[b]};
+    } else {
+      n = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.push_back(Node{key, r.heads[b]});
+    }
+    r.heads[b] = n;
+    ++r.count;
+  }
+
   void bottom_insert(FelKey key) {
-    if (bottom_head_ == bottom_.size()) {
-      bottom_.clear();
+    // Before Bottom grows its buffer, drop the consumed prefix if it
+    // fills half of it: a Bottom that keeps taking keys while it is
+    // popped (it resets only when it drains) never outgrows twice its
+    // live keys, and each compaction moves at most as many keys as
+    // were popped since the last.
+    if (bottom_.size() == bottom_.capacity() &&
+        2 * bottom_head_ >= bottom_.size()) {
+      bottom_.erase(bottom_.begin(),
+                    bottom_.begin() + static_cast<std::ptrdiff_t>(bottom_head_));
       bottom_head_ = 0;
     }
     // Ascending inserts (the common pattern: mailbox drains arrive
@@ -224,6 +282,16 @@ class LadderQueue {
       bottom_.push_back(key);
       return;
     }
+    if (bottom_.size() - bottom_head_ > kSortThreshold && spill_bottom()) {
+      // A fresh finest rung now owns every timestamp below the old
+      // frontier, and Bottom only its first bucket's.
+      Rung& r = rungs_.back();
+      const std::size_t b = bucket_of(r, fel_time_of(key));
+      if (b >= r.cur) {
+        link(r, b, key);
+        return;
+      }
+    }
     const auto it = std::upper_bound(bottom_.begin() +
                                          static_cast<std::ptrdiff_t>(
                                              bottom_head_),
@@ -231,14 +299,16 @@ class LadderQueue {
     bottom_.insert(it, key);
   }
 
-  // Cold path: Bottom ran dry — pull the next bucket (spawning finer
-  // rungs for oversized ones) or spread Top.  Defined in
-  // ladder_queue.cpp.
+  // Cold paths, defined in ladder_queue.cpp: refill_bottom pulls the next
+  // bucket (spawning finer rungs for oversized ones) or spreads Top;
+  // spill_bottom moves Bottom's keys into a finer rung (false when the
+  // rung cap or the FP span forbids it).
   void refill_bottom();
+  [[nodiscard]] bool spill_bottom();
   void spawn_rung(SimTime lo, SimTime parent_width);
   void transfer_top();
-  void retire_rung();
-  [[nodiscard]] Rung acquire_rung();
+  /// Pushes an empty rung (no allocation: rungs_ keeps kMaxRungs slots).
+  Rung& add_rung(SimTime start, SimTime width, SimTime end);
 
   std::vector<FelKey> top_;
   SimTime top_min_ = 0.0;
@@ -249,12 +319,11 @@ class LadderQueue {
   SimTime top_floor_ = -1.0;
 
   std::vector<Rung> rungs_;       ///< [0] coarsest … back() finest/active
-  std::vector<Rung> rung_pool_;   ///< retired rungs, bucket storage kept
+  std::vector<Node> nodes_;       ///< the bucket lists' node pool
+  std::uint32_t free_ = kNil;     ///< head of the pool's free list
 
   std::vector<FelKey> bottom_;    ///< ascending; live keys at [head, end)
   std::size_t bottom_head_ = 0;
-
-  std::vector<FelKey> scratch_;   ///< bucket staging (swapped, not grown)
   std::size_t size_ = 0;
 };
 

@@ -5,8 +5,12 @@
 
 #include <vector>
 
+#include "cluster/catalog.hpp"
+#include "core/experiment.hpp"
 #include "core/federation.hpp"
+#include "core/outcome.hpp"
 #include "economy/pricing.hpp"
+#include "workload/synthetic.hpp"
 #include "workload/trace.hpp"
 
 namespace gridfed::core {
@@ -246,6 +250,41 @@ TEST(Federation, RunTwiceRejected) {
                     workload::PopulationProfile{0});
   (void)fed.run();
   EXPECT_ANY_THROW((void)fed.run());
+}
+
+TEST(Federation, LoadingSchedulesNoEvent) {
+  // Arrivals stream in during run(), one event at a time, so loading
+  // leaves the event list as the constructor armed it.
+  Federation fed(econ_config(), two_clusters());
+  const std::size_t armed = fed.simulation().pending_events();
+  fed.load_workload({one_job(0, 0.0, 100.0, 4), one_job(1, 50.0, 100.0, 4)},
+                    workload::PopulationProfile{0});
+  EXPECT_EQ(fed.simulation().pending_events(), armed);
+  const auto result = fed.run();
+  EXPECT_EQ(result.total_jobs, 2u);
+  EXPECT_EQ(result.total_accepted, 2u);
+}
+
+TEST(Federation, RepeatedLoadsArriveInLoadOrderAtSharedInstants) {
+  // The same traces loaded twice give every job a twin submitted at the
+  // same instant with a later id, and 1 s links put messages on the
+  // integer instants where jobs arrive.  Streamed arrivals must dispatch
+  // in (submit, id) order, the order arrival events scheduled at load
+  // time popped in: the digest was recorded with those events.
+  auto cfg = make_config(SchedulingMode::kAuction, 77);
+  cfg.network_latency = 1.0;
+  const auto specs = cluster::replicated_specs(6);
+  Federation fed(cfg, specs);
+  const auto traces =
+      workload::generate_federation_workload(specs, cfg.window, cfg.seed);
+  std::size_t jobs = 0;
+  for (const auto& trace : traces) jobs += trace.jobs.size();
+  fed.load_workload(traces, workload::PopulationProfile{30});
+  fed.load_workload(traces, workload::PopulationProfile{30});
+  const auto result = fed.run();
+  EXPECT_EQ(result.total_jobs, 2 * jobs);
+  EXPECT_EQ(outcome_digest(fed.outcomes()), 0xeeef434f71bffc3bULL);
+  EXPECT_EQ(result.total_messages, 65814u);
 }
 
 }  // namespace

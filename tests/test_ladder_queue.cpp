@@ -1,13 +1,17 @@
 // Property/fuzz tests for the ladder-queue FEL and the EventQueue over it
 // (sim/fel.hpp, sim/ladder_queue.hpp, sim/event_queue.hpp): the raw
-// ladder's pop order against a binary heap over the same keys, and
-// randomized push/pop/erase/update interleavings of the EventQueue
-// against a std::set reference — including equal-key ties,
+// ladder's pop order against a binary heap over the same keys — on
+// random, clustered and rung-edge timestamps, and on the shallow event
+// list of a run with streamed arrivals, validated after every operation,
+// with a named case for each shallow-regime rule (small Top batches
+// spread, Bottom spills, the spill's rung cap, drained parents replaced)
+// — and randomized push/pop/erase/update interleavings of the
+// EventQueue against a std::set reference, including equal-key ties,
 // skewed/bursty timestamp distributions, and the zero-width-bucket
-// pathological case — plus the allocation-free steady-state contract
-// (rung/bucket recycling), the erase-of-minimum next_time() regression,
-// and whole federation runs pinned to digests recorded with a 4-ary heap
-// as the FEL.
+// pathological case.  Then the allocation-free steady state (node-pool
+// recycling), the bytes the ladder holds against its peak live set, the
+// erase-of-minimum next_time() regression, and whole federation runs
+// pinned to digests recorded with a 4-ary heap as the FEL.
 
 #include <gtest/gtest.h>
 
@@ -54,6 +58,55 @@ FelKey pop_min(RefHeap& heap) {
   heap.pop();
   return key;
 }
+
+/// One push of the streamed pattern: a timestamp and a priority class.
+struct StreamedPush {
+  SimTime time;
+  unsigned prio;
+};
+
+/// The shape of a federation run's event list once arrivals are
+/// streamed: a few thousand live keys at most, most pushes one network
+/// latency past the clock, same-instant reschedules in every priority
+/// class, LRMS finishes on integer times, and rare far-future timers.
+/// The live-set target wanders between 50 and 4,096 keys.
+class StreamedPattern {
+ public:
+  static constexpr std::size_t kMaxLive = 4096;
+
+  explicit StreamedPattern(std::uint64_t seed) : rng_(seed) {}
+
+  /// Whether the next operation pushes (otherwise it pops).
+  bool push_next(std::size_t live) {
+    if (--phase_ == 0) {
+      target_ = rng_.uniform_int(50, kMaxLive);
+      phase_ = rng_.uniform_int(500, 20000);
+    }
+    if (live < 50) return true;
+    if (live >= kMaxLive) return false;
+    return rng_.uniform01() < (live < target_ ? 0.7 : 0.3);
+  }
+
+  /// The next push, `now` being the time of the last pop.
+  StreamedPush next(SimTime now) {
+    const double d = rng_.uniform01();
+    if (d < 0.55) return {now + 0.1, 1};  // a message one latency on
+    if (d < 0.70) {                       // a same-instant reschedule
+      return {now, static_cast<unsigned>(rng_.uniform_int(0, 3))};
+    }
+    if (d < 0.90) {  // an LRMS finish on an integer time
+      return {std::floor(now) + static_cast<SimTime>(rng_.uniform_int(1, 3600)),
+              0};
+    }
+    if (d < 0.99) return {now + rng_.uniform01() * 600.0, 2};
+    return {now + 1e5 + rng_.uniform01() * 1e5, 3};  // a far-future timer
+  }
+
+ private:
+  Rng rng_;
+  std::size_t target_ = 50;
+  std::size_t phase_ = 1;
+};
 
 TEST(LadderQueue, PopOrderMatchesHeapOnRandomKeys) {
   Rng rng(7);
@@ -198,6 +251,161 @@ TEST(LadderQueue, KeysStampedOnRungEdgesPopInOrder) {
     }
     EXPECT_TRUE(ladder.empty());
   }
+}
+
+/// A ladder and the reference heap, fed the same keys.
+struct Mirror {
+  RefHeap heap;
+  LadderQueue ladder;
+  std::uint64_t seq = 0;
+
+  void push(SimTime t, unsigned prio) {
+    const FelKey k = make_key(t, prio, seq, seq & kFelSlotMask);
+    ++seq;
+    heap.push(k);
+    ladder.push(k);
+  }
+
+  /// Pops everything and checks it comes out in full-key order, the
+  /// ladder validating after every pop.
+  void drain() {
+    ASSERT_EQ(ladder.size(), heap.size());
+    while (!heap.empty()) {
+      ASSERT_EQ(pop_min(heap), ladder.pop_min());
+      ASSERT_NO_THROW(ladder.debug_validate());
+    }
+    EXPECT_TRUE(ladder.empty());
+  }
+};
+
+TEST(LadderQueue, StreamedPatternMatchesHeapUnderValidation) {
+  // The shallow regime streamed arrivals leave: small Top batches,
+  // pushes below the finest rung's frontier, Bottom spills and prefix
+  // compaction.  The structure is validated after every operation.
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    SCOPED_TRACE(seed);
+    StreamedPattern pattern(seed);
+    Mirror m;
+    SimTime now = 0.0;
+    for (int step = 0; step < 40000; ++step) {
+      if (pattern.push_next(m.heap.size())) {
+        const StreamedPush p = pattern.next(now);
+        m.push(p.time, p.prio);
+      } else {
+        const FelKey want = pop_min(m.heap);
+        ASSERT_EQ(m.ladder.pop_min(), want) << "step " << step;
+        now = fel_time_of(want);
+      }
+      ASSERT_EQ(m.ladder.size(), m.heap.size());
+      ASSERT_NO_THROW(m.ladder.debug_validate()) << "step " << step;
+    }
+    m.drain();
+  }
+}
+
+TEST(LadderQueue, TwoKeyTopBatchSpreadsIntoARung) {
+  // A Top batch sorted straight into Bottom would set the Top floor to
+  // its latest key and turn every push before it into a sorted insert.
+  Mirror m;
+  m.push(3.0, 2);
+  m.push(900.0, 2);
+  ASSERT_EQ(m.ladder.min_key(), m.heap.top());
+  EXPECT_EQ(m.ladder.active_rungs(), 1u);
+  EXPECT_EQ(m.ladder.materialized_run(), 1u);  // only the first bucket sorted
+  m.drain();
+}
+
+TEST(LadderQueue, BottomSpillsBelowTheFinestRungsFrontier) {
+  // Keys 0 and 1280 spread into a rung of 10 s buckets; the key at 0
+  // surfaces into Bottom, and the frontier moves to 10.  Pushes below it
+  // belong to Bottom: ascending ones append, until a sorted insert finds
+  // more than kSortThreshold keys there and spills them into a finer rung
+  // over [0, 10).  Only the keys of that rung's first bucket, [0, 10/128),
+  // stay in Bottom.
+  Mirror m;
+  m.push(0.0, 2);
+  m.push(1280.0, 2);
+  ASSERT_EQ(m.ladder.min_key(), m.heap.top());
+  ASSERT_EQ(m.ladder.active_rungs(), 1u);
+  for (std::size_t i = 1; i <= LadderQueue::kSortThreshold; ++i) {
+    m.push(0.1 * static_cast<SimTime>(i), 1);
+  }
+  ASSERT_EQ(m.ladder.materialized_run(), LadderQueue::kSortThreshold + 1);
+  m.push(0.05, 1);  // sorts into the middle: spills
+  EXPECT_EQ(m.ladder.active_rungs(), 2u);
+  EXPECT_EQ(m.ladder.materialized_run(), 2u);  // the keys at 0 and 0.05
+  ASSERT_NO_THROW(m.ladder.debug_validate());
+  m.push(9.99, 0);  // below the old frontier: the spill rung owns it
+  m.push(10.0, 0);  // at the frontier: the coarse rung's bucket 1
+  EXPECT_EQ(m.ladder.active_rungs(), 2u);
+  m.drain();
+}
+
+TEST(LadderQueue, BottomSpillsWithoutARungBelowTheTopFloor) {
+  // A zero-width Top batch at 100 sorts straight into Bottom and sets
+  // the Top floor to 100, with no rung.  Keys pushed before it sort into
+  // Bottom until one finds more than kSortThreshold keys there: Bottom
+  // then spills into a coarsest rung over [head, 100], keeping only the
+  // keys of its first bucket.  Keys at exactly the floor go to that rung,
+  // never to Top, so a lower priority class at 100 still pops before the
+  // batch.
+  Mirror m;
+  for (int i = 0; i < 8; ++i) m.push(100.0, 2);
+  ASSERT_EQ(m.ladder.min_key(), m.heap.top());
+  ASSERT_EQ(m.ladder.active_rungs(), 0u);
+  for (std::size_t i = 1; i <= LadderQueue::kSortThreshold; ++i) {
+    m.push(100.0 - static_cast<SimTime>(i), 1);  // each sorts before the last
+  }
+  EXPECT_EQ(m.ladder.active_rungs(), 1u);
+  EXPECT_LT(m.ladder.materialized_run(), LadderQueue::kSortThreshold);
+  ASSERT_NO_THROW(m.ladder.debug_validate());
+  m.push(100.0, 0);  // floor-equal, below the batch's class
+  m.push(100.0, 3);  // floor-equal, above it
+  m.push(100.5, 0);  // strictly later: Top
+  EXPECT_EQ(m.ladder.active_rungs(), 1u);
+  m.drain();
+}
+
+TEST(LadderQueue, SpillIsRefusedAtTheRungCap) {
+  // One key at 1 and one at 64 * w_k for each rung k (w_k = 128^-(k+1),
+  // rung k's bucket width) keep every rung alive while a cluster of 100
+  // keys near 0 sits in bucket 0 of each: the refill spawns rung after
+  // rung down to kMaxRungs, then sorts the cluster into Bottom.  A
+  // sorted insert into that Bottom cannot spill.
+  Mirror m;
+  m.push(1.0, 2);
+  SimTime width = 1.0;
+  for (std::size_t k = 0; k < LadderQueue::kMaxRungs; ++k) {
+    width /= static_cast<SimTime>(LadderQueue::kBucketsPerRung);
+    m.push(64.0 * width, 2);
+  }
+  for (int i = 0; i < 100; ++i) m.push(static_cast<SimTime>(i) * 1e-40, 2);
+  ASSERT_EQ(m.ladder.min_key(), m.heap.top());
+  ASSERT_EQ(m.ladder.active_rungs(), LadderQueue::kMaxRungs);
+  ASSERT_EQ(m.ladder.materialized_run(), 100u);
+  m.push(0.5e-40, 1);  // sorts into the middle of Bottom
+  EXPECT_EQ(m.ladder.active_rungs(), LadderQueue::kMaxRungs);
+  EXPECT_EQ(m.ladder.materialized_run(), 101u);
+  m.drain();
+}
+
+TEST(LadderQueue, ChildOfTheLastLiveBucketReplacesItsParent) {
+  // One key at 0 and 100 keys in the last bucket of the rung they
+  // spread into.  Once the key at 0 is gone, that bucket is the rung's
+  // last live one: its oversized contents spawn a child, which must
+  // take the drained parent's place (and its end) rather than sit above
+  // a rung with no keys.
+  Mirror m;
+  m.push(0.0, 2);
+  for (int i = 0; i < 100; ++i) m.push(127.5 + 0.001 * i, 2);
+  ASSERT_EQ(pop_min(m.heap), m.ladder.pop_min());
+  ASSERT_EQ(m.ladder.min_key(), m.heap.top());
+  EXPECT_EQ(m.ladder.active_rungs(), 1u);
+  ASSERT_NO_THROW(m.ladder.debug_validate());
+  m.push(127.599, 0);  // the Top floor: the child's clamped last bucket
+  m.push(127.55, 0);
+  EXPECT_EQ(m.ladder.active_rungs(), 1u);
+  m.drain();
 }
 
 // ---- EventQueue vs a std::set reference -------------------------------------
@@ -384,10 +592,10 @@ TEST(EventQueueErase, HandlesDieOnPop) {
 
 TEST(LadderQueueAlloc, SteadyStatePushPopIsAllocationFree) {
   // Each input runs twice on a fresh queue, identically.  The first pass
-  // takes every vector, rung, and bucket to its high-water mark; the
-  // second must run entirely on recycled storage — rungs park in the
-  // pool with their buckets intact, Bottom/scratch swap buffers, Top
-  // keeps its capacity.
+  // takes the node pool and every vector to its high-water mark; the
+  // second must run entirely on recycled storage — bucket nodes come
+  // off the free list, and Top and Bottom keep (or trade) their
+  // capacity.
   const std::function<void(EventQueue&)> inputs[] = {
       // A deep pending set, pushes and pops interleaved at random.
       [](EventQueue& q) {
@@ -419,6 +627,24 @@ TEST(LadderQueueAlloc, SteadyStatePushPopIsAllocationFree) {
         }
         while (!q.empty()) (void)q.pop_into(action);
       },
+      // The streamed federation pattern: a shallow, wandering live set
+      // with Bottom spills and small Top batches.
+      [](EventQueue& q) {
+        StreamedPattern pattern(6174);
+        SimTime now = 0.0;
+        EventSeq seq = 0;
+        InlineFunction action;
+        for (int step = 0; step < 60000; ++step) {
+          if (pattern.push_next(q.size())) {
+            const StreamedPush p = pattern.next(now);
+            (void)q.push(Event{p.time, static_cast<EventPriority>(p.prio),
+                               seq++, [] {}});
+          } else {
+            now = q.pop_into(action);
+          }
+        }
+        while (!q.empty()) (void)q.pop_into(action);
+      },
   };
   for (std::size_t i = 0; i < std::size(inputs); ++i) {
     SCOPED_TRACE(i);
@@ -429,6 +655,66 @@ TEST(LadderQueueAlloc, SteadyStatePushPopIsAllocationFree) {
     const std::uint64_t after = g_allocations.load();
     EXPECT_EQ(after - before, 0u) << "ladder steady state allocated";
   }
+}
+
+TEST(LadderQueueAlloc, HeldBytesFollowThePeakLiveSet) {
+  // About a million operations of the streamed pattern, never more than
+  // 4,096 live keys: what the ladder holds must follow its peak live set
+  // (a node and a few vector slots per key), not the number of events
+  // processed nor every bucket's high-water capacity.
+  const std::int64_t before = g_live_bytes.load();
+  std::size_t peak = 0;
+  std::int64_t held = 0;
+  {
+    StreamedPattern pattern(99);
+    LadderQueue ladder;
+    SimTime now = 0.0;
+    std::uint64_t seq = 0;
+    for (int step = 0; step < 1000000; ++step) {
+      if (pattern.push_next(ladder.size())) {
+        const StreamedPush p = pattern.next(now);
+        ladder.push(make_key(p.time, p.prio, seq, seq & kFelSlotMask));
+        ++seq;
+        peak = std::max(peak, ladder.size());
+      } else {
+        now = fel_time_of(ladder.pop_min());
+      }
+    }
+    held = g_live_bytes.load() - before;
+  }
+  const std::int64_t left = g_live_bytes.load() - before;
+  EXPECT_EQ(left, 0) << "the ladder's storage outlived it";
+  EXPECT_GT(peak, StreamedPattern::kMaxLive * 3 / 4);
+  EXPECT_LE(held, static_cast<std::int64_t>(128 * peak))
+      << "bytes held at a peak of " << peak << " live keys";
+}
+
+TEST(LadderQueueAlloc, BottomThatNeverDrainsStaysInItsBuffer) {
+  // Keys 0 and 1e6 spread into a rung of 7812.5 s buckets, and the key
+  // at 0 surfaces into Bottom.  Then every pop is answered by a push
+  // just past Bottom's last key: an append, so Bottom never drains and
+  // its consumed prefix never resets.  Compacting that prefix keeps
+  // Bottom in its buffer; without it Bottom grows with every pop.
+  LadderQueue ladder;
+  std::uint64_t seq = 0;
+  const auto push = [&](SimTime t) {
+    ladder.push(make_key(t, 2, seq, seq & kFelSlotMask));
+    ++seq;
+  };
+  push(0.0);
+  push(1e6);
+  (void)ladder.min_key();
+  SimTime last = 0.0;
+  for (int i = 0; i < 16; ++i) push(last += 1e-3);
+  const std::uint64_t before = g_allocations.load();
+  for (int step = 0; step < 100000; ++step) {
+    (void)ladder.pop_min();
+    push(last += 1e-3);
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(ladder.active_rungs(), 1u);  // every push went to Bottom
+  EXPECT_EQ(ladder.materialized_run(), 17u);
+  ladder.debug_validate();
 }
 
 // ---- whole federation runs pinned to heap-FEL digests -----------------------
