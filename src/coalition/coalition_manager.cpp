@@ -87,13 +87,13 @@ Placement CoalitionManager::place_award(federation::ParticipantId id,
   // Re-price every member at award time (the queues moved since bidding)
   // and admit earliest-guarantee-first; admission itself re-checks, so a
   // member whose queue filled in this very instant simply declines and
-  // the next-best member is tried.
-  struct Candidate {
-    sim::SimTime estimate = 0.0;
-    cluster::ResourceIndex member = cluster::kNoResource;
-    double ask = 0.0;
-  };
-  std::vector<Candidate> candidates;
+  // the next-best member is tried.  The candidate buffer is a member,
+  // in use until the admission loop ends: member_bid only prices, and
+  // member_admit only reserves at the member's LRMS and schedules its
+  // hold timeout.  Neither sends a message or runs an event, so no other
+  // award can re-enter place_award while the loop runs.
+  std::vector<Candidate>& candidates = scratch_candidates_;
+  candidates.clear();
   for (const cluster::ResourceIndex member : registry_.members(id)) {
     if (member == job.origin) continue;  // matches the joint bid's scope
     if (job.processors > ctx_.spec_of(member).processors) continue;

@@ -187,6 +187,12 @@ class CoalitionManager {
   }
 
  private:
+  /// One member priced for an award's internal placement.
+  struct Candidate {
+    sim::SimTime estimate = 0.0;
+    cluster::ResourceIndex member = cluster::kNoResource;
+    double ask = 0.0;
+  };
   /// Pending settlement noted at placement time.
   struct AwardNote {
     federation::ParticipantId coalition = federation::kNoParticipant;
@@ -218,6 +224,7 @@ class CoalitionManager {
   /// formed none) — the home a rejoiner re-enters.
   std::vector<federation::ParticipantId> home_coalition_;
   // Scratch reused across placements/settlements.
+  std::vector<Candidate> scratch_candidates_;
   std::vector<double> scratch_weights_;
 };
 

@@ -138,14 +138,15 @@ void TreeTransport::on_member_dead(cluster::ResourceIndex index) {
   retained_losses_.clear();
   const std::uint64_t replayed_now = replay_storage_.size();
   if (replayed_now > 0) {
-    std::vector<RelayItem> items;
-    items.reserve(replay_storage_.size());
+    scratch_items_.clear();
     for (std::size_t i = 0; i < replay_storage_.size(); ++i) {
-      items.push_back(RelayItem{&replay_storage_[i], replay_storage_[i].to,
-                                static_cast<std::uint32_t>(i + 1)});
+      scratch_items_.push_back(RelayItem{&replay_storage_[i],
+                                         replay_storage_[i].to,
+                                         static_cast<std::uint32_t>(i + 1)});
     }
+    route(scratch_items_);
     const std::uint64_t relays_before = ctx_.ledger().relay_total();
-    relay(items, core::MessageType::kCallForBids);
+    relay(scratch_items_, core::MessageType::kCallForBids);
     repair_relay_msgs_ += ctx_.ledger().relay_total() - relays_before;
     replayed_ += replayed_now;
   }
@@ -223,8 +224,12 @@ std::uint64_t TreeTransport::multicast(
     }
   }
 #endif
-  fanout_queue_.push_back(
-      PendingFanout{std::move(msg), {targets.begin(), targets.end()}});
+  const auto first_target = static_cast<std::uint32_t>(fanout_targets_.size());
+  fanout_targets_.insert(fanout_targets_.end(), targets.begin(),
+                         targets.end());
+  fanout_queue_.push_back(PendingFanout{
+      std::move(msg), first_target,
+      static_cast<std::uint32_t>(targets.size())});
   schedule_fanout_wake(not_after);
   return 0;  // shared edge cost lands in the ledger's relay counters
 }
@@ -253,13 +258,16 @@ void TreeTransport::maybe_flush_fanout() {
 
 void TreeTransport::flush_fanout() {
   prune_retained();
-  std::vector<PendingFanout> queue = std::move(fanout_queue_);
-  fanout_queue_.clear();
+  fanout_queue_.swap(fanout_flush_);
+  fanout_targets_.swap(fanout_flush_targets_);
   fanout_due_ = sim::kTimeInfinity;
   scratch_items_.clear();
-  for (std::size_t p = 0; p < queue.size(); ++p) {
-    const PendingFanout& entry = queue[p];
-    for (const cluster::ResourceIndex target : entry.targets) {
+  for (std::size_t p = 0; p < fanout_flush_.size(); ++p) {
+    PendingFanout& entry = fanout_flush_[p];
+    const std::span<const cluster::ResourceIndex> targets(
+        fanout_flush_targets_.data() + entry.first_target,
+        entry.target_count);
+    for (const cluster::ResourceIndex target : targets) {
       if (target == entry.msg.from) continue;  // self needs no wire
       scratch_items_.push_back(
           RelayItem{&entry.msg, target, static_cast<std::uint32_t>(p + 1)});
@@ -268,31 +276,34 @@ void TreeTransport::flush_fanout() {
 #if GRIDFED_TRACE
   if (obs::Observer* o = ctx_.observer(); o != nullptr) {
     o->end(ctx_.sim().now(), obs::SpanKind::kFanoutEpoch,
-           o->transport_track(), epoch_seq_, queue.size(),
+           o->transport_track(), epoch_seq_, fanout_flush_.size(),
            scratch_items_.size());
     o->observe(obs::Histo::kFanoutTargets,
                static_cast<double>(scratch_items_.size()));
   }
 #endif
+  route(scratch_items_);
   relay(scratch_items_, core::MessageType::kCallForBids);
+  fanout_flush_.clear();
+  fanout_flush_targets_.clear();
 }
 
 void TreeTransport::flush_convergecast() {
   convergecast_armed_ = false;
-  std::vector<core::Message> queue = std::move(convergecast_queue_);
-  convergecast_queue_.clear();
+  convergecast_queue_.swap(convergecast_flush_);
+  std::vector<core::Message>& queue = convergecast_flush_;
   const bool aggregate = prune_k_ > 0 || encode_bids_;
 #if GRIDFED_TRACE
   const std::uint64_t pruned_before = bids_pruned_;
   const std::uint64_t saved_before = prune_bytes_saved_;
 #endif
-  if (aggregate) prune_convergecast(queue);
   scratch_items_.clear();
-  scratch_items_.reserve(queue.size());
   for (std::size_t p = 0; p < queue.size(); ++p) {
     scratch_items_.push_back(RelayItem{&queue[p], queue[p].to,
                                        static_cast<std::uint32_t>(p + 1)});
   }
+  route(scratch_items_);
+  if (aggregate) prune_convergecast(queue);
 #if GRIDFED_TRACE
   if (obs::Observer* o = ctx_.observer(); o != nullptr) {
     o->instant(ctx_.sim().now(), obs::SpanKind::kConvergecast,
@@ -317,6 +328,7 @@ void TreeTransport::flush_convergecast() {
     }
   }
 #endif
+  queue.clear();
 }
 
 void TreeTransport::harvest_job_facts(const core::Message& msg) {
@@ -348,21 +360,15 @@ void TreeTransport::prune_convergecast(std::vector<core::Message>& queue) {
   // facts-less feasible entries are never pruned (without the QoS
   // envelope the relay cannot reproduce the engine's rank order, and a
   // wrong order could prune inside the engine's prefix).
-  struct Cand {
-    cluster::JobId job = 0;
-    std::uint32_t payload = 0;
-    std::uint32_t entry = 0;
-    market::Bid bid;
-    double score = 0.0;
-  };
-  std::vector<Cand> cands;
-  std::vector<std::uint32_t> path_len(queue.size(), 0);
-  scratch_entry_meta_.resize(queue.size());
+  scratch_cands_.clear();
+  // Grow only: a shrink would free the inner vectors the next, larger
+  // flush needs again.
+  if (scratch_entry_meta_.size() < queue.size()) {
+    scratch_entry_meta_.resize(queue.size());
+  }
   for (std::size_t p = 0; p < queue.size(); ++p) {
     const core::Message& msg = queue[p];
-    relay_path(pos_of_[msg.from], pos_of_[msg.to], scratch_path_);
-    const auto plen = static_cast<std::uint32_t>(scratch_path_.size() - 1);
-    path_len[p] = plen;
+    const auto plen = static_cast<std::uint32_t>(route_hops(p).size());
     const federation::ParticipantId bidder =
         groups_ ? groups_->participant_of(msg.from)
                 : federation::ParticipantId(msg.from);
@@ -402,14 +408,15 @@ void TreeTransport::prune_convergecast(std::vector<core::Message>& queue) {
         // rank slot — pruning it can never push a rankable bid out.
         m.prune_hop = 0;
       } else if (it != job_facts_.end()) {
-        cands.push_back(Cand{job_id, static_cast<std::uint32_t>(p),
-                             static_cast<std::uint32_t>(e), bid,
-                             scorer_.score(it->second.qos, bid)});
+        scratch_cands_.push_back(RankCand{job_id,
+                                          static_cast<std::uint32_t>(p),
+                                          static_cast<std::uint32_t>(e), bid,
+                                          scorer_.score(it->second.qos, bid)});
       }
     }
   }
 
-  if (!cands.empty()) {
+  if (!scratch_cands_.empty()) {
     // Rank walk.  Per (job, edge), count the better-ranked candidates
     // whose payload path crosses the edge; a candidate falls out of the
     // per-edge top-k on the first edge where that count has reached k.
@@ -419,27 +426,39 @@ void TreeTransport::prune_convergecast(std::vector<core::Message>& queue) {
     // dropped inside a subtree was outranked by k elements that cross
     // every downstream edge with it.  Counts are therefore monotone
     // along each path (all of a job's bids funnel to one origin), so
-    // the first saturated edge prunes the suffix.
-    std::sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
-      if (a.job != b.job) return a.job < b.job;
-      return market::BidScorer::rank_less(a.score, a.bid, b.score, b.bid);
-    });
-    scratch_rank_counts_.clear();
-    for (const Cand& c : cands) {
-      const core::Message& msg = queue[c.payload];
-      relay_path(pos_of_[msg.from], pos_of_[msg.to], scratch_path_);
+    // the first saturated edge prunes the suffix.  Candidates are
+    // sorted by job, so one counter per edge slot serves the job being
+    // walked; the touched slots are zeroed when the job changes.
+    std::sort(scratch_cands_.begin(), scratch_cands_.end(),
+              [](const RankCand& a, const RankCand& b) {
+                if (a.job != b.job) return a.job < b.job;
+                return market::BidScorer::rank_less(a.score, a.bid, b.score,
+                                                    b.bid);
+              });
+    if (slot_rank_count_.size() < scratch_edges_.size()) {
+      slot_rank_count_.resize(scratch_edges_.size(), 0);
+    }
+    const auto reset_counts = [this] {
+      for (const std::uint32_t slot : rank_touched_) {
+        slot_rank_count_[slot] = 0;
+      }
+      rank_touched_.clear();
+    };
+    for (std::size_t i = 0; i < scratch_cands_.size(); ++i) {
+      const RankCand& c = scratch_cands_[i];
+      if (i > 0 && c.job != scratch_cands_[i - 1].job) reset_counts();
       BidEntryMeta& m = scratch_entry_meta_[c.payload][c.entry];
-      for (std::size_t h = 0; h + 1 < scratch_path_.size(); ++h) {
-        const std::uint64_t key = sim::fnv1a_mix(
-            sim::fnv1a_mix(sim::kFnvOffsetBasis, c.job),
-            edge_key(scratch_path_[h], scratch_path_[h + 1]));
-        std::uint32_t& count = scratch_rank_counts_[key];
+      const auto hops = route_hops(c.payload);
+      for (std::size_t h = 0; h < hops.size(); ++h) {
+        std::uint32_t& count = slot_rank_count_[hops[h]];
+        if (count == 0) rank_touched_.push_back(hops[h]);
         if (count >= prune_k_ && static_cast<std::uint32_t>(h) < m.prune_hop) {
           m.prune_hop = static_cast<std::uint32_t>(h);
         }
         ++count;
       }
     }
+    reset_counts();
   }
 
   // Tombstone every entry pruned anywhere on its path.  The entry is
@@ -451,8 +470,9 @@ void TreeTransport::prune_convergecast(std::vector<core::Message>& queue) {
   for (std::size_t p = 0; p < queue.size(); ++p) {
     core::Message& msg = queue[p];
     const auto& meta = scratch_entry_meta_[p];
+    const std::size_t plen = route_hops(p).size();
     if (msg.batch_bids.empty()) {
-      if (meta[0].prune_hop < path_len[p]) {
+      if (meta[0].prune_hop < plen) {
         msg.bid_pruned = true;
         msg.price = 0.0;
         msg.completion_estimate = 0.0;
@@ -462,7 +482,7 @@ void TreeTransport::prune_convergecast(std::vector<core::Message>& queue) {
       continue;
     }
     for (std::size_t e = 0; e < msg.batch_bids.size(); ++e) {
-      if (meta[e].prune_hop >= path_len[p]) continue;
+      if (meta[e].prune_hop >= plen) continue;
       core::BatchedBid& entry = msg.batch_bids[e];
       entry.pruned = true;
       entry.ask = 0.0;
@@ -473,14 +493,41 @@ void TreeTransport::prune_convergecast(std::vector<core::Message>& queue) {
   }
 }
 
-void TreeTransport::relay(std::span<const RelayItem> items,
-                          core::MessageType type) {
-  if (items.empty()) return;
+void TreeTransport::route(std::span<const RelayItem> items) {
   const std::size_t n = owner_at_.size();
   scratch_edges_.clear();
   scratch_edge_index_.clear();
+  route_slots_.clear();
+  route_begin_.clear();
+  route_begin_.push_back(0);
+  for (const RelayItem& item : items) {
+    relay_path(pos_of_[item.payload->from], pos_of_[item.target],
+               scratch_path_);
+    for (std::size_t h = 0; h + 1 < scratch_path_.size(); ++h) {
+      const std::uint32_t from = scratch_path_[h];
+      const std::uint32_t to = scratch_path_[h + 1];
+      const auto [it, inserted] = scratch_edge_index_.emplace(
+          static_cast<std::uint64_t>(from) * n + to,
+          static_cast<std::uint32_t>(scratch_edges_.size()));
+      if (inserted) scratch_edges_.push_back(EdgeUse{from, to});
+      route_slots_.push_back(it->second);
+    }
+    route_begin_.push_back(static_cast<std::uint32_t>(route_slots_.size()));
+  }
+}
+
+void TreeTransport::relay(std::span<const RelayItem> items,
+                          core::MessageType type) {
+  if (items.empty()) return;
+  GF_EXPECTS(route_begin_.size() == items.size() + 1);
   if (bid_frame_relay_) {
     scratch_edge_frames_.clear();
+    for (std::size_t slot = 0; slot < scratch_edges_.size(); ++slot) {
+      EdgeFrame frame;
+      frame.shape_seed = sim::fnv1a_mix(sim::kFnvOffsetBasis,
+                                        static_cast<std::uint64_t>(slot));
+      scratch_edge_frames_.push_back(frame);
+    }
     scratch_shape_seen_.clear();
   }
 
@@ -492,26 +539,12 @@ void TreeTransport::relay(std::span<const RelayItem> items,
   // entry as base quote / same-shape delta / tombstone, depending on
   // whether it survives to that hop and whether its shape group already
   // has a base on the edge.
-  for (const RelayItem& item : items) {
-    const std::uint32_t payload_id = item.payload_id;
-    const std::uint64_t bytes = core::wire_bytes(*item.payload);
-    relay_path(pos_of_[item.payload->from], pos_of_[item.target],
-               scratch_path_);
-    for (std::size_t h = 0; h + 1 < scratch_path_.size(); ++h) {
-      const std::uint64_t key =
-          static_cast<std::uint64_t>(scratch_path_[h]) * n +
-          scratch_path_[h + 1];
-      // `it` is held across the scratch_shape_seen_ inserts below; an
-      // insert invalidates iterators into its own table only.
-      auto [it, inserted] = scratch_edge_index_.emplace(
-          key, static_cast<std::uint32_t>(scratch_edges_.size()));
-      if (inserted) {
-        scratch_edges_.push_back(EdgeUse{scratch_path_[h],
-                                         scratch_path_[h + 1], 0, 0, true,
-                                         false});
-        if (bid_frame_relay_) scratch_edge_frames_.push_back(EdgeFrame{});
-      }
-      EdgeUse& edge = scratch_edges_[it->second];
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const std::uint32_t payload_id = items[i].payload_id;
+    const std::uint64_t bytes = core::wire_bytes(*items[i].payload);
+    const auto hops = route_hops(i);
+    for (std::size_t h = 0; h < hops.size(); ++h) {
+      EdgeUse& edge = scratch_edges_[hops[h]];
       // Same payload, same edge (shared subpath of two targets): the
       // payload's bytes cross once.
       const bool first_touch = edge.last_payload != payload_id;
@@ -521,7 +554,7 @@ void TreeTransport::relay(std::span<const RelayItem> items,
         edge.bytes += bytes;
         continue;
       }
-      EdgeFrame& frame = scratch_edge_frames_[it->second];
+      EdgeFrame& frame = scratch_edge_frames_[hops[h]];
       frame.sources += 1;
       // What forwarding this payload whole would have cost the edge:
       // the pre-prune size (tombstones restored to full quotes), so
@@ -534,11 +567,8 @@ void TreeTransport::relay(std::span<const RelayItem> items,
           frame.tombstones += 1;
           continue;
         }
-        const std::uint64_t shape_key = sim::fnv1a_mix(
-            sim::fnv1a_mix(sim::kFnvOffsetBasis,
-                           static_cast<std::uint64_t>(it->second)),
-            m.shape);
-        if (scratch_shape_seen_.insert(shape_key)) {
+        if (scratch_shape_seen_.insert(
+                sim::fnv1a_mix(frame.shape_seed, m.shape))) {
           frame.bases += 1;
         } else {
           frame.deltas += 1;
@@ -589,28 +619,28 @@ void TreeTransport::relay(std::span<const RelayItem> items,
   // Pass 3 — deliver every payload whose whole path survived, after the
   // summed per-hop control delay (size-aware under the WAN model, like
   // every direct leg: a relayed payload pays its own transmission time
-  // on each store-and-forward hop).
-  for (const RelayItem& item : items) {
-    const std::uint64_t bytes = core::wire_bytes(*item.payload);
-    relay_path(pos_of_[item.payload->from], pos_of_[item.target],
-               scratch_path_);
+  // on each store-and-forward hop).  A queued kBid has exactly one
+  // segment, so it moves into its delivery; a fan-out payload serves
+  // several targets and is copied for each.
+  const bool move_payloads = type == core::MessageType::kBid;
+  const sim::SimTime latency = ctx_.config().network_latency;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const RelayItem& item = items[i];
+    const auto hops = route_hops(i);
+    const std::uint64_t bytes = wan_ ? core::wire_bytes(*item.payload) : 0;
     bool alive = true;
     bool died_down = false;
     sim::SimTime delay = 0.0;
-    for (std::size_t h = 0; h + 1 < scratch_path_.size(); ++h) {
-      const std::uint64_t key =
-          static_cast<std::uint64_t>(scratch_path_[h]) * n +
-          scratch_path_[h + 1];
-      const EdgeUse& edge = scratch_edges_[scratch_edge_index_.at(key)];
+    for (const std::uint32_t slot : hops) {
+      const EdgeUse& edge = scratch_edges_[slot];
       if (!edge.alive) {
         alive = false;
         died_down = edge.down;
         break;
       }
-      const cluster::ResourceIndex a = owner_at_[scratch_path_[h]];
-      const cluster::ResourceIndex b = owner_at_[scratch_path_[h + 1]];
-      delay += wan_ ? wan_->control_delay(a, b, bytes)
-                    : ctx_.config().network_latency;
+      delay += wan_ ? wan_->control_delay(owner_at_[edge.from_pos],
+                                          owner_at_[edge.to_pos], bytes)
+                    : latency;
     }
     if (!alive) {
       // A solicitation swallowed by a crashed (not yet confirmed) relay
@@ -627,7 +657,8 @@ void TreeTransport::relay(std::span<const RelayItem> items,
       }
       continue;
     }
-    core::Message out = *item.payload;
+    core::Message out =
+        move_payloads ? std::move(*item.payload) : *item.payload;
     out.to = item.target;
     out.via_overlay = true;
     if (duplicated(out.type)) {
@@ -635,16 +666,16 @@ void TreeTransport::relay(std::span<const RelayItem> items,
       // frame accounting the duplicate is a one-payload frame (every
       // surviving quote is its own base — no cross-payload groups to
       // delta against on a retransmission).
-      const std::size_t last = scratch_path_.size() - 1;
       const cluster::ResourceIndex hop_from =
-          owner_at_[scratch_path_[last > 0 ? last - 1 : 0]];
+          hops.empty() ? out.from
+                       : owner_at_[scratch_edges_[hops.back()].from_pos];
       if (hop_from != item.target) {
         std::uint64_t dup_bytes = core::wire_bytes(out);
         if (bid_frame_relay_) {
           const auto& meta = scratch_entry_meta_[item.payload_id - 1];
           std::uint64_t live = 0;
           for (const BidEntryMeta& m : meta) {
-            if (m.prune_hop >= last) ++live;
+            if (m.prune_hop >= hops.size()) ++live;
           }
           dup_bytes = core::encoded_bid_frame_bytes(
               1, live, 0, meta.size() - live);

@@ -35,6 +35,14 @@
 // are flagged via_overlay so per-job policy counters do not double-book
 // them.  Loss injection applies per *edge message*: a lost edge loses
 // the whole subtree behind it, exactly as a real overlay would.
+//
+// Routing: every flush (fan-out epoch, convergecast instant, repair
+// replay) walks each payload-to-target path exactly once, in route().
+// The walk numbers the directed edges it touches in first-touch order
+// and stores each hop as its edge's slot number; the bid pruning, the
+// per-edge byte booking and the delivery all read those slots instead
+// of walking the path again.  Per-flush state lives in reused scratch
+// (see the end of the class), so a warm flush allocates nothing.
 
 #include <cstdint>
 #include <optional>
@@ -112,20 +120,27 @@ class TreeTransport final : public Transport {
   }
 
  private:
-  /// One queued fan-out awaiting the epoch flush.
+  /// One queued fan-out awaiting the epoch flush; its targets are
+  /// fanout_targets_[first_target, first_target + target_count).
   struct PendingFanout {
     core::Message msg;
-    std::vector<cluster::ResourceIndex> targets;
+    std::uint32_t first_target = 0;
+    std::uint32_t target_count = 0;
   };
   /// One payload-to-destination segment of a relay flush.  Segments of
   /// one fan-out payload share a payload_id: the payload crosses a
-  /// shared edge once however many targets sit behind it.
+  /// shared edge once however many targets sit behind it.  The payload
+  /// is mutable so a kBid, which has exactly one segment, can be moved
+  /// into its delivery.
   struct RelayItem {
-    const core::Message* payload = nullptr;
+    core::Message* payload = nullptr;
     cluster::ResourceIndex target = cluster::kNoResource;
     std::uint32_t payload_id = 0;
   };
-  /// One directed tree edge touched by the current relay flush.
+  /// One directed tree edge touched by the current relay flush, keyed
+  /// by its endpoint positions: when repair excises a dead LCA, the hop
+  /// that replaces it joins two siblings, so neither endpoint's parent
+  /// link identifies it.
   struct EdgeUse {
     std::uint32_t from_pos = 0;
     std::uint32_t to_pos = 0;
@@ -168,10 +183,22 @@ class TreeTransport final : public Transport {
   /// scratch_edges_ while an encoded kBid relay is in flight.
   struct EdgeFrame {
     std::uint64_t naive_bytes = 0;  ///< what whole-payload forwarding costs
+    /// The edge slot folded into the shape-group keys; each entry's
+    /// shape is folded on top of it.
+    std::uint64_t shape_seed = 0;
     std::uint32_t sources = 0;      ///< merged provider→origin streams
     std::uint32_t bases = 0;        ///< first quote of a shape group
     std::uint32_t deltas = 0;       ///< same-shape follower quotes
     std::uint32_t tombstones = 0;   ///< pruned-bid markers
+  };
+  /// One bid entry in the convergecast rank walk: entry `entry` of
+  /// queued payload `payload`, scored against its job's QoS.
+  struct RankCand {
+    cluster::JobId job = 0;
+    std::uint32_t payload = 0;
+    std::uint32_t entry = 0;
+    market::Bid bid;
+    double score = 0.0;
   };
 
   [[nodiscard]] std::uint32_t parent_pos(std::uint32_t pos) const noexcept {
@@ -200,22 +227,35 @@ class TreeTransport final : public Transport {
   /// bids coming back.
   void harvest_job_facts(const core::Message& msg);
   void remember_job(const cluster::Job& job);
-  /// The tentpole: ranks each job's queued bids under the engine's
-  /// exact total order and computes, per bid, the first path edge it
-  /// falls out of the per-edge top-k on (see .cpp for why per-edge
-  /// top-k equals top-k of the bids crossing the edge).  Fills
+  /// Ranks each job's queued bids under the engine's exact total order
+  /// and computes, per bid, the first path edge it falls out of the
+  /// per-edge top-k on (see .cpp for why per-edge top-k equals top-k of
+  /// the bids crossing the edge).  Reads each payload's path length and
+  /// edge slots from the route of the flush's items, which are 1:1 with
+  /// `queue`, and counts better-ranked crossers per edge slot.  Fills
   /// scratch_entry_meta_ and marks pruned deliveries in `queue`.
   void prune_convergecast(std::vector<core::Message>& queue);
-  /// Edge count key for the per-(job, edge) rank counters.
-  [[nodiscard]] std::uint64_t edge_key(std::uint32_t from_pos,
-                                       std::uint32_t to_pos) const noexcept {
-    return static_cast<std::uint64_t>(from_pos) * owner_at_.size() + to_pos;
+
+  /// The routing pass of a flush: walks each item's relay_path once,
+  /// numbers the directed edges in first-touch order (scratch_edges_,
+  /// which fixes the ledger booking order and the order of the loss and
+  /// duplication draws) and records item i's hops as edge slots,
+  /// route_hops(i).
+  void route(std::span<const RelayItem> items);
+  /// Edge slots of item `i`'s path, source to target (empty when the
+  /// item's source is its target).
+  [[nodiscard]] std::span<const std::uint32_t> route_hops(
+      std::size_t i) const noexcept {
+    return {route_slots_.data() + route_begin_[i],
+            route_begin_[i + 1] - route_begin_[i]};
   }
 
-  /// The shared relay machinery: books one wire message per directed
-  /// edge used this flush (loss lottery per edge), then delivers every
-  /// payload whose whole path survived, after the summed per-hop
-  /// latency.
+  /// The shared relay machinery over the route of `items` (route() must
+  /// have run on them): books one wire message per directed edge used
+  /// this flush (loss lottery per edge), then delivers every payload
+  /// whose whole path survived, after the summed per-hop latency.  A
+  /// kBid payload is moved into its delivery (it has one segment);
+  /// fan-out payloads and duplicate deliveries are copied.
   void relay(std::span<const RelayItem> items, core::MessageType type);
 
   std::uint32_t fanout_ = 4;
@@ -231,13 +271,21 @@ class TreeTransport final : public Transport {
   std::uint64_t replayed_ = 0;
   std::uint64_t repair_relay_msgs_ = 0;
 
+  // Each queue swaps with its flush twin when it flushes, and the twin is
+  // relayed and cleared: both keep their capacity across flushes, and a
+  // payload queued while a flush relays would land in the live queue,
+  // never moving the entries the flush's relay items point into.
   std::vector<PendingFanout> fanout_queue_;
+  std::vector<cluster::ResourceIndex> fanout_targets_;
+  std::vector<PendingFanout> fanout_flush_;
+  std::vector<cluster::ResourceIndex> fanout_flush_targets_;
   sim::SimTime fanout_due_ = sim::kTimeInfinity;
   /// Trace id of the fan-out epoch currently accumulating (spans the
   /// first queued fan-out to its flush); monotone per run.
   std::uint64_t epoch_seq_ = 0;
 
   std::vector<core::Message> convergecast_queue_;
+  std::vector<core::Message> convergecast_flush_;
   bool convergecast_armed_ = false;
 
   // Convergecast score-and-prune + delta encoding state.
@@ -252,18 +300,29 @@ class TreeTransport final : public Transport {
   /// accounting to the compact frame model.
   bool bid_frame_relay_ = false;
 
-  // Scratch reused across flushes (hot path at 50 clusters).
+  // Scratch of one flush, reused across flushes: every vector and table
+  // is cleared, never shrunk, so a flush no larger than an earlier one
+  // allocates nothing.
   std::vector<RelayItem> scratch_items_;
+  // The route: the flush's directed edges in first-touch order, indexed
+  // by (from_pos * n + to_pos), and every item's hops as edge slots,
+  // item i's at route_slots_[route_begin_[i], route_begin_[i + 1]).
   std::vector<EdgeUse> scratch_edges_;
   sim::FlatMap<std::uint64_t, std::uint32_t> scratch_edge_index_;
+  std::vector<std::uint32_t> route_slots_;
+  std::vector<std::uint32_t> route_begin_;
   std::vector<std::uint32_t> scratch_path_;
   /// path_positions is logically const (path_hops introspection).
   mutable std::vector<std::uint32_t> scratch_up_;
-  // Convergecast scratch: per-payload entry meta (indexed payload_id-1),
-  // per-job rank candidates, per-(job, edge) better-ranked counters, and
-  // the per-edge shape groups / frame tallies of the current relay.
+  // Convergecast scratch: per-payload entry meta (indexed payload_id-1;
+  // only grows, so warm inner vectors are kept), the rank candidates,
+  // one better-ranked counter per edge slot for the job being walked
+  // (reset through the touched list at each job boundary), and the
+  // per-edge shape groups / frame tallies of the current relay.
   std::vector<std::vector<BidEntryMeta>> scratch_entry_meta_;
-  sim::FlatMap<std::uint64_t, std::uint32_t> scratch_rank_counts_;
+  std::vector<RankCand> scratch_cands_;
+  std::vector<std::uint32_t> slot_rank_count_;
+  std::vector<std::uint32_t> rank_touched_;
   std::vector<EdgeFrame> scratch_edge_frames_;
   sim::FlatSet<std::uint64_t> scratch_shape_seen_;
 };

@@ -11,6 +11,10 @@
 //    channel (tree edge messages included) and duplication of the
 //    idempotent acknowledgement legs (kReply/kBid), which must be
 //    outcome-invisible by construction;
+//  * the tree's edge cases — loss with duplication through the pruning
+//    relay, and a root crash, repair and rejoin under coalitions — pinned
+//    to recorded wire counts, and a warm relay flush that allocates
+//    nothing;
 //  * MessageArena lifetime: batched payload storage must outlive every
 //    in-flight copy — dropped, duplicated or delayed (the CI sanitize
 //    job runs this suite under ASan+UBSan).
@@ -19,6 +23,7 @@
 
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "cluster/catalog.hpp"
 #include "core/experiment.hpp"
 #include "core/outcome.hpp"
@@ -366,6 +371,203 @@ TEST(BidPruning, DuplicationStaysOutcomeInvisibleWithPruning) {
   EXPECT_EQ(dup.hash, clean.hash);
   EXPECT_GT(dup.messages, clean.messages);
   EXPECT_EQ(dup.accepted, clean.accepted);
+}
+
+// ---- tree edge cases pinned to goldens --------------------------------------
+// The loss, duplication and repair tests compare a run with its own
+// replay, which a routing change that moves bytes or relays under those
+// injections would pass.  These pin every wire count of two such runs.
+
+core::FederationConfig pinned_tree_config() {
+  auto cfg = core::make_config(core::SchedulingMode::kAuction, 1);
+  cfg.transport.kind = transport::TransportKind::kTree;
+  cfg.auction.batch_solicitations = true;
+  cfg.auction.solicit_batch_window = 300.0;
+  cfg.negotiate_timeout = 200.0;  // > relayed hops + tree_epoch (120)
+  cfg.auction.bid_timeout = 200.0;
+  cfg.network_latency = 1.0;
+  return cfg;
+}
+
+TEST(TreeGolden, LossAndDuplicationThroughPruningRelay) {
+  auto cfg = pinned_tree_config();
+  cfg.message_drop_rate = 0.2;
+  cfg.transport.duplicate_rate = 0.3;
+  const auto d = digest(cfg, 30, 20);
+  EXPECT_EQ(d.hash, 0xeb111d72035a6075ULL);
+  EXPECT_EQ(d.messages, 120291u);
+  EXPECT_EQ(d.bytes, 33116216u);
+  EXPECT_EQ(d.relays, 79425u);
+  EXPECT_EQ(d.dropped, 20415u);
+  EXPECT_EQ(d.pruned, 11904u);
+  EXPECT_EQ(d.prune_saved, 13429984u);
+  EXPECT_EQ(d.accepted, 6452u);
+  EXPECT_EQ(d.rejected, 484u);
+}
+
+TEST(TreeGolden, RootCrashRepairAndRejoinWithCoalitions) {
+  // The crashed root is every path's LCA between its subtrees: repair
+  // excises it, so the hop that replaces it joins two siblings.
+  auto cfg = pinned_tree_config();
+  cfg.membership.enabled = true;
+  cfg.coalitions.enabled = true;
+  cfg.coalitions.bucket_size = 4;
+  cfg.transport.duplicate_rate = 0.2;
+  const std::size_t n = 30;
+  cluster::ResourceIndex root = cluster::kNoResource;
+  {
+    auto probe_cfg = cfg;
+    probe_cfg.membership.enabled = false;
+    core::Federation probe(probe_cfg, cluster::replicated_specs(n));
+    const auto* tree =
+        dynamic_cast<const transport::TreeTransport*>(&probe.transport());
+    ASSERT_NE(tree, nullptr);
+    root = tree->root();
+  }
+  ASSERT_EQ(root, 19u);
+  cfg.membership.churn.events.push_back(
+      membership::ChurnEvent{40000.0, root, membership::ChurnKind::kCrash});
+  cfg.membership.churn.events.push_back(
+      membership::ChurnEvent{90000.0, root, membership::ChurnKind::kJoin});
+  const auto d = digest(cfg, 30, n);
+  EXPECT_EQ(d.hash, 0xa50c1b6791f3255fULL);
+  EXPECT_EQ(d.messages, 313034u);
+  EXPECT_EQ(d.bytes, 171183580u);
+  EXPECT_EQ(d.relays, 104297u);
+  EXPECT_EQ(d.dropped, 0u);
+  EXPECT_EQ(d.pruned, 7990u);
+  EXPECT_EQ(d.prune_saved, 16377428u);
+  EXPECT_EQ(d.accepted, 10016u);
+  EXPECT_EQ(d.rejected, 306u);
+}
+
+// ---- warm relay flushes allocate nothing ------------------------------------
+
+/// A TransportContext without a federation: deliveries land in a vector
+/// reserved up front instead of the event list, so a test sees only the
+/// transport's own heap traffic.
+class RecordingContext final : public transport::TransportContext {
+ public:
+  RecordingContext(core::FederationConfig cfg, std::size_t n,
+                   std::size_t max_deliveries)
+      : cfg_(std::move(cfg)),
+        specs_(cluster::replicated_specs(n)),
+        ledger_(n) {
+    delivered.reserve(max_deliveries);
+  }
+
+  const core::FederationConfig& config() const override { return cfg_; }
+  sim::Simulation& sim() override { return sim_; }
+  core::MessageLedger& ledger() override { return ledger_; }
+  std::size_t sites() const override { return specs_.size(); }
+  const cluster::ResourceSpec& spec_of(
+      cluster::ResourceIndex index) const override {
+    return specs_[index];
+  }
+  void deliver(const core::Message&) override {}
+  void message_dropped() override {}
+  sim::Rng& drop_rng() override { return rng_; }
+  sim::Rng& duplicate_rng() override { return rng_; }
+  void post_delivery(core::Message&& msg, sim::SimTime) override {
+    delivered.push_back(std::move(msg));
+  }
+
+  std::vector<core::Message> delivered;
+
+ private:
+  core::FederationConfig cfg_;
+  std::vector<cluster::ResourceSpec> specs_;
+  core::MessageLedger ledger_;
+  sim::Simulation sim_;
+  sim::Rng rng_;
+};
+
+TEST(TreeFlush, WarmFanoutAndConvergecastAllocateNothing) {
+  // Each round: four origins multicast one batched call-for-bids for
+  // three jobs to every cluster, then every other cluster answers each
+  // call with one batched kBid, whose buffer is recycled from a bid the
+  // previous round delivered (as the federation's spare pool does).  20
+  // clusters answer 19 bids per job, so the convergecast prunes at k = 8.
+  // Each queue swaps with its flush twin at every flush, so two warm-up
+  // rounds bring both twins, the routing scratch and the flush buffers
+  // to their high-water mark; job ids repeat, so a third, identical
+  // round — both flushes included — allocates nothing.
+  constexpr std::size_t kSites = 20;
+  constexpr std::size_t kOrigins = 4;
+  constexpr std::size_t kJobsPerCall = 3;
+  constexpr std::size_t kCalls = kOrigins * (kSites - 1);
+  auto cfg = core::make_config(core::SchedulingMode::kAuction);
+  cfg.transport.kind = transport::TransportKind::kTree;
+  RecordingContext ctx(cfg, kSites, kCalls);
+  transport::TreeTransport tree(ctx, std::nullopt);
+
+  std::vector<cluster::Job> jobs;
+  for (std::size_t o = 0; o < kOrigins; ++o) {
+    for (std::size_t j = 0; j < kJobsPerCall; ++j) {
+      cluster::Job job;
+      job.id = static_cast<cluster::JobId>(1 + o * kJobsPerCall + j);
+      job.origin = static_cast<cluster::ResourceIndex>(o);
+      job.processors = 1;
+      job.length_mi = 1e6 * static_cast<double>(1 + j);
+      job.budget = 1e12;
+      job.deadline = 1e9;
+      jobs.push_back(job);
+    }
+  }
+  std::vector<cluster::ResourceIndex> everyone(kSites);
+  for (std::size_t i = 0; i < kSites; ++i) {
+    everyone[i] = static_cast<cluster::ResourceIndex>(i);
+  }
+  std::vector<std::vector<core::BatchedBid>> spare;
+  spare.reserve(kCalls);
+
+  const auto round = [&] {
+    ctx.delivered.clear();
+    for (std::size_t o = 0; o < kOrigins; ++o) {
+      const std::span<const cluster::Job> batch(&jobs[o * kJobsPerCall],
+                                                kJobsPerCall);
+      core::Message call{core::MessageType::kCallForBids,
+                         static_cast<cluster::ResourceIndex>(o), 0,
+                         batch.front()};
+      call.batch_jobs = batch;
+      (void)tree.multicast(std::move(call), everyone, ctx.sim().now());
+    }
+    ctx.sim().run();
+    ASSERT_EQ(ctx.delivered.size(), kCalls);
+    std::vector<core::Message>& calls = ctx.delivered;
+    for (std::size_t c = 0; c < kCalls; ++c) {
+      const core::Message& call = calls[c];
+      core::Message bid{core::MessageType::kBid, call.to, call.from,
+                        call.job};
+      if (!spare.empty()) {
+        bid.batch_bids = std::move(spare.back());
+        spare.pop_back();
+      }
+      for (const cluster::Job& job : call.batch_jobs) {
+        bid.batch_bids.push_back(core::BatchedBid{
+            job.id, 100.0 + static_cast<double>(call.to),
+            1000.0 + static_cast<double>(call.to), true, false});
+      }
+      tree.unicast(std::move(bid));
+    }
+    ctx.delivered.clear();
+    ctx.sim().run();
+    ASSERT_EQ(ctx.delivered.size(), kCalls);
+    for (core::Message& msg : ctx.delivered) {
+      msg.batch_bids.clear();
+      spare.push_back(std::move(msg.batch_bids));
+    }
+  };
+  round();  // warm-up: the queues' first twins
+  const std::uint64_t pruned = tree.bids_pruned();
+  EXPECT_GT(pruned, 0u);
+  round();  // warm-up: the second twins
+
+  const std::uint64_t before = g_allocations.load();
+  round();
+  const std::uint64_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 0u) << "warm tree flushes allocated";
+  EXPECT_EQ(tree.bids_pruned(), 3 * pruned);
 }
 
 // ---- arena lifetime ---------------------------------------------------------
