@@ -80,6 +80,53 @@ void BM_EventQueueHold(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueHold);
 
+// The auction-direct shape: a call-for-bids flush delivers to 100
+// providers at one instant, and each delivery answers one message
+// latency on, so both bursts are same-instant runs (one ladder key
+// each).  4096 far-ahead timers sit among them and re-arm when they
+// fire.  Items are events: one push and one pop each.
+void BM_EventQueueFanout(benchmark::State& state) {
+  constexpr std::size_t kTimers = 4096;
+  constexpr std::size_t kBurst = 100;
+  constexpr double kLatency = 0.1;
+  sim::Rng rng(7);
+  std::vector<double> far(1024);
+  for (auto& t : far) t = rng.uniform(1e3, 1e4);
+  sim::EventQueue q;
+  sim::EventSeq seq = 0;
+  const auto arm_timer = [&](double now) {
+    q.push(sim::Event{now + far[seq % far.size()],
+                      sim::EventPriority::kControl, seq++, [] {}});
+  };
+  for (std::size_t i = 0; i < kTimers; ++i) arm_timer(0.0);
+  double now = 0.0;
+  std::int64_t events = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kBurst; ++i) {
+      q.push(sim::Event{now + kLatency, sim::EventPriority::kMessage, seq++,
+                        [] {}});
+    }
+    // The deliveries, each pushing its answer, then the answers; a timer
+    // that falls due meanwhile fires and re-arms.
+    for (std::size_t left = 2 * kBurst; left > 0;) {
+      const sim::Event ev = q.pop();
+      now = ev.time;
+      ++events;
+      if (ev.priority == sim::EventPriority::kControl) {
+        arm_timer(now);
+        continue;
+      }
+      if (--left >= kBurst) {
+        q.push(sim::Event{now + kLatency, sim::EventPriority::kMessage, seq++,
+                          [] {}});
+      }
+    }
+    benchmark::DoNotOptimize(now);
+  }
+  state.SetItemsProcessed(events);
+}
+BENCHMARK(BM_EventQueueFanout);
+
 void BM_SimulationEventDispatch(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulation sim;

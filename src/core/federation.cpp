@@ -320,7 +320,7 @@ FederationResult Federation::run() {
   GF_ENSURES(next_arrival_ == jobs_loaded_);
   GF_ENSURES(outcomes_.size() == jobs_loaded_);
   // Drained: no message is left in flight, so every slab slot is free.
-  GF_ENSURES(free_slots_.size() == slab_slots_);
+  GF_ENSURES(transport_->in_flight() == 0);
 #if GRIDFED_TRACE
   // The closing sample: the queue has drained, so the series ends on
   // ledger columns equal to aggregate()'s FederationResult totals.
@@ -522,42 +522,6 @@ void Federation::job_rejected(const cluster::Job& job,
   if (coalitions_ != nullptr) coalitions_->forget(outcome.job.id);
   GF_OBS(observer(), count(obs::Counter::kJobsRejected));
   outcomes_.push_back(std::move(outcome));
-}
-
-void Federation::post_delivery(Message&& msg, sim::SimTime delay) {
-  std::uint32_t slot;
-  if (free_slots_.empty()) {
-    slot = slab_slots_++;
-    if (slot % kSlabChunk == 0) {
-      in_flight_.push_back(std::make_unique<Message[]>(kSlabChunk));
-    }
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  }
-  slot_message(slot) = std::move(msg);
-  sim_.schedule_in(delay, sim::EventPriority::kMessage,
-                   [this, slot] { deliver_slot(slot); });
-}
-
-void Federation::deliver_slot(std::uint32_t slot) {
-  // The slot is busy until deliver() returns, so the messages it posts
-  // land elsewhere and `msg` stays put (chunks never move).
-  Message& msg = slot_message(slot);
-  deliver(msg);
-  msg.arena.reset();  // a parked slot must not pin a flush's job arena
-  if (msg.batch_bids.capacity() != 0) {
-    msg.batch_bids.clear();
-    spare_bids_.push_back(std::move(msg.batch_bids));
-  }
-  free_slots_.push_back(slot);
-}
-
-std::vector<BatchedBid> Federation::bid_buffer() {
-  if (spare_bids_.empty()) return {};
-  std::vector<BatchedBid> buffer = std::move(spare_bids_.back());
-  spare_bids_.pop_back();
-  return buffer;
 }
 
 FederationResult Federation::aggregate() const {

@@ -93,7 +93,9 @@ class Federation final : public GfaHost,
   [[nodiscard]] coalition::CoalitionManager* coalitions() override {
     return coalitions_.get();
   }
-  [[nodiscard]] std::vector<BatchedBid> bid_buffer() override;
+  [[nodiscard]] std::vector<BatchedBid> bid_buffer() override {
+    return transport_->bid_buffer();
+  }
   void award_declined(federation::ParticipantId provider) override {
     auction_stats_.record_decline(provider.value);
     GF_OBS(observer(), count_decline(provider.is_coalition()
@@ -183,15 +185,6 @@ class Federation final : public GfaHost,
   void message_dropped() override { ++messages_dropped_; }
   [[nodiscard]] sim::Rng& drop_rng() override { return drop_rng_; }
   [[nodiscard]] sim::Rng& duplicate_rng() override { return dup_rng_; }
-  /// The message waits in the delivery slab (below) and the event
-  /// captures only its slot.
-  void post_delivery(Message&& msg, sim::SimTime delay) override;
-  /// Delivers the message parked in slab `slot` in place, then frees the
-  /// slot (see in_flight_).
-  void deliver_slot(std::uint32_t slot);
-  [[nodiscard]] Message& slot_message(std::uint32_t slot) {
-    return in_flight_[slot / kSlabChunk][slot % kSlabChunk];
-  }
   /// Ground truth for the transports: a crashed site's edges are down.
   /// Left members stay reachable endpoints (their in-flight work drains
   /// gracefully); membership off degenerates to the base's constant true.
@@ -254,27 +247,6 @@ class Federation final : public GfaHost,
   std::vector<double> util_at_window_;
   sim::Rng drop_rng_;
   sim::Rng dup_rng_;
-  /// Delivery slab: one slot per in-flight message, recycled through
-  /// free_slots_.  Slots live in fixed chunks of kSlabChunk messages
-  /// that never move, so a slot's address survives growth:
-  /// deliver_slot() hands the agent the parked message itself, and the
-  /// messages its delivery posts take other slots (appending a chunk
-  /// when every slot is busy).  Only after the delivery returns does the
-  /// slot drop its arena handle, give up its kBid buffer to spare_bids_
-  /// and go back on the free list.  std::deque is no substitute: it
-  /// keeps just two 216-byte messages per node and pays for its index
-  /// arithmetic on every access.
-  static constexpr std::uint32_t kSlabChunk = 256;
-  std::vector<std::unique_ptr<Message[]>> in_flight_;
-  std::uint32_t slab_slots_ = 0;  ///< slots ever handed out
-  std::vector<std::uint32_t> free_slots_;
-  /// Cleared batch_bids buffers of delivered kBid answers, handed out
-  /// again by bid_buffer(), so a provider's batched answer reuses the
-  /// capacity of one already delivered instead of allocating.  No cap:
-  /// a fresh buffer is allocated only while this list is empty, so the
-  /// list never holds more than the peak number of kBid answers in
-  /// flight, plus one buffer per answer the network duplicated.
-  std::vector<std::vector<BatchedBid>> spare_bids_;
   std::uint64_t messages_dropped_ = 0;
   /// Every loaded job in (submit, id) order; ids follow load order, so
   /// jobs sharing an instant arrive in load order.  run() streams them

@@ -293,7 +293,8 @@ sim::SimTime Gfa::admit_remote(const cluster::Job& job) {
       cluster::execution_time(job, host_.spec_of(job.origin), own);
   // The job cannot start before its input data lands here (Eq. 1 volume
   // over the WAN model; 0 under the paper's free-network assumption).
-  const sim::SimTime staged = now() + host_.payload_staging_time(job, index_);
+  const sim::SimTime staging = host_.payload_staging_time(job, index_);
+  const sim::SimTime staged = now() + staging;
   const sim::SimTime estimate = lrms_.estimate_completion(job, exec, staged);
   if (cfg.enforce_deadline && estimate > job.absolute_deadline()) {
     return sim::kTimeInfinity;
@@ -320,9 +321,11 @@ sim::SimTime Gfa::admit_remote(const cluster::Job& job) {
   if (cfg.negotiate_timeout > 0.0) {
     // If the payload never arrives (reply or submission lost), release
     // the processors.  2x the enquiry timeout comfortably covers the
-    // origin's reply wait plus the submission leg.
+    // origin's reply wait plus the submission's control leg; under a WAN
+    // model the payload also needs its staging time to land, and a hold
+    // cancelled while it is in flight would strand the job.
     simulation().schedule_in(
-        2.0 * cfg.negotiate_timeout, sim::EventPriority::kControl,
+        2.0 * cfg.negotiate_timeout + staging, sim::EventPriority::kControl,
         [this, id = job.id, token] { on_hold_timeout(id, token); });
   }
   return estimate;

@@ -42,9 +42,10 @@ namespace detail {
   } while (false)
 
 /// Debug-build kernel-consistency check.  The event kernel's cached
-/// state (EventQueue's `next_time_`, live-size bookkeeping, the
-/// no-cancelled-head invariant) is re-derived from the backing structure
-/// after every mutating op when this is on.  Follows NDEBUG so the
+/// state (EventQueue's `next_key_`, and its live-size bookkeeping
+/// across the ladder, the run register and the chained run members) is
+/// re-derived from the backing structure after every mutating op when
+/// this is on.  Follows NDEBUG so the
 /// sanitizer CI jobs (Debug builds) run fully checked while Release hot
 /// loops compile the re-derivation out; structures additionally expose
 /// an always-compiled `debug_validate()` so Release test binaries can

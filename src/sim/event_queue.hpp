@@ -9,22 +9,32 @@
 // few thousand keys at 100 clusters, not the whole trace.
 //
 // The inline callbacks live in a stable slot-indexed side array of
-// cache-line-sized records (callback + occupant identity together, so a
-// dispatch touches exactly one line per slot) and never move while
-// queued; the ladder shuffles 16-byte integers only.
-// Cancellation (erase / update_key) is tombstone-based:
-// the low 64 key bits (priority‖seq‖slot, unique per pending event) name
-// the victim; a cancelled minimum is removed eagerly so the cached
-// next_time() never reports a dead event, and deeper tombstones are
-// discarded when they surface or when the queue empties.
+// cache-line-sized records (callback + occupant identity + run link
+// together, so a dispatch touches exactly one line per slot) and never
+// move while queued; the ladder shuffles 16-byte integers only.
+//
+// Same-instant runs.  A multicast schedules one delivery per target
+// back to back: events of one (time, priority) with consecutive seqs,
+// between which (the Simulation's seqs being unique) no other event can
+// sort.  So the ladder holds one key per *run* — its head — and every
+// later member hangs off its predecessor's slot link.  A push
+// joins the previous push's run when it has the same time and priority,
+// the next seq, and that previous event is still pending.  When a
+// member with a successor pops, the successor's key moves into a
+// one-key register; every pop takes the smaller of the register and
+// the ladder's minimum, so each event still pops on its own, in exact
+// (time, priority, seq) order.  A head that pops while the register is
+// busy sorts before the register's whole run (its run holds no seq of
+// the register's), so the register's key spills back into the ladder
+// and the head's successor takes its place.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "sim/event.hpp"
 #include "sim/fel.hpp"
-#include "sim/flat_map.hpp"
 #include "sim/ladder_queue.hpp"
 
 namespace gridfed::sim {
@@ -40,21 +50,6 @@ namespace gridfed::sim {
 /// silently reordering.
 class EventQueue {
  public:
-  /// Names a pending event for erase()/update_key().  Default-constructed
-  /// handles are invalid; a handle dies when its event pops, is erased,
-  /// or is rescheduled (update_key hands back a fresh one).
-  class EventHandle {
-   public:
-    EventHandle() = default;
-    [[nodiscard]] bool valid() const noexcept { return raw_ != kNoEvent; }
-
-   private:
-    friend class EventQueue;
-    static constexpr std::uint64_t kNoEvent = ~std::uint64_t{0};
-    explicit EventHandle(std::uint64_t raw) noexcept : raw_(raw) {}
-    std::uint64_t raw_ = kNoEvent;
-  };
-
   EventQueue() {
     // One queue drives a whole federation run; pre-sizing skips the
     // first rounds of growth (and InlineFunction relocation) in the hot
@@ -64,11 +59,9 @@ class EventQueue {
   }
 
   /// Inserts an event.  O(1) amortized; allocation-free apart from
-  /// amortized storage growth (slots freed by pop()/erase() are reused).
-  /// Returns a handle for erase()/update_key(); callers that never
-  /// cancel may ignore it.  Defined inline below: push/pop are the
-  /// innermost simulation loop.
-  EventHandle push(Event ev);
+  /// amortized storage growth (slots freed by pop() are reused).
+  /// Defined inline below: push/pop are the innermost simulation loop.
+  void push(Event ev);
 
   /// Removes and returns the earliest event.  Precondition: !empty().
   [[nodiscard]] Event pop();
@@ -79,38 +72,27 @@ class EventQueue {
   /// Precondition: !empty().
   SimTime pop_into(InlineFunction& action);
 
-  /// Cancels a pending event.  Returns false if the handle no longer
-  /// names one (already popped, erased, or rescheduled).  Erasing the
-  /// current minimum removes it structurally — and invalidates the
-  /// cached next_time() — immediately; deeper victims leave a tombstone
-  /// that is discarded when it surfaces.  The callback is destroyed and
-  /// the action slot recycled either way.
-  bool erase(EventHandle h);
-
-  /// Reschedules a pending event to `new_time`, keeping its callback and
-  /// priority class.  `new_seq` must be a fresh sequence number (the
-  /// Simulation's monotone counter) so the total key order stays unique.
-  /// Returns the event's new handle, or an invalid handle if `h` no
-  /// longer names a pending event.
-  EventHandle update_key(EventHandle h, SimTime new_time, EventSeq new_seq);
-
-  /// Timestamp of the earliest event (cached; no structure access).
-  /// Precondition: !empty().
-  [[nodiscard]] SimTime next_time() const noexcept { return next_time_; }
+  /// Timestamp of the earliest event (cached; no structure access);
+  /// +infinity when empty.
+  [[nodiscard]] SimTime next_time() const noexcept {
+    return fel_time_of(next_key_);
+  }
 
   [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
-  /// Number of pending (non-cancelled) events.
+  /// Number of pending events.
   [[nodiscard]] std::size_t size() const noexcept { return live_; }
+  /// Pending events that ride behind another member of their run: in
+  /// neither the ladder nor the register (tests check runs form).
+  [[nodiscard]] std::size_t chained() const noexcept { return chained_; }
 
   /// Drops all pending events (storage capacity is retained).
   void clear() noexcept;
 
   /// Always-compiled structural self-check: the ladder's own invariants
-  /// hold, cached next_time() matches the structural minimum, the
-  /// minimum is never a tombstone, and live + cancelled bookkeeping
-  /// covers the ladder exactly.
-  /// GF_SIM_CHECK runs it after every mutating op in debug builds;
-  /// Release test binaries call it explicitly.  Throws ContractViolation.
+  /// hold, every run link joins two pending events of one priority with
+  /// consecutive seqs, the links count the chained members exactly, and
+  /// consistent() holds.  Release test binaries call it explicitly.
+  /// Throws ContractViolation.
   void debug_validate();
 
  private:
@@ -119,6 +101,18 @@ class EventQueue {
   /// when the ladder's sorted Bottom run makes them exactly known (~4
   /// dispatches ≈ one DRAM miss latency of lead time).
   static constexpr std::size_t kPrefetchDepth = 4;
+  /// Slot::low of a free slot (no valid key has all low bits set).
+  static constexpr std::uint64_t kNoEvent = ~std::uint64_t{0};
+  /// The end of a run (Slot::next).
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  /// The empty register: all-ones is a negative NaN's bit pattern, so
+  /// it sorts after every valid key.
+  static constexpr FelKey kNoKey = ~FelKey{0};
+  /// next_key_ of an empty queue: time +infinity, after every valid key.
+  static constexpr FelKey kEmptyKey =
+      (static_cast<FelKey>(std::bit_cast<std::uint64_t>(kTimeInfinity))
+       << 64) |
+      ~std::uint64_t{0};
 
   /// Shared body of pop()/pop_into(): pops the minimum, moves its
   /// callback into `action`, recycles the slot, and returns the full
@@ -126,35 +120,45 @@ class EventQueue {
   /// min query.
   FelKey pop_key(InlineFunction& action);
 
-  /// Re-establishes the cached-min invariant after a structural removal:
-  /// pops tombstoned minima and refreshes next_time_.  live_ must
-  /// already be decremented.
+  /// Pushes the register's key back into the ladder.  Out of line, so
+  /// the ladder's push stays inlined into push() alone.
+  void spill_register();
+  /// Refreshes next_key_ after a pop and prefetches the slots of the
+  /// next pops.  live_ must already be decremented.
   void after_remove();
-  /// Pops cancelled keys off the structural min.  Precondition: live_ > 0.
-  void drop_cancelled_min();
+  /// O(1) cross-check of the cached state: live_ is the ladder's keys
+  /// plus the register plus the chained members, the register names a
+  /// pending event, and next_key_ is the true minimum.
+  /// GF_SIM_CHECK runs it after every push and pop in debug builds.
   [[nodiscard]] bool consistent();
 
   LadderQueue ladder_;
 
-  /// One action slot: the parked callback plus the low-64 key bits of
-  /// the occupant (EventHandle::kNoEvent when free — validates handles
-  /// across slot reuse).  Cache-line aligned: slots are read in key
-  /// order, i.e. randomly, so keeping everything a dispatch needs on one
-  /// line halves the misses of split side arrays and lets after_remove's
-  /// single prefetch cover the whole next pop.
+  /// One action slot: the parked callback, the low-64 key bits of the
+  /// occupant (kNoEvent when free) and the slot of the next member of
+  /// its run.  Cache-line aligned: slots are read in key order, i.e.
+  /// randomly, so keeping everything a dispatch needs on one line halves
+  /// the misses of split side arrays and lets after_remove's prefetch
+  /// cover the whole next pop.
   struct alignas(64) Slot {
     InlineFunction action;
-    std::uint64_t low = EventHandle::kNoEvent;
+    std::uint64_t low = kNoEvent;
+    std::uint32_t next = kNoSlot;
   };
+  static_assert(sizeof(Slot) == 64, "a slot must stay one cache line");
 
   std::vector<Slot> slots_;                ///< slot-indexed, stable
   std::vector<std::uint32_t> free_slots_;  ///< recycled action slots
 
-  /// Low-64 identities of cancelled keys still inside the ladder.  The
-  /// structural minimum is never in here.
-  FlatSet<std::uint64_t> cancelled_;
-  std::size_t live_ = 0;               ///< pending minus cancelled
-  SimTime next_time_ = kTimeInfinity;  ///< time of the structural min
+  /// The next member of the run being drained (kNoKey when none).
+  FelKey reg_ = kNoKey;
+  /// The last push: its time bits and low key bits (kNoEvent before the
+  /// first push); the next push may join its run.
+  std::uint64_t tail_hi_ = kNoEvent;
+  std::uint64_t tail_low_ = kNoEvent;
+  std::size_t chained_ = 0;      ///< pending members behind a link
+  std::size_t live_ = 0;         ///< pending events
+  FelKey next_key_ = kEmptyKey;  ///< the earliest event's key
 };
 
 }  // namespace gridfed::sim

@@ -13,7 +13,7 @@
 
 namespace gridfed::sim {
 
-inline EventQueue::EventHandle EventQueue::push(Event ev) {
+inline void EventQueue::push(Event ev) {
   // The IEEE-bits-as-integer ordering trick needs a non-negative time
   // (which also rejects NaN).  -0.0 would bit-sort above every positive
   // value, so normalize it to +0.0.
@@ -25,8 +25,19 @@ inline EventQueue::EventHandle EventQueue::push(Event ev) {
   static_assert(static_cast<int>(EventPriority::kControl) < 4,
                 "EventPriority no longer fits the 2-bit key field");
 
-  // Park the callback in a stable slot; only the 16-byte key enters the
-  // ladder.
+  const auto hi = std::bit_cast<std::uint64_t>(ev.time);
+  const std::uint64_t order =
+      (static_cast<std::uint64_t>(ev.priority) << kFelSeqBits) | ev.seq;
+  // Same time, same priority, the next seq, and the previous push still
+  // pending (its slot still holds it): this event joins that run.  The
+  // sentinels before the first push fail the first two tests.
+  const auto tail_slot = static_cast<std::uint32_t>(tail_low_ & kFelSlotMask);
+  const bool joins = hi == tail_hi_ &&
+                     order == (tail_low_ >> kFelSlotBits) + 1 &&
+                     slots_[tail_slot].low == tail_low_;
+
+  // Park the callback in a stable slot; at most the 16-byte key enters
+  // the ladder.
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -37,31 +48,50 @@ inline EventQueue::EventHandle EventQueue::push(Event ev) {
   }
   GF_EXPECTS(slot < (std::uint32_t{1} << kFelSlotBits));
 
-  const std::uint64_t low =
-      (static_cast<std::uint64_t>(ev.priority) << (kFelSeqBits + kFelSlotBits)) |
-      (ev.seq << kFelSlotBits) | slot;
+  const std::uint64_t low = (order << kFelSlotBits) | slot;
   Slot& s = slots_[slot];
   s.action = std::move(ev.action);
   s.low = low;
-  const FelKey key =
-      (static_cast<FelKey>(std::bit_cast<std::uint64_t>(ev.time)) << 64) | low;
-
-  ladder_.push(key);
+  s.next = kNoSlot;
+  if (joins) {
+    // Sorts right after a pending event: never the new minimum.
+    slots_[tail_slot].next = slot;
+    ++chained_;
+  } else {
+    const FelKey key = (static_cast<FelKey>(hi) << 64) | low;
+    ladder_.push(key);
+    // The cached minimum folds in with one compare — no min_key() call,
+    // which keeps pushes O(1) (min_key may sort a bucket).
+    if (key < next_key_) next_key_ = key;
+  }
+  tail_hi_ = hi;
+  tail_low_ = low;
   ++live_;
-  // The structural min is live (tombstoned minima are removed eagerly),
-  // so the cached time folds in with one compare — no min_key() call,
-  // which keeps pushes O(1) (min_key may sort a bucket).
-  if (ev.time < next_time_) next_time_ = ev.time;
   GF_SIM_CHECK(consistent());
-  return EventHandle{low};
 }
 
 inline FelKey EventQueue::pop_key(InlineFunction& action) {
-  const FelKey top = ladder_.pop_min();
+  const FelKey top = next_key_;
+  if (top == reg_) {
+    reg_ = kNoKey;
+  } else {
+    [[maybe_unused]] const FelKey popped = ladder_.pop_min();
+    GF_SIM_CHECK(popped == top);
+  }
   const std::uint32_t slot = fel_slot_of(top);
   Slot& s = slots_[slot];
+  if (s.next != kNoSlot) {
+    // The run goes on: its next member (same time and priority, the next
+    // seq) takes the register.  A busy register holds a run that sorts
+    // wholly after this one, so it waits in the ladder meanwhile.
+    if (reg_ != kNoKey) spill_register();
+    const std::uint64_t next_low =
+        (((fel_low64(top) >> kFelSlotBits) + 1) << kFelSlotBits) | s.next;
+    reg_ = ((top >> 64) << 64) | next_low;
+    --chained_;
+  }
   action = std::move(s.action);
-  s.low = EventHandle::kNoEvent;
+  s.low = kNoEvent;
   free_slots_.push_back(slot);
   --live_;
   after_remove();
@@ -89,28 +119,29 @@ inline Event EventQueue::pop() {
 
 inline void EventQueue::after_remove() {
   if (live_ == 0) {
-    // Only tombstones (if anything) remain: drop them wholesale.
-    ladder_.clear();
-    cancelled_.clear();
-    next_time_ = kTimeInfinity;
+    ladder_.clear();  // already empty: resets its floors for a fresh start
+    next_key_ = kEmptyKey;
     return;
   }
-  if (!cancelled_.empty()) drop_cancelled_min();
-  const FelKey next = ladder_.min_key();
-  next_time_ = fel_time_of(next);
-  // The next dispatch will move this slot's record out; its line is a
-  // guaranteed miss on large pending sets (slots are read in key order,
+  // The next dispatch will move the next slot's record out; its line is
+  // a likely miss on large pending sets (slots are read in key order,
   // i.e. randomly).  Start the fetch now so it overlaps the caller's
-  // work between pops.  Bottom's sorted run names the next several pops
-  // exactly — not just the next one — so fetch deep enough to cover a
-  // full miss latency; repeat prefetches of a line already in flight
-  // are near-free.
-  __builtin_prefetch(&slots_[fel_slot_of(next)], 1);
-  const std::size_t depth =
-      std::min<std::size_t>(ladder_.materialized_run(), kPrefetchDepth);
-  for (std::size_t i = 1; i < depth; ++i) {
-    __builtin_prefetch(&slots_[fel_slot_of(ladder_.materialized_at(i))], 1);
+  // work between pops: the register's slot, and as many of the ladder's
+  // next pops as Bottom's sorted run names exactly, deep enough to
+  // cover a full miss latency.  Repeat prefetches of a line already in
+  // flight are near-free.
+  FelKey next = reg_;
+  if (reg_ != kNoKey) __builtin_prefetch(&slots_[fel_slot_of(reg_)], 1);
+  if (!ladder_.empty()) {
+    const FelKey m = ladder_.min_key();
+    if (m < next) next = m;
+    const std::size_t depth =
+        std::min<std::size_t>(ladder_.materialized_run(), kPrefetchDepth);
+    for (std::size_t i = 0; i < depth; ++i) {
+      __builtin_prefetch(&slots_[fel_slot_of(ladder_.materialized_at(i))], 1);
+    }
   }
+  next_key_ = next;
 }
 
 }  // namespace gridfed::sim

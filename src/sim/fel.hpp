@@ -9,8 +9,10 @@
 // naive comparator needs three.  The callbacks live in a stable
 // slot-indexed side array owned by EventQueue and never move while
 // queued; the FEL structure (LadderQueue, ladder_queue.hpp) shuffles
-// 16-byte integers only.  Keys are unique (slot uniqueness), so the pop
-// order is one total order and every golden digest depends on it alone.
+// 16-byte integers only, one per same-instant run of events (the run's
+// head; event_queue.hpp chains the members behind it).  Keys are unique
+// (slot uniqueness), so the pop order is one total order and every
+// golden digest depends on it alone.
 
 #include <bit>
 #include <cstdint>
@@ -38,7 +40,7 @@ inline constexpr std::uint64_t kFelSlotMask =
 
 /// Low 64 bits of a key: priority ‖ seq ‖ slot.  Unique per pending
 /// event whenever seqs are unique (the Simulation assigns a monotone
-/// counter), so it serves as a compact cancellation identity.
+/// counter), so it names the occupant of an EventQueue slot.
 [[nodiscard]] inline std::uint64_t fel_low64(FelKey k) noexcept {
   return static_cast<std::uint64_t>(k);
 }

@@ -1,12 +1,12 @@
 #pragma once
 // Open-addressing hash tables for integer keys: the engine's per-job
 // books (parked enquiries, placements, holds, open auctions, settlement
-// notes), the transports' per-flush scratch tables and the kernels'
-// tombstone sets.  The standard library's node-based hash tables pay a
-// malloc per insert (libstdc++'s emplace allocates its node even when
-// the key is already present), a free per erase and a 64-bit modulo
-// per lookup; these tables churn on every message, so that traffic
-// dominated them.
+// notes), the transports' per-flush scratch tables and the LRMS's set
+// of cancelled reservations.  The standard library's node-based hash
+// tables pay a malloc per insert (libstdc++'s emplace allocates its node
+// even when the key is already present), a free per erase and a 64-bit
+// modulo per lookup; these tables churn on every message, so that
+// traffic dominated them.
 //
 // Layout: entries_ holds the (key, value) pairs densely in one vector,
 // and index_ — a power-of-two array of 4-byte entry positions, kEmpty

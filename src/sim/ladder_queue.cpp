@@ -122,7 +122,10 @@ void LadderQueue::transfer_top() {
   if (!(width > 0.0) || !(top_min_ + width > top_min_)) {
     // The zero-width case (every timestamp identical, or a span too
     // narrow to subdivide in FP): sort straight into Bottom.  Buffers
-    // swap, so Top keeps Bottom's (empty) storage.
+    // swap, so Top keeps Bottom's (empty) storage — grown first to Top's
+    // capacity, so a later batch as large as this one fits without
+    // reallocating whichever buffer Top holds then.
+    bottom_.reserve(top_.capacity());
     std::swap(bottom_, top_);
     top_.clear();
     std::sort(bottom_.begin(), bottom_.end());

@@ -9,16 +9,7 @@ std::uint64_t DirectTransport::multicast(
     sim::SimTime not_after) {
   (void)not_after;  // point-to-point sends nothing later than now
   targets = collapse_groups(targets);  // one delivery per participant
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    if (i + 1 == targets.size()) {
-      msg.to = targets[i];
-      direct_unicast(std::move(msg));
-      break;
-    }
-    core::Message copy = msg;  // shares the arena-backed batch view
-    copy.to = targets[i];
-    direct_unicast(std::move(copy));
-  }
+  direct_send(std::move(msg), targets);
   return targets.size();
 }
 

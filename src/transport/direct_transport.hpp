@@ -3,7 +3,8 @@
 // pre-transport Federation::send() seam (pinned by the golden digests in
 // tests/test_transport.cpp): every message is recorded, runs the loss
 // lottery, and arrives after the configured one-way delay.  A multicast
-// is simply one unicast per target, in target order.
+// is one unicast per target, in target order, all delivering one parked
+// body.
 
 #include <optional>
 

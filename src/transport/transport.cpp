@@ -24,8 +24,7 @@ std::span<const cluster::ResourceIndex> Transport::collapse_groups(
 }
 
 sim::SimTime Transport::delay_for(const core::Message& msg) const {
-  const auto& cfg = ctx_.config();
-  if (!wan_) return cfg.network_latency;
+  if (!wan_) return cfg_.network_latency;
   if (msg.type == core::MessageType::kJobSubmission) {
     // The job payload additionally ships Eq. 1's data volume.
     return wan_->transfer_time(
@@ -35,21 +34,24 @@ sim::SimTime Transport::delay_for(const core::Message& msg) const {
   return wan_->control_delay(msg.from, msg.to, core::wire_bytes(msg));
 }
 
-void Transport::schedule_delivery(core::Message&& msg, sim::SimTime delay) {
-  ctx_.post_delivery(std::move(msg), delay);
-}
-
-void Transport::direct_unicast(core::Message&& msg) {
-  ctx_.ledger().record(msg);
-  if (lost(msg.type)) return;
-  const sim::SimTime delay = delay_for(msg);
-  if (duplicated(msg.type)) {
-    // The network delivered twice: a second wire message with the same
-    // content (recorded as such), arriving at the same instant.
-    ctx_.ledger().record(msg);
-    schedule_delivery(core::Message(msg), delay);
+void Transport::direct_send(core::Message&& msg,
+                            std::span<const cluster::ResourceIndex> targets) {
+  const std::uint32_t slot = slab_.park(std::move(msg));
+  core::Message& body = slab_.parked(slot);
+  for (const cluster::ResourceIndex target : targets) {
+    body.to = target;  // what the ledger and the WAN delay read
+    ledger_.record(body);
+    if (lost(body.type)) continue;
+    const sim::SimTime delay = delay_for(body);
+    if (duplicated(body.type)) {
+      // The network delivered twice: a second wire message with the same
+      // content (recorded as such), arriving at the same instant.
+      ledger_.record(body);
+      slab_.post(slot, target, delay);
+    }
+    slab_.post(slot, target, delay);
   }
-  schedule_delivery(std::move(msg), delay);
+  slab_.release(slot);
 }
 
 std::unique_ptr<Transport> make_transport(

@@ -34,6 +34,7 @@
 #include "obs/observer.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
+#include "transport/delivery_slab.hpp"
 
 namespace gridfed::transport {
 
@@ -61,9 +62,6 @@ class TransportContext {
   [[nodiscard]] virtual sim::Rng& drop_rng() = 0;
   [[nodiscard]] virtual sim::Rng& duplicate_rng() = 0;
 
-  /// Schedules a delivery `delay` seconds from now on sim().
-  virtual void post_delivery(core::Message&& msg, sim::SimTime delay) = 0;
-
   /// The observability umbrella, or null when disabled (GF_OBS sites
   /// branch on it; overlay records land on the tracer's transport track).
   [[nodiscard]] virtual obs::Observer* observer() { return nullptr; }
@@ -79,11 +77,15 @@ class TransportContext {
 };
 
 /// One delivery substrate.  Constructed at federation wiring time; owns
-/// the WAN model for the run.
+/// the WAN model and the delivery slab for the run.
 class Transport {
  public:
   Transport(TransportContext& ctx, std::optional<network::LatencyModel> wan)
-      : ctx_(ctx), wan_(std::move(wan)) {}
+      : ctx_(ctx),
+        cfg_(ctx.config()),
+        ledger_(ctx.ledger()),
+        wan_(std::move(wan)),
+        slab_(ctx) {}
   virtual ~Transport() = default;
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
@@ -107,6 +109,15 @@ class Transport {
   /// assumption).  Federation::payload_staging_time consults it.
   [[nodiscard]] const network::LatencyModel* wan() const noexcept {
     return wan_ ? &*wan_ : nullptr;
+  }
+
+  /// A recycled kBid buffer (see DeliverySlab::bid_buffer).
+  [[nodiscard]] std::vector<core::BatchedBid> bid_buffer() {
+    return slab_.bid_buffer();
+  }
+  /// Payloads still waiting for a delivery (0 once the run has drained).
+  [[nodiscard]] std::size_t in_flight() const noexcept {
+    return slab_.in_flight();
   }
 
   /// Group-addressed dissemination: with a participant registry wired
@@ -173,16 +184,15 @@ class Transport {
   /// Loss lottery for one wire message (after it was recorded — lost
   /// messages still cost their send, as in the seed).
   [[nodiscard]] bool lost(core::MessageType type) {
-    const auto& cfg = ctx_.config();
-    if (!droppable(type) || cfg.message_drop_rate <= 0.0) return false;
-    if (!ctx_.drop_rng().bernoulli(cfg.message_drop_rate)) return false;
+    if (!droppable(type) || cfg_.message_drop_rate <= 0.0) return false;
+    if (!ctx_.drop_rng().bernoulli(cfg_.message_drop_rate)) return false;
     ctx_.message_dropped();
     return true;
   }
 
   /// Duplication lottery (see TransportOptions::duplicate_rate).
   [[nodiscard]] bool duplicated(core::MessageType type) {
-    const double rate = ctx_.config().transport.duplicate_rate;
+    const double rate = cfg_.transport.duplicate_rate;
     if (!duplicable(type) || rate <= 0.0) return false;
     return ctx_.duplicate_rng().bernoulli(rate);
   }
@@ -192,14 +202,19 @@ class Transport {
   /// job payload, Eq. 1's data volume over the bottleneck access link.
   [[nodiscard]] sim::SimTime delay_for(const core::Message& msg) const;
 
-  /// Schedules `msg` to arrive at its destination after `delay`.
-  void schedule_delivery(core::Message&& msg, sim::SimTime delay);
-
-  /// The seed's point-to-point path: record, loss lottery, latency,
-  /// deliver — plus the duplication lottery on the idempotent legs.
+  /// The seed's point-to-point path for one payload to each of
+  /// `targets` in order: per target, record, loss lottery, latency,
+  /// deliver — plus the duplication lottery on the idempotent legs.  The
+  /// payload is parked once; every target's delivery reads it in place.
   /// DirectTransport is exactly this; TreeTransport uses it for every
   /// leg it does not carry over the overlay.
-  void direct_unicast(core::Message&& msg);
+  void direct_send(core::Message&& msg,
+                   std::span<const cluster::ResourceIndex> targets);
+  /// direct_send to msg.to alone.
+  void direct_unicast(core::Message&& msg) {
+    const cluster::ResourceIndex to = msg.to;
+    direct_send(std::move(msg), {&to, 1});
+  }
 
   /// The multicast half of group addressing: maps each target to its
   /// participant's representative and dedups (first-seen order kept, so
@@ -217,7 +232,13 @@ class Transport {
       std::span<const cluster::ResourceIndex> targets);
 
   TransportContext& ctx_;
+  // ctx_.config() and ctx_.ledger(), fixed for the run.
+  const core::FederationConfig& cfg_;
+  core::MessageLedger& ledger_;
   std::optional<network::LatencyModel> wan_;
+  /// Where every delivery waits; direct_send and the tree's relay park
+  /// each payload here once.
+  DeliverySlab slab_;
   const federation::ParticipantRegistry* groups_ = nullptr;
   std::vector<cluster::ResourceIndex> group_scratch_;
 };

@@ -15,19 +15,18 @@ TreeTransport::TreeTransport(TransportContext& ctx,
     : Transport(ctx, std::move(wan)) {
   const std::size_t n = ctx_.sites();
   GF_EXPECTS(n > 0);
-  fanout_ = std::max<std::uint32_t>(1, ctx_.config().transport.tree_fanout);
+  fanout_ = std::max<std::uint32_t>(1, cfg_.transport.tree_fanout);
   // Convergecast aggregation: the relays rank bids under the SAME rule
   // the origin's clearing engine will apply — both sides read the one
   // auction config, so they cannot disagree on the rank order (see
   // market/bid_scorer.hpp).  k == 1 is clamped to 2: Vickrey's payment
   // needs the runner-up's ask, so the winner alone is never enough.
-  const auto& cfg = ctx_.config();
-  prune_k_ = cfg.transport.bid_prune_k;
+  prune_k_ = cfg_.transport.bid_prune_k;
   if (prune_k_ == 1) prune_k_ = 2;
-  encode_bids_ = cfg.transport.bid_delta_encode;
-  scorer_ = market::BidScorer(cfg.auction.scoring,
-                              cfg.auction.score_time_weight,
-                              cfg.enforce_budget, cfg.enforce_deadline);
+  encode_bids_ = cfg_.transport.bid_delta_encode;
+  scorer_ = market::BidScorer(cfg_.auction.scoring,
+                              cfg_.auction.score_time_weight,
+                              cfg_.enforce_budget, cfg_.enforce_deadline);
   // The tree is the k-ary heap layout over the overlay ring order: sort
   // by (ring key, index) — the same ids a ChordRing would assign the
   // directory peers — so the topology is deterministic and independent
@@ -111,7 +110,7 @@ void TreeTransport::relay_path(std::uint32_t a, std::uint32_t b,
 void TreeTransport::prune_retained() {
   if (retained_losses_.empty()) return;
   const sim::SimTime cutoff =
-      ctx_.sim().now() - ctx_.config().membership.confirmation_bound();
+      ctx_.sim().now() - cfg_.membership.confirmation_bound();
   std::erase_if(retained_losses_, [cutoff](const LostSolicitation& entry) {
     return entry.at < cutoff;
   });
@@ -145,9 +144,9 @@ void TreeTransport::on_member_dead(cluster::ResourceIndex index) {
                                          static_cast<std::uint32_t>(i + 1)});
     }
     route(scratch_items_);
-    const std::uint64_t relays_before = ctx_.ledger().relay_total();
+    const std::uint64_t relays_before = ledger_.relay_total();
     relay(scratch_items_, core::MessageType::kCallForBids);
-    repair_relay_msgs_ += ctx_.ledger().relay_total() - relays_before;
+    repair_relay_msgs_ += ledger_.relay_total() - relays_before;
     replayed_ += replayed_now;
   }
 #if GRIDFED_TRACE
@@ -236,7 +235,7 @@ std::uint64_t TreeTransport::multicast(
 
 void TreeTransport::schedule_fanout_wake(sim::SimTime not_after) {
   const sim::SimTime now = ctx_.sim().now();
-  const sim::SimTime epoch = ctx_.config().transport.tree_epoch;
+  const sim::SimTime epoch = cfg_.transport.tree_epoch;
   sim::SimTime boundary = now;
   if (epoch > 0.0) boundary = std::ceil(now / epoch) * epoch;
   // Release at the epoch boundary, earlier when the caller's slack
@@ -594,7 +593,7 @@ void TreeTransport::relay(std::span<const RelayItem> items,
       // underflows.
       prune_bytes_saved_ += frame.naive_bytes - edge.bytes;
     }
-    ctx_.ledger().record_relay(owner_at_[edge.from_pos],
+    ledger_.record_relay(owner_at_[edge.from_pos],
                                owner_at_[edge.to_pos], type, edge.bytes);
     edge.alive = !lost(type);  // loss lottery per wire message
     // Ground-truth churn: a crashed endpoint physically fails the edge
@@ -619,20 +618,30 @@ void TreeTransport::relay(std::span<const RelayItem> items,
   // Pass 3 — deliver every payload whose whole path survived, after the
   // summed per-hop control delay (size-aware under the WAN model, like
   // every direct leg: a relayed payload pays its own transmission time
-  // on each store-and-forward hop).  A queued kBid has exactly one
-  // segment, so it moves into its delivery; a fan-out payload serves
-  // several targets and is copied for each.
-  const bool move_payloads = type == core::MessageType::kBid;
-  const sim::SimTime latency = ctx_.config().network_latency;
+  // on each store-and-forward hop).  A payload's segments are adjacent
+  // items; it is parked once, at its first segment, and every surviving
+  // segment posts a delivery of that one body.
+  const sim::SimTime latency = cfg_.network_latency;
+  std::uint32_t parked_id = 0;
+  std::uint32_t slot = 0;
+  core::Message* body = nullptr;
   for (std::size_t i = 0; i < items.size(); ++i) {
     const RelayItem& item = items[i];
+    if (item.payload_id != parked_id) {
+      GF_EXPECTS(item.payload_id > parked_id);  // segments are adjacent
+      if (body != nullptr) slab_.release(slot);
+      slot = slab_.park(std::move(*item.payload));
+      body = &slab_.parked(slot);
+      body->via_overlay = true;
+      parked_id = item.payload_id;
+    }
     const auto hops = route_hops(i);
-    const std::uint64_t bytes = wan_ ? core::wire_bytes(*item.payload) : 0;
+    const std::uint64_t bytes = wan_ ? core::wire_bytes(*body) : 0;
     bool alive = true;
     bool died_down = false;
     sim::SimTime delay = 0.0;
-    for (const std::uint32_t slot : hops) {
-      const EdgeUse& edge = scratch_edges_[slot];
+    for (const std::uint32_t hop : hops) {
+      const EdgeUse& edge = scratch_edges_[hop];
       if (!edge.alive) {
         alive = false;
         died_down = edge.down;
@@ -648,29 +657,25 @@ void TreeTransport::relay(std::span<const RelayItem> items,
       // origin and the target are themselves still up: there is nobody
       // to serve otherwise.  Lottery losses keep the seed's semantics.
       if (died_down && type == core::MessageType::kCallForBids &&
-          ctx_.config().membership.active() && ctx_.site_up(item.target) &&
-          ctx_.site_up(item.payload->from)) {
-        core::Message copy = *item.payload;
+          cfg_.membership.active() && ctx_.site_up(item.target) &&
+          ctx_.site_up(body->from)) {
+        core::Message copy = *body;
         copy.to = item.target;
         retained_losses_.push_back(
             LostSolicitation{ctx_.sim().now(), std::move(copy)});
       }
       continue;
     }
-    core::Message out =
-        move_payloads ? std::move(*item.payload) : *item.payload;
-    out.to = item.target;
-    out.via_overlay = true;
-    if (duplicated(out.type)) {
+    if (duplicated(body->type)) {
       // The final hop delivered twice: one extra edge message.  Under
       // frame accounting the duplicate is a one-payload frame (every
       // surviving quote is its own base — no cross-payload groups to
       // delta against on a retransmission).
       const cluster::ResourceIndex hop_from =
-          hops.empty() ? out.from
+          hops.empty() ? body->from
                        : owner_at_[scratch_edges_[hops.back()].from_pos];
       if (hop_from != item.target) {
-        std::uint64_t dup_bytes = core::wire_bytes(out);
+        std::uint64_t dup_bytes = core::wire_bytes(*body);
         if (bid_frame_relay_) {
           const auto& meta = scratch_entry_meta_[item.payload_id - 1];
           std::uint64_t live = 0;
@@ -680,12 +685,13 @@ void TreeTransport::relay(std::span<const RelayItem> items,
           dup_bytes = core::encoded_bid_frame_bytes(
               1, live, 0, meta.size() - live);
         }
-        ctx_.ledger().record_relay(hop_from, item.target, type, dup_bytes);
+        ledger_.record_relay(hop_from, item.target, type, dup_bytes);
       }
-      schedule_delivery(core::Message(out), delay);
+      slab_.post(slot, item.target, delay);
     }
-    schedule_delivery(std::move(out), delay);
+    slab_.post(slot, item.target, delay);
   }
+  if (body != nullptr) slab_.release(slot);
 }
 
 }  // namespace gridfed::transport

@@ -128,10 +128,10 @@ class TreeTransport final : public Transport {
     std::uint32_t target_count = 0;
   };
   /// One payload-to-destination segment of a relay flush.  Segments of
-  /// one fan-out payload share a payload_id: the payload crosses a
-  /// shared edge once however many targets sit behind it.  The payload
-  /// is mutable so a kBid, which has exactly one segment, can be moved
-  /// into its delivery.
+  /// one fan-out payload share a payload_id and are adjacent: the
+  /// payload crosses a shared edge once however many targets sit behind
+  /// it.  The payload is mutable so relay() can move it into the
+  /// delivery slab, once for all its segments.
   struct RelayItem {
     core::Message* payload = nullptr;
     cluster::ResourceIndex target = cluster::kNoResource;
@@ -253,9 +253,9 @@ class TreeTransport final : public Transport {
   /// The shared relay machinery over the route of `items` (route() must
   /// have run on them): books one wire message per directed edge used
   /// this flush (loss lottery per edge), then delivers every payload
-  /// whose whole path survived, after the summed per-hop latency.  A
-  /// kBid payload is moved into its delivery (it has one segment);
-  /// fan-out payloads and duplicate deliveries are copied.
+  /// whose whole path survived, after the summed per-hop latency.  Each
+  /// payload moves into the delivery slab once; its segments' deliveries
+  /// (duplicates included) all read that one parked body.
   void relay(std::span<const RelayItem> items, core::MessageType type);
 
   std::uint32_t fanout_ = 4;

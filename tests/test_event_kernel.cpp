@@ -2,9 +2,10 @@
 // semantics, the 4-ary heap's deterministic (time, priority, seq) pop
 // order under randomized workloads, the pop_into hot path, the
 // no-heap-traffic contract for small trivially copyable captures, and
-// the Federation's delivery slab (in-flight messages parked by slot and
-// delivered in place, so a delivery event allocates nothing, nor does a
-// batched bid answer once its buffer is recycled), and the protocol
+// the transport's delivery slab (in-flight payloads parked by slot, one
+// body per payload however many deliveries it has, and delivered in
+// place, so a delivery event allocates nothing, nor does a batched bid
+// answer once its buffer is recycled), and the protocol
 // engine's job tables (a warm enquiry round trip allocates nothing but
 // the LRMS's boxed finish events).
 
@@ -349,8 +350,8 @@ cluster::Job slab_job(cluster::JobId id, cluster::ResourceIndex origin) {
 }
 
 TEST(DeliverySlab, UnicastDeliveryIsAllocationFreeInSteadyState) {
-  // A delivery event captures only (federation, slot), so it fits the
-  // InlineFunction buffer; the message waits in a recycled slab slot.
+  // A delivery event captures only (slab, slot, destination), so it fits
+  // the InlineFunction buffer; the message waits in a recycled slab slot.
   // Stray kBids at a DBC agent are dropped on arrival, so the agent's
   // own handling adds nothing either.
   auto cfg = core::make_config(core::SchedulingMode::kEconomy);
@@ -374,6 +375,48 @@ TEST(DeliverySlab, UnicastDeliveryIsAllocationFreeInSteadyState) {
   EXPECT_EQ(sim.events_executed() - events, 64u);
   const core::MessageLedger& ledger = std::as_const(fed).ledger();
   EXPECT_EQ(ledger.count_of(core::MessageType::kBid), 128u);
+}
+
+TEST(DeliverySlab, MulticastParksOneBodyForEveryTarget) {
+  // One payload, seven deliveries: the body waits in one slot until the
+  // last delivery returns, and each delivery stamps its own destination
+  // on it (Gfa::receive checks msg.to).  Stray kBids at a DBC agent are
+  // dropped on arrival.  A multicast to nobody frees its slot at once.
+  auto cfg = core::make_config(core::SchedulingMode::kEconomy);
+  cfg.network_latency = 1.0;
+  core::Federation fed(cfg, cluster::replicated_specs(8));
+  Simulation& sim = fed.simulation();
+  const std::vector<cluster::ResourceIndex> targets{1, 2, 3, 4, 5, 6, 7};
+  // The window-end utilization snapshot stays pending throughout.
+  const std::size_t timers = sim.pending_events();
+  const auto round = [&](cluster::JobId id) {
+    EXPECT_EQ(fed.multicast(core::Message{core::MessageType::kBid, 0, 0,
+                                          slab_job(id, 0)},
+                            targets, sim.now()),
+              targets.size());
+    EXPECT_EQ(fed.transport().in_flight(), 1u);
+    EXPECT_EQ(sim.pending_events(), timers + targets.size());
+    for (std::size_t i = 0; i + 1 < targets.size(); ++i) {
+      ASSERT_TRUE(sim.step());
+      EXPECT_EQ(fed.transport().in_flight(), 1u);
+    }
+    ASSERT_TRUE(sim.step());
+    EXPECT_EQ(fed.transport().in_flight(), 0u);
+  };
+  round(1);  // warm-up: slab and queue at high-water mark
+
+  const std::uint64_t before = g_allocations.load();
+  round(2);
+  EXPECT_EQ(g_allocations.load() - before, 0u) << "multicast allocated";
+  const core::MessageLedger& ledger = std::as_const(fed).ledger();
+  EXPECT_EQ(ledger.count_of(core::MessageType::kBid), 2 * targets.size());
+
+  EXPECT_EQ(fed.multicast(core::Message{core::MessageType::kBid, 0, 0,
+                                        slab_job(3, 0)},
+                          {}, sim.now()),
+            0u);
+  EXPECT_EQ(fed.transport().in_flight(), 0u);
+  EXPECT_EQ(sim.pending_events(), timers);
 }
 
 TEST(DeliverySlab, BatchedBidAnswersAreAllocationFreeInSteadyState) {

@@ -5,13 +5,14 @@
 // list of a run with streamed arrivals, validated after every operation,
 // with a named case for each shallow-regime rule (small Top batches
 // spread, Bottom spills, the spill's rung cap, drained parents replaced)
-// — and randomized push/pop/erase/update interleavings of the
-// EventQueue against a std::set reference, including equal-key ties,
-// skewed/bursty timestamp distributions, and the zero-width-bucket
-// pathological case.  Then the allocation-free steady state (node-pool
-// recycling), the bytes the ladder holds against its peak live set, the
-// erase-of-minimum next_time() regression, and whole federation runs
-// pinned to digests recorded with a 4-ary heap as the FEL.
+// — and randomized push/pop interleavings of the EventQueue against a
+// std::set reference, including equal-key ties, run-shaped bursts of
+// same-instant pushes, skewed/bursty timestamp distributions, and the
+// zero-width-bucket pathological case, with a named case for each rule
+// of the queue's same-instant runs.  Then the allocation-free steady
+// state (node-pool recycling), the bytes the ladder holds against its
+// peak live set, and whole federation runs pinned to digests recorded
+// with a 4-ary heap as the FEL.
 
 #include <gtest/gtest.h>
 
@@ -422,35 +423,49 @@ bool record_before(const PopRecord& a, const PopRecord& b) {
   return a.seq < b.seq;
 }
 
-struct LiveEvent {
-  PopRecord rec;
-  EventQueue::EventHandle handle;
-};
-
-/// Drives a random push/pop/erase/update interleaving through the queue,
-/// which must agree with the std::set reference at every step;
-/// `next_push_time` shapes the timestamp distribution.
+/// Drives a random push/pop interleaving through the queue, which must
+/// agree with the std::set reference at every step; `next_push_time`
+/// shapes the timestamp distribution.  Besides single pushes it pushes
+/// run-shaped bursts — up to 40 pushes of one (time, priority), which
+/// the queue chains into one run, extended again when the next burst
+/// lands on the same key — and zero-delay pushes at the current instant
+/// in a random priority class, so higher-priority events cut into runs
+/// being drained and other runs' heads pop while the register is busy.
+/// At time 0 those pushes alternate between -0.0 and 0.0.
 template <typename NextTime>
 void run_queue_fuzz(std::uint64_t seed, int steps, NextTime next_push_time) {
   Rng rng(seed);
   EventQueue q;
   std::set<PopRecord, decltype(&record_before)> ref(&record_before);
-  std::vector<LiveEvent> live;
   SimTime now = 0.0;
   EventSeq seq = 0;
+  const auto random_prio = [&] {
+    return static_cast<EventPriority>(rng.uniform_int(0, 3));
+  };
+  const auto push = [&](SimTime t, EventPriority prio) {
+    ref.insert(PopRecord{t == 0.0 ? 0.0 : t, prio, seq});
+    q.push(Event{t, prio, seq, [] {}});
+    ++seq;
+  };
+  SimTime burst_time = 0.0;
+  auto burst_prio = EventPriority::kMessage;
 
   for (int step = 0; step < steps; ++step) {
     const double dice = rng.uniform01();
-    if (live.empty() || dice < 0.52) {  // push
-      const SimTime t = now + next_push_time(rng);
-      const auto prio = static_cast<EventPriority>(rng.uniform_int(0, 3));
-      LiveEvent ev;
-      ev.rec = PopRecord{t, prio, seq};
-      ev.handle = q.push(Event{t, prio, seq, [] {}});
-      ref.insert(ev.rec);
-      live.push_back(ev);
-      ++seq;
-    } else if (dice < 0.84) {  // pop
+    if (ref.empty() || dice < 0.36) {  // one push
+      push(now + next_push_time(rng), random_prio());
+    } else if (dice < 0.46) {  // a run-shaped burst
+      // One burst in four continues the last burst's key, extending its
+      // run when nothing was pushed in between and its tail is pending.
+      if (rng.uniform01() < 0.75 || burst_time < now) {
+        burst_time = now + next_push_time(rng);
+        burst_prio = random_prio();
+      }
+      const auto n = rng.uniform_int(2, 40);
+      for (std::uint64_t i = 0; i < n; ++i) push(burst_time, burst_prio);
+    } else if (dice < 0.52) {  // zero delay, any priority
+      push(now == 0.0 && (seq & 1) != 0 ? -0.0 : now, random_prio());
+    } else {  // pop
       const PopRecord want = *ref.begin();
       ref.erase(ref.begin());
       ASSERT_DOUBLE_EQ(q.next_time(), want.time);
@@ -458,37 +473,7 @@ void run_queue_fuzz(std::uint64_t seed, int steps, NextTime next_push_time) {
       ASSERT_DOUBLE_EQ(got.time, want.time);
       ASSERT_EQ(got.priority, want.priority);
       ASSERT_EQ(got.seq, want.seq);
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        if (live[i].rec.seq == want.seq) {
-          live[i] = live.back();
-          live.pop_back();
-          break;
-        }
-      }
       now = want.time;
-    } else if (dice < 0.94) {  // erase a random pending event
-      const auto idx =
-          static_cast<std::size_t>(rng.uniform_int(0, live.size() - 1));
-      const LiveEvent victim = live[idx];
-      live[idx] = live.back();
-      live.pop_back();
-      ref.erase(victim.rec);
-      ASSERT_TRUE(q.erase(victim.handle));
-      ASSERT_FALSE(q.erase(victim.handle)) << "double erase must fail";
-    } else {  // reschedule a random pending event
-      const auto idx =
-          static_cast<std::size_t>(rng.uniform_int(0, live.size() - 1));
-      LiveEvent& ev = live[idx];
-      const SimTime t = now + next_push_time(rng);
-      ref.erase(ev.rec);
-      ev.rec.time = t;
-      ev.rec.seq = seq;
-      ref.insert(ev.rec);
-      const auto old = ev.handle;
-      ev.handle = q.update_key(old, t, seq);
-      ASSERT_TRUE(ev.handle.valid());
-      ASSERT_FALSE(q.erase(old)) << "stale handle must be dead";
-      ++seq;
     }
 
     ASSERT_EQ(q.size(), ref.size());
@@ -504,6 +489,7 @@ void run_queue_fuzz(std::uint64_t seed, int steps, NextTime next_push_time) {
     ASSERT_EQ(q.pop().seq, want.seq);
   }
   EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.chained(), 0u);
   q.debug_validate();
 }
 
@@ -538,54 +524,117 @@ TEST(EventQueueFuzz, ZeroWidthTimestamps) {
   run_queue_fuzz(404, 12000, [](Rng&) { return 0.0; });
 }
 
-// ---- satellite fix: erase of the minimum vs cached next_time ----------------
+// ---- same-instant runs, rule by rule ----------------------------------------
 
-TEST(EventQueueErase, EraseOfMinimumInvalidatesCachedNextTime) {
-  EventQueue q;
-  const auto h1 = q.push(Event{1.0, EventPriority::kArrival, 0, [] {}});
-  (void)q.push(Event{2.0, EventPriority::kArrival, 1, [] {}});
-  const auto h3 = q.push(Event{3.0, EventPriority::kArrival, 2, [] {}});
-  ASSERT_DOUBLE_EQ(q.next_time(), 1.0);
-  // The regression: erasing the head must re-derive the cache, not
-  // leave it pointing at the dead event.
-  ASSERT_TRUE(q.erase(h1));
-  ASSERT_DOUBLE_EQ(q.next_time(), 2.0);
+/// Pops one event, validates the whole queue, and returns the event's seq.
+EventSeq pop_seq(EventQueue& q) {
+  const EventSeq seq = q.pop().seq;
   q.debug_validate();
-  // Erasing a non-minimum leaves the cache alone...
-  ASSERT_TRUE(q.erase(h3));
-  ASSERT_DOUBLE_EQ(q.next_time(), 2.0);
-  EXPECT_EQ(q.size(), 1u);
-  // ...and the tombstone never surfaces through pop.
-  const Event got = q.pop();
-  EXPECT_EQ(got.seq, 1u);
+  return seq;
+}
+
+TEST(EventQueueRuns, BurstRidesOneLadderKey) {
+  EventQueue q;
+  for (EventSeq s = 0; s < 100; ++s) {
+    q.push(Event{5.0, EventPriority::kMessage, s, [] {}});
+  }
+  EXPECT_EQ(q.chained(), 99u);  // one ladder key, 99 members behind it
+  q.debug_validate();
+  for (EventSeq s = 0; s < 100; ++s) {
+    ASSERT_DOUBLE_EQ(q.next_time(), 5.0);
+    ASSERT_EQ(pop_seq(q), s);
+  }
   EXPECT_TRUE(q.empty());
-  EXPECT_DOUBLE_EQ(q.next_time(), kTimeInfinity);
-  q.debug_validate();
+  EXPECT_EQ(q.chained(), 0u);
 }
 
-TEST(EventQueueErase, UpdateKeyMovesEventAndCachedTime) {
+TEST(EventQueueRuns, OnlyTheNextSeqOfOneKeyJoinsAPendingTail) {
   EventQueue q;
-  auto ha = q.push(Event{5.0, EventPriority::kMessage, 0, [] {}});
-  (void)q.push(Event{7.0, EventPriority::kMessage, 1, [] {}});
-  // Reschedule the minimum later: the cache must follow.
-  ha = q.update_key(ha, 9.0, 2);
-  ASSERT_TRUE(ha.valid());
-  ASSERT_DOUBLE_EQ(q.next_time(), 7.0);
-  // Reschedule it earliest again.
-  ha = q.update_key(ha, 1.0, 3);
-  ASSERT_DOUBLE_EQ(q.next_time(), 1.0);
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.pop().seq, 3u);
-  EXPECT_EQ(q.pop().seq, 1u);
-  q.debug_validate();
+  q.push(Event{1.0, EventPriority::kMessage, 0, [] {}});
+  q.push(Event{1.0, EventPriority::kArrival, 1, [] {}});  // other priority
+  q.push(Event{2.0, EventPriority::kArrival, 2, [] {}});  // other time
+  q.push(Event{2.0, EventPriority::kArrival, 4, [] {}});  // a seq gap
+  EXPECT_EQ(q.chained(), 0u);
+  q.push(Event{2.0, EventPriority::kArrival, 5, [] {}});
+  EXPECT_EQ(q.chained(), 1u);
+  // A tail that already popped starts no run: the next push is a head.
+  while (!q.empty()) (void)pop_seq(q);
+  q.push(Event{3.0, EventPriority::kMessage, 6, [] {}});
+  EXPECT_EQ(pop_seq(q), 6u);
+  q.push(Event{3.0, EventPriority::kMessage, 7, [] {}});
+  EXPECT_EQ(q.chained(), 0u);
+  EXPECT_EQ(pop_seq(q), 7u);
 }
 
-TEST(EventQueueErase, HandlesDieOnPop) {
+TEST(EventQueueRuns, NegativeZeroJoinsARunAtZero) {
   EventQueue q;
-  const auto h = q.push(Event{1.0, EventPriority::kControl, 0, [] {}});
-  (void)q.pop();
-  EXPECT_FALSE(q.erase(h));
-  EXPECT_FALSE(q.update_key(h, 2.0, 1).valid());
+  q.push(Event{0.0, EventPriority::kMessage, 0, [] {}});
+  q.push(Event{-0.0, EventPriority::kMessage, 1, [] {}});
+  q.push(Event{0.0, EventPriority::kMessage, 2, [] {}});
+  EXPECT_EQ(q.chained(), 2u);
+  for (EventSeq s = 0; s < 3; ++s) {
+    ASSERT_EQ(q.next_time(), 0.0);
+    ASSERT_EQ(pop_seq(q), s);
+  }
+}
+
+TEST(EventQueueRuns, HigherPriorityPushCutsIntoADrainingRun) {
+  EventQueue q;
+  for (EventSeq s = 0; s < 5; ++s) {
+    q.push(Event{1.0, EventPriority::kMessage, s, [] {}});
+  }
+  q.push(Event{9.0, EventPriority::kControl, 5, [] {}});
+  EXPECT_EQ(pop_seq(q), 0u);  // the register now holds seq 1
+  // A zero-delay completion sorts before the rest of the run...
+  q.push(Event{1.0, EventPriority::kCompletion, 6, [] {}});
+  EXPECT_EQ(pop_seq(q), 6u);
+  // ...and a same-class push after it, however late its seq.
+  q.push(Event{1.0, EventPriority::kMessage, 7, [] {}});
+  for (const EventSeq want : {1u, 2u, 3u, 4u, 7u, 5u}) {
+    ASSERT_EQ(pop_seq(q), want);
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueRuns, SecondHeadSpillsTheBusyRegister) {
+  EventQueue q;
+  // Run A at (2.0, message) starts draining: its seq 1 takes the
+  // register.
+  for (EventSeq s = 0; s < 4; ++s) {
+    q.push(Event{2.0, EventPriority::kMessage, s, [] {}});
+  }
+  EXPECT_EQ(pop_seq(q), 0u);
+  // Run B at (2.0, completion) sorts before all of A's rest: its head
+  // pops while the register is busy, A's member spills into the ladder
+  // and B's successor takes the register.
+  for (EventSeq s = 4; s < 8; ++s) {
+    q.push(Event{2.0, EventPriority::kCompletion, s, [] {}});
+  }
+  EXPECT_EQ(q.chained(), 2u + 3u);
+  for (const EventSeq want : {4u, 5u, 6u, 7u, 1u, 2u, 3u}) {
+    ASSERT_EQ(pop_seq(q), want);
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.chained(), 0u);
+}
+
+TEST(EventQueueRuns, RunExtendedAfterItsHeadPopped) {
+  EventQueue q;
+  q.push(Event{3.0, EventPriority::kMessage, 0, [] {}});
+  q.push(Event{3.0, EventPriority::kMessage, 1, [] {}});
+  q.push(Event{7.0, EventPriority::kMessage, 2, [] {}});
+  q.push(Event{7.0, EventPriority::kMessage, 3, [] {}});
+  EXPECT_EQ(pop_seq(q), 0u);  // seq 1, the old tail, is in the register
+  // Seq 3 is the tail now; a push joining it extends the run at 7.0
+  // whose head is still in the ladder.
+  q.push(Event{7.0, EventPriority::kMessage, 4, [] {}});
+  EXPECT_EQ(q.chained(), 2u);
+  EXPECT_EQ(pop_seq(q), 1u);
+  EXPECT_EQ(pop_seq(q), 2u);  // the register now holds seq 3
+  q.push(Event{7.0, EventPriority::kMessage, 5, [] {}});  // joins seq 4
+  EXPECT_EQ(q.chained(), 2u);
+  for (const EventSeq want : {3u, 4u, 5u}) ASSERT_EQ(pop_seq(q), want);
+  EXPECT_TRUE(q.empty());
 }
 
 // ---- the allocation-free steady state ---------------------------------------
@@ -604,13 +653,13 @@ TEST(LadderQueueAlloc, SteadyStatePushPopIsAllocationFree) {
         EventSeq seq = 0;
         InlineFunction action;
         for (int i = 0; i < 6000; ++i) {
-          (void)q.push(Event{now + rng.uniform01() * 128.0,
-                             EventPriority::kArrival, seq++, [] {}});
+          q.push(Event{now + rng.uniform01() * 128.0, EventPriority::kArrival,
+                       seq++, [] {}});
         }
         for (int step = 0; step < 30000; ++step) {
           if (rng.uniform01() < 0.5) {
-            (void)q.push(Event{now + rng.uniform01() * 128.0,
-                               EventPriority::kArrival, seq++, [] {}});
+            q.push(Event{now + rng.uniform01() * 128.0,
+                         EventPriority::kArrival, seq++, [] {}});
           } else if (!q.empty()) {
             now = q.pop_into(action);
           }
@@ -622,8 +671,8 @@ TEST(LadderQueueAlloc, SteadyStatePushPopIsAllocationFree) {
       [](EventQueue& q) {
         InlineFunction action;
         for (EventSeq s = 0; s < 1024; ++s) {
-          (void)q.push(Event{static_cast<double>((s * 31) % 97),
-                             EventPriority::kArrival, s, [] {}});
+          q.push(Event{static_cast<double>((s * 31) % 97),
+                       EventPriority::kArrival, s, [] {}});
         }
         while (!q.empty()) (void)q.pop_into(action);
       },
@@ -637,8 +686,8 @@ TEST(LadderQueueAlloc, SteadyStatePushPopIsAllocationFree) {
         for (int step = 0; step < 60000; ++step) {
           if (pattern.push_next(q.size())) {
             const StreamedPush p = pattern.next(now);
-            (void)q.push(Event{p.time, static_cast<EventPriority>(p.prio),
-                               seq++, [] {}});
+            q.push(Event{p.time, static_cast<EventPriority>(p.prio), seq++,
+                         [] {}});
           } else {
             now = q.pop_into(action);
           }

@@ -1,8 +1,12 @@
 // Tests for the WAN model and its integration: per-pair latencies, Eq. 1
-// payload transfer times, and the admission-control staging constraint
-// (a migrated job cannot start before its data lands).
+// payload transfer times, the admission-control staging constraint (a
+// migrated job cannot start before its data lands), and reservation holds
+// that outlast the payload's staging under enquiry timeouts.
 
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <string>
 
 #include "cluster/catalog.hpp"
 #include "core/experiment.hpp"
@@ -141,6 +145,53 @@ TEST(WanFederation, StagingMakesMigrationStrictlyHarder) {
   for (const auto& row : wan.resources) wan_migrated += row.migrated;
   EXPECT_LE(wan_migrated, free_migrated);
   EXPECT_GT(wan_migrated, 0u);
+}
+
+TEST(WanFederation, HoldsOutlastPayloadStagingUnderEnquiryTimeouts) {
+  // A remote cluster holds its reservation for an enquiry until the
+  // payload lands.  Under a WAN the payload needs its staging time on top
+  // of the enquiry legs; a hold timeout blind to it cancelled
+  // reservations whose payload was still in flight, and those jobs never
+  // terminated (Federation::run failed its one-outcome-per-job
+  // postcondition).  Both modes with a hold, both transports, with and
+  // without loss.
+  network::NetworkConfig wan;
+  wan.kind = network::LatencyKind::kCoordinates;
+  for (const auto mode :
+       {core::SchedulingMode::kEconomy, core::SchedulingMode::kAuction}) {
+    for (const auto kind :
+         {transport::TransportKind::kDirect, transport::TransportKind::kTree}) {
+      for (const double drop : {0.0, 0.1}) {
+        for (const std::uint64_t seed : {1u, 2u, 3u}) {
+          SCOPED_TRACE(std::string(core::to_string(mode)) + " tree " +
+                       std::to_string(kind == transport::TransportKind::kTree) +
+                       " drop " + std::to_string(drop) + " seed " +
+                       std::to_string(seed));
+          auto cfg = core::make_config(mode, seed);
+          cfg.wan = wan;
+          cfg.negotiate_timeout = 200.0;
+          cfg.message_drop_rate = drop;
+          cfg.transport.kind = kind;
+          if (mode == core::SchedulingMode::kAuction) {
+            cfg.auction.bid_timeout = 1000.0;
+          }
+          const auto specs = cluster::replicated_specs(8);
+          core::Federation fed(cfg, specs);
+          const auto traces =
+              workload::generate_federation_workload(specs, cfg.window, seed);
+          std::size_t loaded = 0;
+          for (const auto& trace : traces) loaded += trace.jobs.size();
+          fed.load_workload(traces, workload::PopulationProfile{30});
+          std::optional<core::FederationResult> result;
+          EXPECT_NO_THROW(result = fed.run());
+          if (!result) continue;
+          EXPECT_EQ(fed.outcomes().size(), loaded);
+          EXPECT_EQ(result->total_accepted + result->total_rejected, loaded);
+          EXPECT_TRUE(fed.bank().balanced());
+        }
+      }
+    }
+  }
 }
 
 TEST(WanFederation, TimeoutValidationUsesWorstPairLatency) {

@@ -443,11 +443,20 @@ TEST(TreeGolden, RootCrashRepairAndRejoinWithCoalitions) {
 
 // ---- warm relay flushes allocate nothing ------------------------------------
 
-/// A TransportContext without a federation: deliveries land in a vector
-/// reserved up front instead of the event list, so a test sees only the
-/// transport's own heap traffic.
+/// A TransportContext without a federation: each delivery is recorded,
+/// without its heap-owning payload, in a vector reserved up front, so a
+/// test sees only the transport's own heap traffic.
 class RecordingContext final : public transport::TransportContext {
  public:
+  /// What a test needs of one delivered message.
+  struct Delivery {
+    core::MessageType type = core::MessageType::kNegotiate;
+    cluster::ResourceIndex from = 0;
+    cluster::ResourceIndex to = 0;
+    cluster::Job job;
+    std::span<const cluster::Job> batch_jobs;
+  };
+
   RecordingContext(core::FederationConfig cfg, std::size_t n,
                    std::size_t max_deliveries)
       : cfg_(std::move(cfg)),
@@ -464,15 +473,15 @@ class RecordingContext final : public transport::TransportContext {
       cluster::ResourceIndex index) const override {
     return specs_[index];
   }
-  void deliver(const core::Message&) override {}
+  void deliver(const core::Message& msg) override {
+    delivered.push_back(
+        Delivery{msg.type, msg.from, msg.to, msg.job, msg.batch_jobs});
+  }
   void message_dropped() override {}
   sim::Rng& drop_rng() override { return rng_; }
   sim::Rng& duplicate_rng() override { return rng_; }
-  void post_delivery(core::Message&& msg, sim::SimTime) override {
-    delivered.push_back(std::move(msg));
-  }
 
-  std::vector<core::Message> delivered;
+  std::vector<Delivery> delivered;
 
  private:
   core::FederationConfig cfg_;
@@ -485,13 +494,14 @@ class RecordingContext final : public transport::TransportContext {
 TEST(TreeFlush, WarmFanoutAndConvergecastAllocateNothing) {
   // Each round: four origins multicast one batched call-for-bids for
   // three jobs to every cluster, then every other cluster answers each
-  // call with one batched kBid, whose buffer is recycled from a bid the
-  // previous round delivered (as the federation's spare pool does).  20
-  // clusters answer 19 bids per job, so the convergecast prunes at k = 8.
-  // Each queue swaps with its flush twin at every flush, so two warm-up
-  // rounds bring both twins, the routing scratch and the flush buffers
-  // to their high-water mark; job ids repeat, so a third, identical
-  // round — both flushes included — allocates nothing.
+  // call with one batched kBid, whose buffer the transport recycled from
+  // a bid the previous round delivered (as the federation's agents get
+  // theirs).  20 clusters answer 19 bids per job, so the convergecast
+  // prunes at k = 8.  Each queue swaps with its flush twin at every
+  // flush, so two warm-up rounds bring both twins, the routing scratch,
+  // the delivery slab, the event list and the flush buffers to their
+  // high-water mark; job ids repeat, so a third, identical round — both
+  // flushes and every delivery included — allocates nothing.
   constexpr std::size_t kSites = 20;
   constexpr std::size_t kOrigins = 4;
   constexpr std::size_t kJobsPerCall = 3;
@@ -518,9 +528,6 @@ TEST(TreeFlush, WarmFanoutAndConvergecastAllocateNothing) {
   for (std::size_t i = 0; i < kSites; ++i) {
     everyone[i] = static_cast<cluster::ResourceIndex>(i);
   }
-  std::vector<std::vector<core::BatchedBid>> spare;
-  spare.reserve(kCalls);
-
   const auto round = [&] {
     ctx.delivered.clear();
     for (std::size_t o = 0; o < kOrigins; ++o) {
@@ -534,15 +541,10 @@ TEST(TreeFlush, WarmFanoutAndConvergecastAllocateNothing) {
     }
     ctx.sim().run();
     ASSERT_EQ(ctx.delivered.size(), kCalls);
-    std::vector<core::Message>& calls = ctx.delivered;
-    for (std::size_t c = 0; c < kCalls; ++c) {
-      const core::Message& call = calls[c];
+    for (const RecordingContext::Delivery& call : ctx.delivered) {
       core::Message bid{core::MessageType::kBid, call.to, call.from,
                         call.job};
-      if (!spare.empty()) {
-        bid.batch_bids = std::move(spare.back());
-        spare.pop_back();
-      }
+      bid.batch_bids = tree.bid_buffer();
       for (const cluster::Job& job : call.batch_jobs) {
         bid.batch_bids.push_back(core::BatchedBid{
             job.id, 100.0 + static_cast<double>(call.to),
@@ -553,10 +555,7 @@ TEST(TreeFlush, WarmFanoutAndConvergecastAllocateNothing) {
     ctx.delivered.clear();
     ctx.sim().run();
     ASSERT_EQ(ctx.delivered.size(), kCalls);
-    for (core::Message& msg : ctx.delivered) {
-      msg.batch_bids.clear();
-      spare.push_back(std::move(msg.batch_bids));
-    }
+    EXPECT_EQ(tree.in_flight(), 0u);
   };
   round();  // warm-up: the queues' first twins
   const std::uint64_t pruned = tree.bids_pruned();
