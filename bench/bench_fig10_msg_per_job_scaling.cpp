@@ -6,7 +6,7 @@
 // and without batched solicitation) and, with --json=PATH, dumps a
 // machine-readable summary for bench/run_bench.sh.
 //
-// Observability flags (builds with GRIDFED_TRACE, the default):
+// Observability flags:
 //   --trace=PATH      re-run the largest auction+coalition point with the
 //                     event tracer on and write a Perfetto-loadable
 //                     Chrome trace-event JSON
@@ -151,7 +151,6 @@ int run_observed(std::size_t size, const std::string& trace_path,
                  const std::string& metrics_path,
                  const std::string& forensics_path) {
   using namespace gridfed;
-#if GRIDFED_TRACE
   auto cfg = core::make_config(core::SchedulingMode::kAuction);
   cfg.auction.batch_solicitations = true;
   cfg.auction.solicit_batch_window = bench::kBenchBatchWindow;
@@ -195,14 +194,6 @@ int run_observed(std::size_t size, const std::string& trace_path,
   ok &= dump(forensics_path, "Auction forensics",
              [obs](std::ostream& o) { obs->forensics()->write_json(o); });
   return ok ? 0 : 1;
-#else
-  (void)size;
-  (void)trace_path;
-  (void)metrics_path;
-  (void)forensics_path;
-  std::fprintf(stderr, "observability flags need a GRIDFED_TRACE=ON build\n");
-  return 1;
-#endif
 }
 
 }  // namespace

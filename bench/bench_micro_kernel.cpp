@@ -143,7 +143,6 @@ void BM_SimulationEventDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulationEventDispatch);
 
-#if GRIDFED_TRACE
 // The observability overhead pair: dispatch with the probe slot present
 // but null (runtime-disabled tracing — the default production state)
 // vs. a live counting probe (what the Federation installs when
@@ -175,20 +174,17 @@ void BM_SimulationEventDispatchProbed(benchmark::State& state) {
                           10000);
 }
 BENCHMARK(BM_SimulationEventDispatchProbed)
-    ->Arg(0)   // probe slot compiled in, runtime-off (null probe)
+    ->Arg(0)   // runtime-off (null probe)
     ->Arg(1);  // live counting probe
-#endif  // GRIDFED_TRACE
 
 void BM_TracedEndToEndAuction(benchmark::State& state) {
   // Full two-day auction run with every observability facility on:
   // the end-to-end cost of tracing a real experiment (spans + metrics +
   // forensics), against BM_EndToEndTwoDayEconomy-style baselines.
   auto cfg = core::make_config(core::SchedulingMode::kAuction);
-#if GRIDFED_TRACE
   cfg.obs.trace = state.range(0) != 0;
   cfg.obs.metrics = state.range(0) != 0;
   cfg.obs.forensics = state.range(0) != 0;
-#endif
   for (auto _ : state) {
     const auto r = core::run_experiment(cfg, 8, 30);
     benchmark::DoNotOptimize(r.total_messages);

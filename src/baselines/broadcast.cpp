@@ -28,8 +28,7 @@ class BroadcastDriver {
     volunteer_.assign(specs_.size(), false);
     for (std::size_t i = 0; i < specs_.size(); ++i) {
       lrms_.push_back(std::make_unique<cluster::Lrms>(
-          sim_, static_cast<sim::EntityId>(i), specs_[i],
-          static_cast<cluster::ResourceIndex>(i)));
+          sim_, specs_[i], static_cast<cluster::ResourceIndex>(i)));
       lrms_.back()->set_completion_handler(
           [this](const cluster::CompletedJob& done) {
             result_.response_time.add(done.reservation.completion -

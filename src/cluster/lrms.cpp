@@ -6,9 +6,9 @@
 
 namespace gridfed::cluster {
 
-Lrms::Lrms(sim::Simulation& sim, sim::EntityId id, ResourceSpec spec,
-           ResourceIndex index, QueuePolicy policy)
-    : Entity(sim, id, spec.name),
+Lrms::Lrms(sim::Simulation& sim, ResourceSpec spec, ResourceIndex index,
+           QueuePolicy policy)
+    : sim_(sim),
       spec_(std::move(spec)),
       index_(index),
       policy_(policy),
@@ -59,13 +59,13 @@ Reservation Lrms::submit(const Job& job, sim::SimTime exec_time,
   // Start and completion are definite: schedule both now.  Completion runs
   // at kCompletion priority so freed processors are visible to same-instant
   // arrivals (see EventPriority).
-  simulation().schedule_at(
+  sim_.schedule_at(
       start, sim::EventPriority::kCompletion,
       [this, serial = res.serial, procs = res.processors] {
         on_start(serial, procs);
       });
-  simulation().schedule_at(completion, sim::EventPriority::kCompletion,
-                           [this, job, res] { on_finish(job, res); });
+  sim_.schedule_at(completion, sim::EventPriority::kCompletion,
+                   [this, job, res] { on_finish(job, res); });
   return res;
 }
 

@@ -21,8 +21,8 @@
 #include "cluster/availability_profile.hpp"
 #include "cluster/job.hpp"
 #include "cluster/resource.hpp"
-#include "sim/entity.hpp"
 #include "sim/flat_map.hpp"
+#include "sim/simulation.hpp"
 #include "stats/utilization.hpp"
 
 namespace gridfed::cluster {
@@ -55,12 +55,15 @@ struct CompletedJob {
 };
 
 /// Space-shared cluster scheduler (one per cluster).
-class Lrms : public sim::Entity {
+class Lrms {
  public:
   using CompletionHandler = std::function<void(const CompletedJob&)>;
 
-  Lrms(sim::Simulation& sim, sim::EntityId id, ResourceSpec spec,
-       ResourceIndex index, QueuePolicy policy = QueuePolicy::kFcfs);
+  Lrms(sim::Simulation& sim, ResourceSpec spec, ResourceIndex index,
+       QueuePolicy policy = QueuePolicy::kFcfs);
+  // Its scheduled events hold its address.
+  Lrms(const Lrms&) = delete;
+  Lrms& operator=(const Lrms&) = delete;
 
   [[nodiscard]] const ResourceSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] ResourceIndex index() const noexcept { return index_; }
@@ -175,7 +178,9 @@ class Lrms : public sim::Entity {
   // kernel's 32-byte inline buffer (no allocation per job start).
   void on_start(std::uint64_t serial, std::uint32_t procs);
   void on_finish(const Job& job, const Reservation& res);
+  [[nodiscard]] sim::SimTime now() const noexcept { return sim_.now(); }
 
+  sim::Simulation& sim_;
   ResourceSpec spec_;
   ResourceIndex index_;
   QueuePolicy policy_;

@@ -22,8 +22,10 @@ namespace {
 
 CoalitionManager::CoalitionManager(CoalitionContext& ctx,
                                    const CoalitionConfig& config,
-                                   std::span<const std::uint64_t> ring_keys)
+                                   std::span<const std::uint64_t> ring_keys,
+                                   obs::Observer* observer)
     : ctx_(ctx),
+      observer_(observer),
       config_(config),
       registry_(ctx.sites()),
       ring_keys_(ring_keys.begin(), ring_keys.end()),
@@ -55,9 +57,9 @@ CoalitionManager::CoalitionManager(CoalitionContext& ctx,
     for (std::size_t i = at; i < at + len; ++i) {
       home_coalition_[order[i].second] = id;
     }
-    GF_OBS(ctx_.observer(), instant(0.0, obs::SpanKind::kCoalitionFormed, rep,
-                                    id.value, len));
-    GF_OBS(ctx_.observer(), count(obs::Counter::kCoalitionsFormed));
+    GF_OBS(observer_, instant(0.0, obs::SpanKind::kCoalitionFormed, rep,
+                              id.value, len));
+    GF_OBS(observer_, count(obs::Counter::kCoalitionsFormed));
   }
 }
 
@@ -221,11 +223,11 @@ void CoalitionManager::record_reformation(federation::ParticipantId id,
   record.members_after.assign(members.begin(), members.end());
   record.representative_after = registry_.representative(id);
   record.rational = rational_split(id);
-  GF_OBS(ctx_.observer(),
+  GF_OBS(observer_,
          instant(now, obs::SpanKind::kCoalitionReform,
                  record.representative_after, id.value, member,
                  departed ? 1 : 0));
-  GF_OBS(ctx_.observer(), count(obs::Counter::kCoalitionReforms));
+  GF_OBS(observer_, count(obs::Counter::kCoalitionReforms));
   reformations_.push_back(std::move(record));
 }
 

@@ -64,10 +64,6 @@ class CoalitionContext {
   /// Returns the completion estimate, or sim::kTimeInfinity on rejection.
   virtual sim::SimTime member_admit(cluster::ResourceIndex member,
                                     const cluster::Job& job) = 0;
-
-  /// The observability umbrella, or null when disabled (GF_OBS sites
-  /// branch on it; formation/placement instants land per cluster track).
-  [[nodiscard]] virtual obs::Observer* observer() { return nullptr; }
 };
 
 /// Outcome of a coalition's internal placement for one award.
@@ -110,11 +106,15 @@ struct ReformationRecord {
 class CoalitionManager {
  public:
   /// Forms the ring-bucket coalitions over the federation's clusters
-  /// (see file comment).  `ring_key_of` orders the clusters; it is the
+  /// (see file comment).  `ring_keys` orders the clusters; it is the
   /// overlay ring hash of the cluster names, passed in so formation
   /// matches the TreeTransport's layout without depending on it.
+  /// `observer` is the run's observability umbrella, or null when
+  /// ObsConfig is all-off (formation and re-formation instants land per
+  /// cluster track).
   CoalitionManager(CoalitionContext& ctx, const CoalitionConfig& config,
-                   std::span<const std::uint64_t> ring_keys);
+                   std::span<const std::uint64_t> ring_keys,
+                   obs::Observer* observer);
 
   [[nodiscard]] const federation::ParticipantRegistry& registry()
       const noexcept {
@@ -212,6 +212,7 @@ class CoalitionManager {
                           sim::SimTime now);
 
   CoalitionContext& ctx_;
+  obs::Observer* const observer_;
   CoalitionConfig config_;
   federation::ParticipantRegistry registry_;
   sim::FlatMap<cluster::JobId, AwardNote> notes_;

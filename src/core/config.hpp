@@ -18,7 +18,6 @@
 #include "sim/types.hpp"
 #include "transport/transport_options.hpp"
 #include "workload/calibration.hpp"
-#include "workload/trace.hpp"
 
 namespace gridfed::core {
 
@@ -56,9 +55,6 @@ struct FederationConfig {
 
   /// Eqs. 7/8 fabrication factors (2x in the paper).
   economy::QosFactors qos = {};
-
-  /// Fraction of measured runtime that is communication (paper: 10%).
-  double comm_fraction = workload::kDefaultCommFraction;
 
   /// QoS constraints the admission control actually enforces.  The paper
   /// enforces the deadline via negotiation and the budget via the quote.
@@ -135,9 +131,9 @@ struct FederationConfig {
   membership::MembershipOptions membership = {};
 
   /// Observability (src/obs/): sim-time tracing, the metrics
-  /// time-series, and the auction forensics ledger.  All off by default;
-  /// the dark path is bit-identical to a build without the subsystem
-  /// (and GRIDFED_TRACE=0 compiles the instrumentation out entirely).
+  /// time-series, and the auction forensics ledger.  The one gate of
+  /// the always-compiled instrumentation; all off by default, and the
+  /// dark path is bit-identical to a run without the subsystem.
   obs::ObsConfig obs = {};
 
   /// Master seed for workload generation and population assignment.

@@ -32,26 +32,15 @@ Federation::Federation(FederationConfig config,
     wan.emplace(*cfg_.wan, specs_);
   }
   // Lossy enquiries need timeouts to make progress, and the timeout must
-  // outlast an enquiry+reply round trip: two point-to-point hops.
+  // outlast an enquiry+reply round trip: two point-to-point hops on
+  // either transport (the tree relays only kBid; every kNegotiate,
+  // kAward and kReply goes point to point).
   GF_EXPECTS(cfg_.message_drop_rate == 0.0 || cfg_.negotiate_timeout > 0.0);
   const sim::SimTime worst_latency =
       wan ? wan->max_latency() : cfg_.network_latency;
-  const bool tree =
-      cfg_.transport.kind == transport::TransportKind::kTree;
-  const double tree_depth = static_cast<double>(std::max(
-      1u, transport::tree_depth(specs_.size(), cfg_.transport.tree_fanout)));
-  const bool auction = cfg_.mode == SchedulingMode::kAuction;
-  // On the tree in auction mode the bound is conservative: every
-  // enquiry and reply travels point to point, yet the timeout must also
-  // clear the relay path (2 * depth hops to the LCA and back down) and a
-  // full fan-out epoch.  Relaxing it would change which configs are
-  // accepted, so it stays until that is decided on its own.
-  const double enquiry_hops = auction && tree ? 2.0 * tree_depth + 1.0 : 2.0;
-  const sim::SimTime enquiry_hold =
-      auction && tree ? cfg_.transport.tree_epoch : 0.0;
   GF_EXPECTS(cfg_.negotiate_timeout == 0.0 ||
-             cfg_.negotiate_timeout >
-                 enquiry_hops * worst_latency + enquiry_hold);
+             cfg_.negotiate_timeout > 2.0 * worst_latency);
+  const bool auction = cfg_.mode == SchedulingMode::kAuction;
   // Auction books close on completeness; a dropped bid would hold one open
   // forever unless the bid timeout clears it.  A nonzero timeout must also
   // outlast a call-for-bids + bid round trip — including the tree
@@ -59,6 +48,10 @@ Federation::Federation(FederationConfig config,
   // and the relayed hops of both legs — or every book clears empty.
   if (auction) {
     GF_EXPECTS(cfg_.message_drop_rate == 0.0 || cfg_.auction.bid_timeout > 0.0);
+    const bool tree = cfg_.transport.kind == transport::TransportKind::kTree;
+    const double tree_depth = static_cast<double>(std::max(
+        1u,
+        transport::tree_depth(specs_.size(), cfg_.transport.tree_fanout)));
     const sim::SimTime fanout_hold = tree ? cfg_.transport.tree_epoch : 0.0;
     const double round_trip_hops = tree ? 4.0 * tree_depth : 2.0;
     GF_EXPECTS(cfg_.auction.bid_timeout == 0.0 ||
@@ -66,12 +59,11 @@ Federation::Federation(FederationConfig config,
                    round_trip_hops * worst_latency + fanout_hold);
   }
 
-#if GRIDFED_TRACE
   // The observability umbrella goes up before any instrumented layer is
-  // wired (the coalition manager emits formation records from its
-  // constructor).  One extra per-participant slot aggregates coalition
-  // participants, whose ids live outside the cluster index space.
-  GF_EXPECTS(!cfg_.obs.metrics || cfg_.obs.metrics_epoch > 0.0);
+  // wired: each layer keeps the pointer from its constructor on (the
+  // coalition manager emits formation records from its constructor).
+  // One extra per-participant slot aggregates coalition participants,
+  // whose ids live outside the cluster index space.
   if (cfg_.obs.any()) {
     std::vector<std::string> tracks;
     tracks.reserve(specs_.size());
@@ -101,17 +93,16 @@ Federation::Federation(FederationConfig config,
       });
     }
   }
-#endif
 
   // The coalition extension: latency-proximity buckets over the overlay
   // ring keys — the same ChordRing order the TreeTransport lays its heap
   // over, so ring-adjacent (and thus coalesced) clusters are exactly the
   // ones sharing cheap tree edges.  Only meaningful in auction mode; the
-  // registry also feeds the transports' group-addressed dissemination.
-  // Built before the agents, because each auction policy reads the
-  // manager pointer once, in its constructor.  The manager's constructor
-  // needs nothing the agents provide: only the site count, the ring keys
-  // and the observer.
+  // registry also tells the tree's convergecast which participant each
+  // bid speaks for.  Built before the agents, because each auction
+  // policy reads the manager pointer once, in its constructor.  The
+  // manager's constructor needs nothing the agents provide: only the
+  // site count, the ring keys and the observer.
   if (cfg_.coalitions.enabled && auction) {
     std::vector<std::uint64_t> ring_keys;
     ring_keys.reserve(specs_.size());
@@ -122,18 +113,17 @@ Federation::Federation(FederationConfig config,
     // make_unique's forwarding could not perform it).
     coalition::CoalitionContext& coalition_ctx = *this;
     coalitions_ = std::make_unique<coalition::CoalitionManager>(
-        coalition_ctx, cfg_.coalitions, ring_keys);
+        coalition_ctx, cfg_.coalitions, ring_keys, observer_.get());
   }
 
   lrms_.reserve(specs_.size());
   gfas_.reserve(specs_.size());
-  sim::EntityId next_id = 0;
   for (std::size_t i = 0; i < specs_.size(); ++i) {
     const auto index = static_cast<cluster::ResourceIndex>(i);
-    lrms_.push_back(std::make_unique<cluster::Lrms>(
-        sim_, next_id++, specs_[i], index, cfg_.queue_policy));
-    gfas_.push_back(std::make_unique<Gfa>(sim_, next_id++, index,
-                                          *lrms_.back(), dir_, *this));
+    lrms_.push_back(std::make_unique<cluster::Lrms>(sim_, specs_[i], index,
+                                                    cfg_.queue_policy));
+    gfas_.push_back(std::make_unique<Gfa>(sim_, index, *lrms_.back(), dir_,
+                                          *this, observer_.get()));
     // Wire cluster completions into the owning agent.
     Gfa* agent = gfas_.back().get();
     lrms_.back()->set_completion_handler(
@@ -145,10 +135,9 @@ Federation::Federation(FederationConfig config,
   }
   // The delivery substrate, wired last: it delivers into the agents and
   // owns the WAN model from here on.
-  transport_ = transport::make_transport(*this, std::move(wan));
-  if (coalitions_) {
-    transport_->set_group_registry(&coalitions_->registry());
-  }
+  transport_ = transport::make_transport(
+      *this, std::move(wan), observer_.get(),
+      coalitions_ ? &coalitions_->registry() : nullptr);
   // The membership runtime (gossip dissemination + scripted churn).
   // Dynamic membership needs timeouts to make progress the same way a
   // lossy network does: an enquiry parked on a crashed peer is only
@@ -167,8 +156,8 @@ Federation::Federation(FederationConfig config,
                cfg_.negotiate_timeout > 0.0);
     if (auction) GF_EXPECTS(cfg_.auction.bid_timeout > 0.0);
     membership::MembershipContext& membership_ctx = *this;
-    membership_ =
-        std::make_unique<membership::MembershipService>(membership_ctx);
+    membership_ = std::make_unique<membership::MembershipService>(
+        membership_ctx, observer_.get());
     membership_->start();
   }
 
@@ -218,20 +207,18 @@ void Federation::arm_periodic_behaviours() {
     }
   }
 
-#if GRIDFED_TRACE
   // Metrics epoch sampler.  Pure reads: the extra control events shift
   // event sequence numbers but never reorder or perturb the existing
   // stream, so enabled runs still reproduce the golden outcomes.  A
   // final sample after the run drains closes the series (see run()).
   if (observer_ && observer_->metrics() != nullptr) {
-    for (sim::SimTime t = cfg_.obs.metrics_epoch; t <= cfg_.window;
-         t += cfg_.obs.metrics_epoch) {
+    for (sim::SimTime t = obs::kMetricsEpoch; t <= cfg_.window;
+         t += obs::kMetricsEpoch) {
       sim_.schedule_at(t, sim::EventPriority::kControl, [this] {
         observer_->metrics()->take_sample(sim_.now());
       });
     }
   }
-#endif
 
   // Dynamic-pricing extension: periodic repricing from recent load.
   if (cfg_.dynamic_pricing) {
@@ -270,8 +257,8 @@ void Federation::load_workload(
     GF_EXPECTS(trace.resource < specs_.size());
     const auto& origin_spec = specs_[trace.resource];
     for (const auto& raw : trace.jobs) {
-      cluster::Job job = workload::to_job(raw, next_job_id_++, trace.resource,
-                                          origin_spec, cfg_.comm_fraction);
+      cluster::Job job =
+          workload::to_job(raw, next_job_id_++, trace.resource, origin_spec);
       economy::fabricate_qos(job, origin_spec, cfg_.cost_model, cfg_.qos);
       if (profile) {
         job.opt = profile->preference(job.origin, job.user, cfg_.seed);
@@ -302,7 +289,6 @@ FederationResult Federation::run() {
   GF_EXPECTS(!ran_);
   ran_ = true;
   outcomes_.reserve(jobs_loaded_);
-#if GRIDFED_TRACE
   // The kernel dispatch probe: a captureless shim forwarding to the
   // metrics registry, so the kernel never learns about the obs layer.
   // Installed only when metrics are on — the dark run keeps the probe
@@ -314,20 +300,17 @@ FederationResult Federation::run() {
   if (observer_ && observer_->metrics() != nullptr) {
     sim_.set_dispatch_probe(probe, observer_->metrics());
   }
-#endif
   if (!arrivals_.empty()) arm_arrival();
   sim_.run();
   GF_ENSURES(next_arrival_ == jobs_loaded_);
   GF_ENSURES(outcomes_.size() == jobs_loaded_);
   // Drained: no message is left in flight, so every slab slot is free.
   GF_ENSURES(transport_->in_flight() == 0);
-#if GRIDFED_TRACE
   // The closing sample: the queue has drained, so the series ends on
   // ledger columns equal to aggregate()'s FederationResult totals.
   if (observer_ && observer_->metrics() != nullptr) {
     observer_->metrics()->take_sample(sim_.now());
   }
-#endif
   return aggregate();
 }
 
@@ -476,7 +459,6 @@ void Federation::job_completed(const JobOutcome& outcome) {
       }
     }
     GF_OBS(observer(), count(obs::Counter::kCoalitionSplits));
-#if GRIDFED_TRACE
     if (observer_ != nullptr && observer_->forensics() != nullptr) {
       obs::SplitDecision decision;
       decision.t = sim_.now();
@@ -491,7 +473,6 @@ void Federation::job_completed(const JobOutcome& outcome) {
       }
       observer_->forensics()->record_split(std::move(decision));
     }
-#endif
   } else {
     bank_.settle(economy::Settlement{outcome.job.id, outcome.job.origin,
                                      outcome.executed_on, outcome.cost,

@@ -108,17 +108,11 @@ class Federation final : public GfaHost,
                                       ? sites()
                                       : provider.value));
   }
-  /// One Observer per run, satisfying the seam on GfaHost,
-  /// TransportContext and CoalitionContext at once.  Null when
-  /// config.obs is all-off (the dark path) or the instrumentation is
-  /// compiled out.
-  [[nodiscard]] obs::Observer* observer() override {
-#if GRIDFED_TRACE
-    return observer_.get();
-#else
-    return nullptr;
-#endif
-  }
+  /// The run's one Observer, or null when config.obs is all-off (the
+  /// dark path).  Every instrumented layer got the same pointer at
+  /// construction; this accessor is for the callers that read the
+  /// artifacts after the run.
+  [[nodiscard]] obs::Observer* observer() noexcept { return observer_.get(); }
 
   // ---- introspection (examples, tests) -----------------------------------
   [[nodiscard]] std::size_t size() const noexcept { return gfas_.size(); }
@@ -193,8 +187,8 @@ class Federation final : public GfaHost,
   }
 
   // ---- membership::MembershipContext --------------------------------------
-  // (config(), sim(), sites() and observer() above satisfy this interface
-  // too.)  The churn hooks apply ground truth the instant an event fires;
+  // (config(), sim() and sites() above satisfy this interface too.)  The
+  // churn hooks apply ground truth the instant an event fires;
   // member_confirmed_dead applies the detection-driven consequences when
   // the gossip views converge on a genuine crash.
   void gossip_send(Message&& msg) override;
@@ -236,12 +230,11 @@ class Federation final : public GfaHost,
   std::vector<economy::DynamicPricer> pricers_;
   std::vector<double> pricer_last_area_;
 
-#if GRIDFED_TRACE
   /// The observability umbrella (null unless config.obs enables a
-  /// facility).  Constructed before arm_periodic_behaviours() so the
-  /// metrics sampler can be armed alongside the other periodic events.
+  /// facility).  Constructed before every other layer, which each keep
+  /// the pointer, and before arm_periodic_behaviours() so the metrics
+  /// sampler can be armed alongside the other periodic events.
   std::unique_ptr<obs::Observer> observer_;
-#endif
   std::vector<JobOutcome> outcomes_;
   stats::AuctionStats auction_stats_;
   std::vector<double> util_at_window_;

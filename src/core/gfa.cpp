@@ -23,22 +23,23 @@ sim::SimTime service_time_from_quote(const cluster::Job& job,
 }
 }  // namespace
 
-Gfa::Gfa(sim::Simulation& sim, sim::EntityId id, cluster::ResourceIndex index,
-         cluster::Lrms& lrms, directory::FederationDirectory& dir,
-         GfaHost& host)
-    : Entity(sim, id, "GFA(" + lrms.spec().name + ")"),
+Gfa::Gfa(sim::Simulation& sim, cluster::ResourceIndex index, cluster::Lrms& lrms,
+         directory::FederationDirectory& dir, GfaHost& host,
+         obs::Observer* observer)
+    : sim_(sim),
       index_(index),
       lrms_(lrms),
       dir_(dir),
       host_(host),
-      policy_(policy::make_policy(host.config().mode, *this)) {}
+      observer_(observer),
+      policy_(policy::make_policy(host.config().mode, *this, observer)) {}
 
 void Gfa::submit_local(cluster::Job job) {
   GF_EXPECTS(job.origin == index_);
-  GF_OBS(host_.observer(),
+  GF_OBS(observer_,
          begin(now(), obs::SpanKind::kJob, index_, job.id, job.processors,
                static_cast<std::uint64_t>(job.user), job.length_mi));
-  GF_OBS(host_.observer(), count(obs::Counter::kJobsSubmitted));
+  GF_OBS(observer_, count(obs::Counter::kJobsSubmitted));
   Pending p;
   p.job = std::move(job);
   if (down_ || leaving_) {
@@ -88,10 +89,10 @@ void Gfa::park_enquiry(Pending p, cluster::ResourceIndex target,
   // Enquiry span arg convention: a0 = target, a1 = 1 for an award leg.
   // The matching end lands in handle_reply (a1 = 0 declined / 1
   // accepted) or on_negotiate_timeout (a1 = 2), exactly once per begin.
-  GF_OBS(host_.observer(),
+  GF_OBS(observer_,
          begin(now(), obs::SpanKind::kEnquiry, index_, p.job.id, target,
                p.award_in_flight ? 1 : 0));
-  GF_OBS(host_.observer(), count(obs::Counter::kEnquiriesStarted));
+  GF_OBS(observer_, count(obs::Counter::kEnquiriesStarted));
   const cluster::JobId id = p.job.id;
   const std::uint64_t attempt = p.attempt;
   Message enquiry{type, index_, target, p.job};
@@ -101,7 +102,7 @@ void Gfa::park_enquiry(Pending p, cluster::ResourceIndex target,
 
   const auto& cfg = host_.config();
   if (cfg.negotiate_timeout > 0.0) {
-    simulation().schedule_in(
+    sim_.schedule_in(
         cfg.negotiate_timeout, sim::EventPriority::kControl,
         [this, id, attempt] { on_negotiate_timeout(id, attempt); });
   }
@@ -127,8 +128,8 @@ void Gfa::on_negotiate_timeout(cluster::JobId id, std::uint64_t attempt) {
   // an explicit decline.
   Pending p = std::move(it->second);
   pending_.erase(it);
-  GF_OBS(host_.observer(), end(now(), obs::SpanKind::kEnquiry, index_, id,
-                               p.current_target, 2));
+  GF_OBS(observer_, end(now(), obs::SpanKind::kEnquiry, index_, id,
+                        p.current_target, 2));
   if (p.award_in_flight) {
     host_.award_declined(participant_of(p.current_target));
   }
@@ -166,13 +167,13 @@ void Gfa::place_in_coalition(Pending p, federation::ParticipantId coalition,
   info.promise = placed.estimate;
   info.via_award = true;
   info.via_coalition = true;
-  GF_OBS(host_.observer(),
+  GF_OBS(observer_,
          begin(now(), obs::SpanKind::kPlacement, index_, info.job.id,
                placed.member, coalition.value));
-  GF_OBS(host_.observer(),
+  GF_OBS(observer_,
          instant(now(), obs::SpanKind::kCoalitionPlace, index_, info.job.id,
                  placed.member, coalition.value));
-  GF_OBS(host_.observer(), count(obs::Counter::kCoalitionPlacements));
+  GF_OBS(observer_, count(obs::Counter::kCoalitionPlacements));
   awaiting_.emplace(info.job.id, std::move(info));
   host_.send(std::move(submission));
 }
@@ -187,14 +188,14 @@ void Gfa::execute_here(Pending p, double price) {
       price >= 0.0 ? price
                    : economy::job_cost(p.job, host_.spec_of(p.job.origin),
                                        own, cfg.cost_model);
-  GF_OBS(host_.observer(), begin(now(), obs::SpanKind::kPlacement, index_,
-                                 p.job.id, index_, 0, cost));
+  GF_OBS(observer_, begin(now(), obs::SpanKind::kPlacement, index_,
+                          p.job.id, index_, 0, cost));
   awaiting_.emplace(p.job.id, Awaiting{p.job, p.negotiations, p.messages,
                                        cost, index_});
 }
 
 void Gfa::reject(Pending p) {
-  GF_OBS(host_.observer(),
+  GF_OBS(observer_,
          end(now(), obs::SpanKind::kJob, index_, p.job.id, 0));
   host_.job_rejected(p.job, p.negotiations, p.messages);
 }
@@ -248,10 +249,10 @@ void Gfa::admit_and_reply(const Message& msg) {
       // ships the payload straight to it.
       const coalition::Placement placed = manager->place_award(pid, job);
       if (placed.accepted) {
-        GF_OBS(host_.observer(),
+        GF_OBS(observer_,
                instant(now(), obs::SpanKind::kCoalitionPlace, index_, job.id,
                        placed.member, pid.value));
-        GF_OBS(host_.observer(), count(obs::Counter::kCoalitionPlacements));
+        GF_OBS(observer_, count(obs::Counter::kCoalitionPlacements));
       }
       Message reply{MessageType::kReply, index_, msg.from, job,
                     placed.accepted,
@@ -284,8 +285,8 @@ sim::SimTime Gfa::admit_remote(const cluster::Job& job) {
   const auto stale = holds_.find(job.id);
   if (stale != holds_.end() && !stale->second.submitted &&
       now() < stale->second.reservation.start) {
-    GF_OBS(host_.observer(), end(now(), obs::SpanKind::kHold, index_,
-                                 stale->second.token, job.id, 2));
+    GF_OBS(observer_, end(now(), obs::SpanKind::kHold, index_,
+                          stale->second.token, job.id, 2));
     lrms_.cancel(stale->second.reservation);
     holds_.erase(stale);
   }
@@ -300,23 +301,20 @@ sim::SimTime Gfa::admit_remote(const cluster::Job& job) {
     return sim::kTimeInfinity;
   }
   const cluster::Reservation res = lrms_.submit(job, exec, staged);
-  ++remote_accepted_;
   const std::uint64_t token = ++next_hold_token_;
-#if GRIDFED_TRACE
   // Hold spans are keyed by their unique token so they stay balanced
   // through every lossy-network contortion.  A started-but-unsubmitted
   // stale hold survives the cancel window above yet is overwritten here:
   // its span must close as superseded (a1 = 2) before the new one opens.
-  if (obs::Observer* o = host_.observer(); o != nullptr) {
+  if (observer_ != nullptr) {
     const auto prior = holds_.find(job.id);
     if (prior != holds_.end()) {
-      o->end(now(), obs::SpanKind::kHold, index_, prior->second.token,
-             job.id, 2);
+      observer_->end(now(), obs::SpanKind::kHold, index_,
+                     prior->second.token, job.id, 2);
     }
-    o->begin(now(), obs::SpanKind::kHold, index_, token, job.id);
-    o->count(obs::Counter::kHoldsPlaced);
+    observer_->begin(now(), obs::SpanKind::kHold, index_, token, job.id);
+    observer_->count(obs::Counter::kHoldsPlaced);
   }
-#endif
   holds_.insert_or_assign(job.id, RemoteHold{res, token, false});
   if (cfg.negotiate_timeout > 0.0) {
     // If the payload never arrives (reply or submission lost), release
@@ -324,7 +322,7 @@ sim::SimTime Gfa::admit_remote(const cluster::Job& job) {
     // origin's reply wait plus the submission's control leg; under a WAN
     // model the payload also needs its staging time to land, and a hold
     // cancelled while it is in flight would strand the job.
-    simulation().schedule_in(
+    sim_.schedule_in(
         2.0 * cfg.negotiate_timeout + staging, sim::EventPriority::kControl,
         [this, id = job.id, token] { on_hold_timeout(id, token); });
   }
@@ -343,9 +341,9 @@ void Gfa::on_hold_timeout(cluster::JobId id, std::uint64_t token) {
   // on_lrms_completion uses it to recognize the phantom and swallow the
   // completion instead of mailing output nobody is waiting for.
   if (now() < it->second.reservation.start) {
-    GF_OBS(host_.observer(), end(now(), obs::SpanKind::kHold, index_,
-                                 it->second.token, id, 1));
-    GF_OBS(host_.observer(), count(obs::Counter::kHoldsCancelled));
+    GF_OBS(observer_, end(now(), obs::SpanKind::kHold, index_,
+                          it->second.token, id, 1));
+    GF_OBS(observer_, count(obs::Counter::kHoldsCancelled));
     lrms_.cancel(it->second.reservation);
     holds_.erase(it);
   }
@@ -359,11 +357,11 @@ void Gfa::handle_reply(const Message& msg) {
   pending_.erase(it);
   p.current_target = cluster::kNoResource;
   ++p.messages;  // the reply we just received
-  GF_OBS(host_.observer(), end(now(), obs::SpanKind::kEnquiry, index_,
-                               msg.job.id, msg.from, msg.accept ? 1 : 0));
+  GF_OBS(observer_, end(now(), obs::SpanKind::kEnquiry, index_,
+                        msg.job.id, msg.from, msg.accept ? 1 : 0));
 
   if (!msg.accept) {
-    GF_OBS(host_.observer(), count(obs::Counter::kEnquiriesDeclined));
+    GF_OBS(observer_, count(obs::Counter::kEnquiriesDeclined));
     // An award the winner declined is a reputation signal against the
     // awarded participant (the coalition when its representative spoke).
     if (p.award_in_flight) host_.award_declined(participant_of(msg.from));
@@ -386,8 +384,8 @@ void Gfa::handle_reply(const Message& msg) {
   info.promise = msg.completion_estimate;
   info.via_award = p.award_in_flight;
   info.via_coalition = msg.exec_site != cluster::kNoResource;
-  GF_OBS(host_.observer(), begin(now(), obs::SpanKind::kPlacement, index_,
-                                 info.job.id, exec, 0, cost));
+  GF_OBS(observer_, begin(now(), obs::SpanKind::kPlacement, index_,
+                          info.job.id, exec, 0, cost));
   awaiting_.emplace(info.job.id, std::move(info));
   host_.send(std::move(submission));
 }
@@ -430,11 +428,11 @@ void Gfa::on_lrms_completion(const cluster::CompletedJob& done) {
     return;
   }
   const bool phantom = !hold->second.submitted;
-  GF_OBS(host_.observer(), end(now(), obs::SpanKind::kHold, index_,
-                               hold->second.token, done.job.id,
-                               phantom ? 3 : 0));
+  GF_OBS(observer_, end(now(), obs::SpanKind::kHold, index_,
+                        hold->second.token, done.job.id,
+                        phantom ? 3 : 0));
   if (phantom) {
-    GF_OBS(host_.observer(), count(obs::Counter::kHoldsPhantom));
+    GF_OBS(observer_, count(obs::Counter::kHoldsPhantom));
   }
   holds_.erase(hold);
   if (phantom) return;
@@ -467,9 +465,9 @@ void Gfa::finalize(cluster::JobId id, cluster::ResourceIndex exec,
     host_.guarantee_missed(participant_of(exec));
   }
 
-  GF_OBS(host_.observer(), end(now(), obs::SpanKind::kPlacement, index_, id,
-                               exec, 0, info.cost));
-  GF_OBS(host_.observer(),
+  GF_OBS(observer_, end(now(), obs::SpanKind::kPlacement, index_, id,
+                        exec, 0, info.cost));
+  GF_OBS(observer_,
          end(now(), obs::SpanKind::kJob, index_, id, 1, exec, info.cost));
 
   JobOutcome outcome;
@@ -513,8 +511,8 @@ void Gfa::on_crash() {
     Pending p = std::move(it->second);
     pending_.erase(it);
     if (p.current_target != cluster::kNoResource) {
-      GF_OBS(host_.observer(), end(now(), obs::SpanKind::kEnquiry, index_,
-                                   id, p.current_target, 3));
+      GF_OBS(observer_, end(now(), obs::SpanKind::kEnquiry, index_,
+                            id, p.current_target, 3));
     }
     reject(std::move(p));
   }
@@ -528,9 +526,9 @@ void Gfa::on_crash() {
     const auto it = awaiting_.find(id);
     Awaiting info = std::move(it->second);
     awaiting_.erase(it);
-    GF_OBS(host_.observer(), end(now(), obs::SpanKind::kPlacement, index_,
-                                 id, info.exec, 3, info.cost));
-    GF_OBS(host_.observer(),
+    GF_OBS(observer_, end(now(), obs::SpanKind::kPlacement, index_,
+                          id, info.exec, 3, info.cost));
+    GF_OBS(observer_,
            end(now(), obs::SpanKind::kJob, index_, id, 0));
     host_.job_rejected(info.job, info.negotiations, info.messages);
   }
@@ -538,8 +536,8 @@ void Gfa::on_crash() {
   // shutdown (their finish events fire silently); close the books here.
   // Their origins re-place through on_peer_dead at confirmation.
   for (const cluster::JobId id : sorted_ids(holds_)) {
-    GF_OBS(host_.observer(), end(now(), obs::SpanKind::kHold, index_,
-                                 holds_.find(id)->second.token, id, 4));
+    GF_OBS(observer_, end(now(), obs::SpanKind::kHold, index_,
+                          holds_.find(id)->second.token, id, 4));
   }
   holds_.clear();
 }
@@ -568,8 +566,8 @@ void Gfa::on_peer_dead(cluster::ResourceIndex peer) {
     if (it == pending_.end() || it->second.current_target != peer) continue;
     Pending p = std::move(it->second);
     pending_.erase(it);
-    GF_OBS(host_.observer(), end(now(), obs::SpanKind::kEnquiry, index_,
-                                 id, peer, 3));
+    GF_OBS(observer_, end(now(), obs::SpanKind::kEnquiry, index_,
+                          id, peer, 3));
     if (p.award_in_flight) host_.award_declined(participant_of(peer));
     p.current_target = cluster::kNoResource;
     policy_->schedule(std::move(p));
@@ -587,9 +585,9 @@ void Gfa::on_peer_dead(cluster::ResourceIndex peer) {
     if (it == awaiting_.end() || it->second.exec != peer) continue;
     Awaiting info = std::move(it->second);
     awaiting_.erase(it);
-    GF_OBS(host_.observer(), end(now(), obs::SpanKind::kPlacement, index_,
-                                 id, peer, 3, info.cost));
-    GF_OBS(host_.observer(), count(obs::Counter::kJobsOrphaned));
+    GF_OBS(observer_, end(now(), obs::SpanKind::kPlacement, index_,
+                          id, peer, 3, info.cost));
+    GF_OBS(observer_, count(obs::Counter::kJobsOrphaned));
     Pending p;
     p.job = std::move(info.job);
     p.negotiations = info.negotiations;

@@ -42,8 +42,8 @@
 #include "federation/participant.hpp"
 #include "obs/observer.hpp"
 #include "policy/scheduling_policy.hpp"
-#include "sim/entity.hpp"
 #include "sim/flat_map.hpp"
+#include "sim/simulation.hpp"
 
 namespace gridfed::core {
 
@@ -106,11 +106,6 @@ class GfaHost {
   /// policy::SchedulerContext::bid_buffer.
   [[nodiscard]] virtual std::vector<BatchedBid> bid_buffer() = 0;
 
-  /// The observability umbrella of this run (obs/observer.hpp), or null
-  /// when disabled.  Instrumentation goes through the GF_OBS macro, so
-  /// the null path is a single branch per site.
-  [[nodiscard]] virtual obs::Observer* observer() { return nullptr; }
-
   /// Reputation input signals (the reputation-weighted bidding
   /// follow-on attaches to participants): an award `provider` declined
   /// or let time out, and a completed job that missed the completion
@@ -124,11 +119,18 @@ class GfaHost {
 };
 
 /// The Grid Federation Agent for one cluster: the protocol engine the
-/// configured SchedulingPolicy schedules through.
-class Gfa final : public sim::Entity, public policy::SchedulerContext {
+/// configured SchedulingPolicy schedules through.  `observer` is the
+/// run's observability umbrella (obs/observer.hpp), or null when
+/// ObsConfig is all-off; the agent and its policy keep it for their
+/// GF_OBS sites.
+class Gfa final : public policy::SchedulerContext {
  public:
-  Gfa(sim::Simulation& sim, sim::EntityId id, cluster::ResourceIndex index,
-      cluster::Lrms& lrms, directory::FederationDirectory& dir, GfaHost& host);
+  Gfa(sim::Simulation& sim, cluster::ResourceIndex index, cluster::Lrms& lrms,
+      directory::FederationDirectory& dir, GfaHost& host,
+      obs::Observer* observer);
+  // Its policy and its scheduled events hold its address.
+  Gfa(const Gfa&) = delete;
+  Gfa& operator=(const Gfa&) = delete;
 
   [[nodiscard]] cluster::ResourceIndex index() const noexcept {
     return index_;
@@ -149,12 +151,6 @@ class Gfa final : public sim::Entity, public policy::SchedulerContext {
   /// Publishes the current instantaneous load into the directory (the
   /// §2.3 coordination extension; driven periodically by the federation).
   void publish_load_hint();
-
-  /// Jobs this GFA accepted on behalf of remote GFAs (Table 3's "remote
-  /// jobs processed" is derived from outcomes; this counter cross-checks).
-  [[nodiscard]] std::uint64_t remote_jobs_accepted() const noexcept {
-    return remote_accepted_;
-  }
 
   // -- membership churn (driven by the Federation's churn hooks) ----------
   /// Fail-stop: this cluster crashed.  Every job the engine holds in
@@ -230,9 +226,9 @@ class Gfa final : public sim::Entity, public policy::SchedulerContext {
     return dir_;
   }
   [[nodiscard]] cluster::Lrms& lrms() override { return lrms_; }
-  [[nodiscard]] sim::Simulation& sim() override { return simulation(); }
+  [[nodiscard]] sim::Simulation& sim() override { return sim_; }
   [[nodiscard]] sim::SimTime now() const noexcept override {
-    return Entity::now();
+    return sim_.now();
   }
   [[nodiscard]] sim::SimTime payload_staging_time(
       const cluster::Job& job, cluster::ResourceIndex site) const override {
@@ -270,9 +266,6 @@ class Gfa final : public sim::Entity, public policy::SchedulerContext {
   }
   void auction_report(const market::ClearingReport& report) override {
     host_.auction_report(report);
-  }
-  [[nodiscard]] obs::Observer* observer() override {
-    return host_.observer();
   }
 
   // -- enquiry seam (DBC negotiate + auction award) -----------------------
@@ -323,10 +316,12 @@ class Gfa final : public sim::Entity, public policy::SchedulerContext {
   void finalize(cluster::JobId id, cluster::ResourceIndex exec,
                 sim::SimTime start, sim::SimTime completion);
 
+  sim::Simulation& sim_;
   cluster::ResourceIndex index_;
   cluster::Lrms& lrms_;
   directory::FederationDirectory& dir_;
   GfaHost& host_;
+  obs::Observer* const observer_;
   /// The configured mode's brain (constructed last: it schedules through
   /// the members above, and its constructor already reads self(),
   /// config(), lrms() and coalitions() through them).
@@ -336,7 +331,6 @@ class Gfa final : public sim::Entity, public policy::SchedulerContext {
   sim::FlatMap<cluster::JobId, Awaiting> awaiting_;
   sim::FlatMap<cluster::JobId, RemoteHold> holds_;
   std::uint64_t next_hold_token_ = 0;
-  std::uint64_t remote_accepted_ = 0;
   bool down_ = false;     ///< crashed (kCrash churn); lifts on rejoin
   bool leaving_ = false;  ///< departing gracefully (kLeave churn)
 };

@@ -63,11 +63,6 @@ struct AuctionConfig {
   /// (the flush runs at control priority after all same-tick arrivals).
   /// Only read when batch_solicitations is true.
   sim::SimTime solicit_batch_window = 0.0;
-
-  /// A job's solicitation is never held longer than this fraction of its
-  /// remaining deadline slack, so tight-deadline jobs flush (nearly)
-  /// immediately while loose jobs ride out the full window.
-  double solicit_hold_slack_fraction = 0.25;
 };
 
 }  // namespace gridfed::market

@@ -7,8 +7,10 @@
 
 namespace gridfed::membership {
 
-MembershipService::MembershipService(MembershipContext& ctx)
+MembershipService::MembershipService(MembershipContext& ctx,
+                                     obs::Observer* observer)
     : ctx_(ctx),
+      observer_(observer),
       opts_(ctx.config().membership),
       crashed_(ctx.sites(), 0),
       left_(ctx.sites(), 0),
@@ -52,7 +54,7 @@ std::size_t MembershipService::live_count() const {
 void MembershipService::run_round() {
   ++round_;
   ++tel_.rounds;
-  GF_OBS(ctx_.observer(), count(obs::Counter::kGossipRounds));
+  GF_OBS(observer_, count(obs::Counter::kGossipRounds));
   const std::size_t n = views_.size();
   for (std::size_t i = 0; i < n; ++i) {
     const auto site = static_cast<cluster::ResourceIndex>(i);
@@ -128,8 +130,8 @@ void MembershipService::note_transitions(
     cluster::ResourceIndex observer_site) {
   for (const auto& [subject, status] : scratch_transitions_) {
     ++tel_.suspicions;
-    GF_OBS(ctx_.observer(), count(obs::Counter::kSuspicions));
-    GF_OBS(ctx_.observer(),
+    GF_OBS(observer_, count(obs::Counter::kSuspicions));
+    GF_OBS(observer_,
            instant(ctx_.sim().now(), obs::SpanKind::kSuspicion,
                    observer_site, subject, subject,
                    status == MemberStatus::kSuspect ? 1 : 2));
@@ -144,14 +146,14 @@ void MembershipService::maybe_confirm(cluster::ResourceIndex subject) {
   if (crashed_[subject] == 0) return;
   confirmed_[subject] = 1;
   ++tel_.confirmations;
-  GF_OBS(ctx_.observer(), count(obs::Counter::kDeadConfirmed));
+  GF_OBS(observer_, count(obs::Counter::kDeadConfirmed));
   ctx_.member_confirmed_dead(subject);
 }
 
 void MembershipService::apply(const ChurnEvent& ev) {
   ++tel_.churn_applied;
-  GF_OBS(ctx_.observer(), count(obs::Counter::kChurnEvents));
-  GF_OBS(ctx_.observer(),
+  GF_OBS(observer_, count(obs::Counter::kChurnEvents));
+  GF_OBS(observer_,
          instant(ctx_.sim().now(), obs::SpanKind::kChurn, ev.site, ev.site,
                  ev.site, static_cast<std::uint64_t>(ev.kind)));
   switch (ev.kind) {

@@ -51,8 +51,6 @@ class MembershipContext {
   virtual void churn_leave(cluster::ResourceIndex site) = 0;
   virtual void churn_crash(cluster::ResourceIndex site) = 0;
   virtual void member_confirmed_dead(cluster::ResourceIndex site) = 0;
-
-  [[nodiscard]] virtual obs::Observer* observer() { return nullptr; }
 };
 
 class MembershipService {
@@ -65,7 +63,9 @@ class MembershipService {
     std::uint64_t churn_applied = 0;
   };
 
-  explicit MembershipService(MembershipContext& ctx);
+  /// `observer` is the run's observability umbrella, or null when
+  /// ObsConfig is all-off.
+  MembershipService(MembershipContext& ctx, obs::Observer* observer);
 
   /// Schedules the churn events and the gossip rounds.  Rounds run until
   /// max(window, last churn event) + confirmation_bound so every injected
@@ -109,6 +109,7 @@ class MembershipService {
   void maybe_confirm(cluster::ResourceIndex subject);
 
   MembershipContext& ctx_;
+  obs::Observer* const observer_;
   MembershipOptions opts_;
   std::vector<MembershipView> views_;
   std::vector<std::uint8_t> crashed_;

@@ -17,8 +17,8 @@ void write_u64_array(std::ostream& out, const Array& values) {
 
 }  // namespace
 
-MetricsRegistry::MetricsRegistry(std::size_t participants, sim::SimTime epoch)
-    : epoch_(epoch), declines_(participants, 0), misses_(participants, 0) {
+MetricsRegistry::MetricsRegistry(std::size_t participants)
+    : declines_(participants, 0), misses_(participants, 0) {
   series_.reserve(256);
 }
 
@@ -32,7 +32,7 @@ void MetricsRegistry::take_sample(sim::SimTime t) {
 }
 
 void MetricsRegistry::write_json(std::ostream& out) const {
-  out << "{\n  \"epoch\": " << epoch_ << ",\n  \"samples\": [";
+  out << "{\n  \"epoch\": " << kMetricsEpoch << ",\n  \"samples\": [";
   for (std::size_t i = 0; i < series_.size(); ++i) {
     const MetricsSample& s = series_[i];
     out << (i ? ",\n    {" : "\n    {") << "\"t\": " << s.t;

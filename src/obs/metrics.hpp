@@ -141,6 +141,11 @@ struct Histogram {
   }
 };
 
+/// Sampling period of the metrics time-series (sim seconds).  A final
+/// sample is always taken when the run drains, so the last sample's
+/// ledger columns equal the FederationResult totals exactly.
+inline constexpr sim::SimTime kMetricsEpoch = 3600.0;
+
 /// One epoch snapshot of the registry plus the ledger totals.
 struct MetricsSample {
   sim::SimTime t = 0.0;
@@ -159,7 +164,7 @@ class MetricsRegistry {
   /// MessageLedger; installed by the Federation at construction.
   using LedgerSampler = std::function<void(MetricsSample&)>;
 
-  MetricsRegistry(std::size_t participants, sim::SimTime epoch);
+  explicit MetricsRegistry(std::size_t participants);
 
   // ---- hot path -------------------------------------------------------------
   void count(Counter c, std::uint64_t n = 1) noexcept {
@@ -185,7 +190,6 @@ class MetricsRegistry {
   /// Snapshots counters/gauges/ledger at sim-time `t` onto the series.
   void take_sample(sim::SimTime t);
 
-  [[nodiscard]] sim::SimTime epoch() const noexcept { return epoch_; }
   [[nodiscard]] std::uint64_t counter(Counter c) const noexcept {
     return counters_[static_cast<std::size_t>(c)];
   }
@@ -210,7 +214,6 @@ class MetricsRegistry {
   void write_json(std::ostream& out) const;
 
  private:
-  sim::SimTime epoch_;
   std::array<std::uint64_t, kCounterCount> counters_{};
   std::array<std::uint64_t, kGaugeCount> gauges_{};
   std::array<Histogram, kHistoCount> histograms_{};

@@ -1,13 +1,10 @@
 #pragma once
-// Runtime observability toggles.  The compile-time half of the gate is
-// GRIDFED_TRACE (obs/observer.hpp): with it compiled out every
-// instrumentation statement disappears from the binary; with it compiled
-// in (the default) this struct decides at run time which facilities are
-// live.  All three default OFF, so a default-constructed FederationConfig
-// runs the exact event stream the golden digests pin — enabling any
-// facility only ever *reads* simulation state, never perturbs it.
-
-#include "sim/types.hpp"
+// Runtime observability toggles: the one gate of the src/obs/ layer.  The
+// instrumentation is always compiled in; this struct decides at run time
+// which facilities are live.  All three default OFF, so a
+// default-constructed FederationConfig runs the exact event stream the
+// golden digests pin — enabling any facility only ever *reads*
+// simulation state, never perturbs it.
 
 namespace gridfed::obs {
 
@@ -18,17 +15,12 @@ struct ObsConfig {
   bool trace = false;
 
   /// Metrics registry: counters/gauges/histograms sampled every
-  /// `metrics_epoch` sim-seconds into a time-series.
+  /// kMetricsEpoch sim-seconds (obs/metrics.hpp) into a time-series.
   bool metrics = false;
 
   /// Auction forensics: one decision record per cleared book (scored
   /// bids, winner, price, losing margin) plus the coalition splits.
   bool forensics = false;
-
-  /// Sampling period of the metrics time-series (sim seconds).  A final
-  /// sample is always taken when the run drains, so the last sample's
-  /// ledger columns equal the FederationResult totals exactly.
-  sim::SimTime metrics_epoch = 3600.0;
 
   [[nodiscard]] bool any() const noexcept {
     return trace || metrics || forensics;

@@ -1,30 +1,22 @@
 #pragma once
 // The observability umbrella: one Observer owns the Tracer, the
-// MetricsRegistry, and the ForensicsLedger, and every instrumented layer
-// (kernel probe, Gfa, transport, policy, coalition) talks to it through
-// a single nullable pointer exposed on its context interface.
+// MetricsRegistry, and the ForensicsLedger.  The Federation builds it
+// before any other layer and hands each instrumented layer (Gfa, the
+// scheduling policies, the transport, the coalition manager, the
+// membership service) the same nullable pointer at construction; the
+// kernel's dispatch probe is installed on the Simulation directly.
 //
-// Two gates stack:
-//
-//  * GRIDFED_TRACE — compile-time.  Default ON; build with
-//    -DGRIDFED_TRACE=0 (CMake: -DGRIDFED_TRACE=OFF) and every GF_OBS
-//    statement vanishes from the binary.
-//  * ObsConfig — run-time.  The Federation only constructs an Observer
-//    when ObsConfig::any(); with the default (all-off) config the
-//    observer pointer is null everywhere and GF_OBS is one predictable
-//    branch.  The disabled path is bit-identical to the seed: no extra
-//    events, no extra RNG draws, no reordering — pinned by the golden
-//    digests in tests/test_observability.cpp.
+// ObsConfig is the one gate: the Federation only constructs an Observer
+// when ObsConfig::any(), so with the default (all-off) config the
+// pointer every layer holds is null and each GF_OBS site is one
+// predictable branch.  The disabled path is bit-identical to a run
+// without the subsystem: no extra events, no extra RNG draws, no
+// reordering — pinned by the golden digests in
+// tests/test_observability.cpp.
 //
 // Instrumentation never *reads back* from the observer to make
 // decisions: observation is strictly one-way, which is what makes the
 // enabled path outcome-identical too.
-
-#ifndef GRIDFED_TRACE
-#define GRIDFED_TRACE 1
-#endif
-
-#if GRIDFED_TRACE
 
 #include <memory>
 #include <string>
@@ -111,23 +103,10 @@ class Observer {
 }  // namespace gridfed::obs
 
 /// Call-site shorthand: null-check the observer handle, then invoke a
-/// member.  `GF_OBS(ctx_.observer(), begin(now, SpanKind::kJob, ...))`.
-/// Compiles to nothing when GRIDFED_TRACE is 0.
+/// member.  `GF_OBS(observer_, begin(now, SpanKind::kJob, ...))`.
 #define GF_OBS(obs_expr, call)                                     \
   do {                                                             \
     if (::gridfed::obs::Observer* gf_obs_ = (obs_expr)) {          \
       gf_obs_->call;                                               \
     }                                                              \
   } while (false)
-
-#else  // !GRIDFED_TRACE
-
-namespace gridfed::obs {
-class Observer;  // never defined: instrumentation is compiled out
-}  // namespace gridfed::obs
-
-#define GF_OBS(obs_expr, call) \
-  do {                         \
-  } while (false)
-
-#endif  // GRIDFED_TRACE

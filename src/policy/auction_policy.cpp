@@ -12,10 +12,18 @@
 
 namespace gridfed::policy {
 
-AuctionPolicy::AuctionPolicy(SchedulerContext& ctx)
-    : SchedulingPolicy(ctx),
+namespace {
+/// A job's solicitation is never held longer than this fraction of its
+/// remaining deadline slack, so tight-deadline jobs flush (nearly)
+/// immediately while loose jobs ride out the full batch window.  The
+/// tree transport's fan-out epoch is bounded by the same fraction.
+constexpr double kSolicitHoldSlackFraction = 0.25;
+}  // namespace
+
+AuctionPolicy::AuctionPolicy(SchedulerContext& ctx, obs::Observer* observer)
+    : SchedulingPolicy(ctx, observer),
       coalitions_(ctx.coalitions()),
-      dbc_fallback_(ctx) {}
+      dbc_fallback_(ctx, observer) {}
 
 AuctionPolicy::AuctionJobState* AuctionPolicy::state_of(
     const core::Pending& p) {
@@ -129,7 +137,7 @@ void AuctionPolicy::open_auction(core::Pending p) {
     const sim::SimTime slack =
         std::max(0.0, p.job.absolute_deadline() - ctx_.now());
     const sim::SimTime not_after =
-        ctx_.now() + acfg.solicit_hold_slack_fraction * slack;
+        ctx_.now() + kSolicitHoldSlackFraction * slack;
     core::Message msg{core::MessageType::kCallForBids, self_, self_, p.job};
     p.messages += ctx_.multicast(std::move(msg), scratch_targets_,
                                  not_after);
@@ -141,10 +149,10 @@ void AuctionPolicy::open_auction(core::Pending p) {
   GF_EXPECTS(inserted);  // a job runs at most one auction round
   // The auction span opens before the synchronous-clear check so an
   // empty book still traces as a (zero-width) round.
-  GF_OBS(ctx_.observer(),
+  GF_OBS(observer_,
          begin(ctx_.now(), obs::SpanKind::kAuction, self_, id,
                it->second.book.solicited(), n_remote));
-  GF_OBS(ctx_.observer(), count(obs::Counter::kAuctionsOpened));
+  GF_OBS(observer_, count(obs::Counter::kAuctionsOpened));
   if (it->second.book.complete()) {
     // No outstanding bidders (possibly an empty book): clear in place.
     clear_auction(id);
@@ -172,7 +180,7 @@ void AuctionPolicy::queue_solicitation(cluster::JobId id) {
   const sim::SimTime slack = std::max(
       0.0, it->second.pending.job.absolute_deadline() - ctx_.now());
   const sim::SimTime hold = std::min(
-      acfg.solicit_batch_window, acfg.solicit_hold_slack_fraction * slack);
+      acfg.solicit_batch_window, kSolicitHoldSlackFraction * slack);
   const sim::SimTime deadline = ctx_.now() + hold;
   solicit_queue_.push_back(id);
   if (deadline < flush_deadline_) flush_deadline_ = deadline;
@@ -214,7 +222,7 @@ void AuctionPolicy::flush_solicitations() {
     const sim::SimTime slack = std::max(
         0.0, it->second.pending.job.absolute_deadline() - ctx_.now());
     not_after = std::min(
-        not_after, ctx_.now() + acfg.solicit_hold_slack_fraction * slack);
+        not_after, ctx_.now() + kSolicitHoldSlackFraction * slack);
     for (const federation::ParticipantId pid :
          it->second.book.solicited_list()) {
       // Wire address: the participant's representative; entrants the
@@ -237,10 +245,10 @@ void AuctionPolicy::flush_solicitations() {
   for (const cluster::ResourceIndex r : scratch_providers_) {
     bucket_of_[r] = kNoBucket;
   }
-  GF_OBS(ctx_.observer(),
+  GF_OBS(observer_,
          instant(ctx_.now(), obs::SpanKind::kSolicitFlush, self_, 0,
                  scratch_providers_.size(), solicit_queue_.size()));
-  GF_OBS(ctx_.observer(), count(obs::Counter::kSolicitFlushes));
+  GF_OBS(observer_, count(obs::Counter::kSolicitFlushes));
   // Emit one multicast per maximal run of providers sharing a job
   // bucket.  With the default full-book solicitation every provider
   // shares one bucket, so the flush writes the job list into the arena
@@ -323,21 +331,20 @@ void AuctionPolicy::clear_auction(cluster::JobId id) {
   }
   ctx_.auction_report(report);
 
-  GF_OBS(ctx_.observer(),
+  GF_OBS(observer_,
          end(ctx_.now(), obs::SpanKind::kAuction, self_, id,
              report.bids, report.awarded ? 1 : 0, report.payment));
-  GF_OBS(ctx_.observer(), observe(obs::Histo::kBookDepth,
-                                  static_cast<double>(report.bids)));
+  GF_OBS(observer_, observe(obs::Histo::kBookDepth,
+                            static_cast<double>(report.bids)));
   if (report.awarded) {
-    GF_OBS(ctx_.observer(), count(obs::Counter::kAwardsCleared));
-    GF_OBS(ctx_.observer(),
+    GF_OBS(observer_, count(obs::Counter::kAwardsCleared));
+    GF_OBS(observer_,
            observe(obs::Histo::kClearingPrice, report.payment));
   }
-#if GRIDFED_TRACE
   // Forensics: the full decision record — every bid re-scored under the
   // active rule — built only when the ledger is on (score() re-derives
   // the rank key; too costly for the always-on path).
-  if (obs::Observer* o = ctx_.observer(); o != nullptr && o->forensics_on()) {
+  if (observer_ != nullptr && observer_->forensics_on()) {
     obs::ClearingDecision decision;
     decision.t = ctx_.now();
     decision.job = id;
@@ -366,9 +373,8 @@ void AuctionPolicy::clear_auction(cluster::JobId id) {
             engine.score(p.job, st.ranking.front().bid);
       }
     }
-    o->forensics()->record(std::move(decision));
+    observer_->forensics()->record(std::move(decision));
   }
-#endif
 
   // The book's allocations go back to the pool for the next job of the
   // same shape.
@@ -429,7 +435,7 @@ void AuctionPolicy::drain_in_flight(
     OpenAuction auction = std::move(it->second);
     auctions_.erase(it);
     // Close the trace span the open started; 0 bids, not awarded.
-    GF_OBS(ctx_.observer(),
+    GF_OBS(observer_,
            end(ctx_.now(), obs::SpanKind::kAuction, self_, id, 0, 0));
     book_pool_.release(std::move(auction.book));
     sink(std::move(auction.pending));
@@ -508,11 +514,11 @@ void AuctionPolicy::on_call_for_bids(const core::Message& msg) {
       answer.batch_bids.push_back(core::BatchedBid{
           job.id, bid.ask, bid.completion_estimate, bid.feasible});
     }
-    GF_OBS(ctx_.observer(),
+    GF_OBS(observer_,
            instant(ctx_.now(), obs::SpanKind::kBidAnswered, self_,
                    msg.batch_jobs.front().id, msg.from,
                    msg.batch_jobs.size()));
-    GF_OBS(ctx_.observer(),
+    GF_OBS(observer_,
            count(obs::Counter::kBidsAnswered, msg.batch_jobs.size()));
     ctx_.send(std::move(answer));
     return;
@@ -521,10 +527,10 @@ void AuctionPolicy::on_call_for_bids(const core::Message& msg) {
   core::Message answer{core::MessageType::kBid, self_, msg.from, msg.job,
                        bid.feasible, bid.completion_estimate};
   answer.price = bid.ask;
-  GF_OBS(ctx_.observer(),
+  GF_OBS(observer_,
          instant(ctx_.now(), obs::SpanKind::kBidAnswered, self_,
                  msg.job.id, msg.from, 1));
-  GF_OBS(ctx_.observer(), count(obs::Counter::kBidsAnswered));
+  GF_OBS(observer_, count(obs::Counter::kBidsAnswered));
   ctx_.send(std::move(answer));
 }
 

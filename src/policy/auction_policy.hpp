@@ -29,7 +29,7 @@ namespace gridfed::policy {
 
 class AuctionPolicy final : public SchedulingPolicy {
  public:
-  explicit AuctionPolicy(SchedulerContext& ctx);
+  AuctionPolicy(SchedulerContext& ctx, obs::Observer* observer);
 
   void schedule(core::Pending p) override;
   [[nodiscard]] double settled_cost(const core::Pending& p,

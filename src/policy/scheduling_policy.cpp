@@ -30,16 +30,17 @@ market::Bid SchedulingPolicy::make_bid(const cluster::Job& job) {
 }
 
 std::unique_ptr<SchedulingPolicy> make_policy(core::SchedulingMode mode,
-                                              SchedulerContext& ctx) {
+                                              SchedulerContext& ctx,
+                                              obs::Observer* observer) {
   switch (mode) {
     case core::SchedulingMode::kIndependent:
-      return std::make_unique<IndependentPolicy>(ctx);
+      return std::make_unique<IndependentPolicy>(ctx, observer);
     case core::SchedulingMode::kFederationNoEconomy:
-      return std::make_unique<NoEconomyPolicy>(ctx);
+      return std::make_unique<NoEconomyPolicy>(ctx, observer);
     case core::SchedulingMode::kEconomy:
-      return std::make_unique<DbcPolicy>(ctx);
+      return std::make_unique<DbcPolicy>(ctx, observer);
     case core::SchedulingMode::kAuction:
-      return std::make_unique<AuctionPolicy>(ctx);
+      return std::make_unique<AuctionPolicy>(ctx, observer);
   }
   __builtin_unreachable();
 }

@@ -111,9 +111,6 @@ class SchedulerContext {
                                   sim::SimTime not_after) = 0;
   /// Auction telemetry sink (host's ClearingReport channel).
   virtual void auction_report(const market::ClearingReport& report) = 0;
-  /// The observability umbrella, or null when disabled (GF_OBS sites
-  /// branch on it; see obs/observer.hpp).
-  [[nodiscard]] virtual obs::Observer* observer() { return nullptr; }
 };
 
 /// One scheduling mode's brain.  Constructed per GFA at wiring time; the
@@ -122,11 +119,17 @@ class SchedulerContext {
 /// auction-only message legs to on_call_for_bids()/on_bid().  The
 /// constructor reads the context's fixed facts (self_, cfg_, lrms_)
 /// once, so the context must already answer self(), config() and lrms()
-/// when it builds its policy.
+/// when it builds its policy.  `observer` is the run's observability
+/// umbrella, or null when ObsConfig is all-off (GF_OBS sites branch on
+/// it; see obs/observer.hpp).
 class SchedulingPolicy {
  public:
-  explicit SchedulingPolicy(SchedulerContext& ctx)
-      : ctx_(ctx), self_(ctx.self()), cfg_(ctx.config()), lrms_(ctx.lrms()) {}
+  SchedulingPolicy(SchedulerContext& ctx, obs::Observer* observer)
+      : ctx_(ctx),
+        observer_(observer),
+        self_(ctx.self()),
+        cfg_(ctx.config()),
+        lrms_(ctx.lrms()) {}
   virtual ~SchedulingPolicy() = default;
   SchedulingPolicy(const SchedulingPolicy&) = delete;
   SchedulingPolicy& operator=(const SchedulingPolicy&) = delete;
@@ -168,6 +171,7 @@ class SchedulingPolicy {
 
  protected:
   SchedulerContext& ctx_;
+  obs::Observer* const observer_;
   // Facts fixed for the agent's lifetime, read once at construction
   // instead of through a virtual call at every use.
   const cluster::ResourceIndex self_;  ///< ctx_.self()
@@ -177,6 +181,7 @@ class SchedulingPolicy {
 
 /// Builds the policy for `mode` (the only place mode dispatch survives).
 [[nodiscard]] std::unique_ptr<SchedulingPolicy> make_policy(
-    core::SchedulingMode mode, SchedulerContext& ctx);
+    core::SchedulingMode mode, SchedulerContext& ctx,
+    obs::Observer* observer);
 
 }  // namespace gridfed::policy

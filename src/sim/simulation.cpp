@@ -26,9 +26,7 @@ bool Simulation::step() {
   GF_ENSURES(t >= now_);
   now_ = t;
   ++executed_;
-#if GRIDFED_TRACE
   if (probe_ != nullptr) probe_(probe_ctx_, t);
-#endif
   action();
   return true;
 }

@@ -11,13 +11,6 @@
 #include "sim/inline_function.hpp"
 #include "sim/types.hpp"
 
-// Compile-time observability gate (mirrored in obs/observer.hpp so the
-// kernel stays independent of the obs layer).  Default ON; build with
-// -DGRIDFED_TRACE=0 to compile the dispatch probe out entirely.
-#ifndef GRIDFED_TRACE
-#define GRIDFED_TRACE 1
-#endif
-
 namespace gridfed::sim {
 
 /// The closure type the engine schedules.  Small trivially copyable
@@ -62,20 +55,18 @@ class Simulation {
   /// Executes at most one pending event.  Returns false if none remain.
   bool step();
 
-#if GRIDFED_TRACE
   /// Dispatch probe: a bare function pointer invoked once per executed
   /// event, after the clock advances and before the action runs.  The
   /// kernel stays ignorant of the observability layer — the Federation
-  /// installs a shim that forwards to its metrics registry.  A null
-  /// probe (the default) costs one predicted-not-taken branch per event
-  /// and allocates nothing; the no-alloc contract in
-  /// tests/test_event_kernel.cpp covers both states.
+  /// installs a shim that forwards to its metrics registry when
+  /// ObsConfig::metrics is on.  A null probe (the default) costs one
+  /// predicted-not-taken branch per event and allocates nothing; the
+  /// no-alloc contract in tests/test_event_kernel.cpp covers both states.
   using DispatchProbe = void (*)(void* ctx, SimTime t);
   void set_dispatch_probe(DispatchProbe probe, void* ctx) noexcept {
     probe_ = probe;
     probe_ctx_ = ctx;
   }
-#endif
 
   /// Number of events executed so far (across all run*/step calls).
   [[nodiscard]] std::uint64_t events_executed() const noexcept {
@@ -95,10 +86,8 @@ class Simulation {
   SimTime now_ = 0.0;
   EventSeq next_seq_ = 0;
   std::uint64_t executed_ = 0;
-#if GRIDFED_TRACE
   DispatchProbe probe_ = nullptr;
   void* probe_ctx_ = nullptr;
-#endif
 };
 
 }  // namespace gridfed::sim

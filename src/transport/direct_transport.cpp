@@ -8,7 +8,6 @@ std::uint64_t DirectTransport::multicast(
     core::Message&& msg, std::span<const cluster::ResourceIndex> targets,
     sim::SimTime not_after) {
   (void)not_after;  // point-to-point sends nothing later than now
-  targets = collapse_groups(targets);  // one delivery per participant
   direct_send(std::move(msg), targets);
   return targets.size();
 }

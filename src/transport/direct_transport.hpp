@@ -15,8 +15,9 @@ namespace gridfed::transport {
 class DirectTransport final : public Transport {
  public:
   DirectTransport(TransportContext& ctx,
-                  std::optional<network::LatencyModel> wan)
-      : Transport(ctx, std::move(wan)) {}
+                  std::optional<network::LatencyModel> wan,
+                  obs::Observer* observer)
+      : Transport(ctx, std::move(wan), observer) {}
 
   void unicast(core::Message&& msg) override {
     direct_unicast(std::move(msg));

@@ -1,27 +1,11 @@
 #include "transport/transport.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "transport/direct_transport.hpp"
 #include "transport/tree_transport.hpp"
 
 namespace gridfed::transport {
-
-std::span<const cluster::ResourceIndex> Transport::collapse_groups(
-    std::span<const cluster::ResourceIndex> targets) {
-  if (groups_ == nullptr) return targets;
-  group_scratch_.clear();
-  for (const cluster::ResourceIndex target : targets) {
-    const cluster::ResourceIndex rep =
-        groups_->representative(groups_->participant_of(target));
-    if (std::find(group_scratch_.begin(), group_scratch_.end(), rep) ==
-        group_scratch_.end()) {
-      group_scratch_.push_back(rep);
-    }
-  }
-  return group_scratch_;
-}
 
 sim::SimTime Transport::delay_for(const core::Message& msg) const {
   if (!wan_) return cfg_.network_latency;
@@ -55,12 +39,15 @@ void Transport::direct_send(core::Message&& msg,
 }
 
 std::unique_ptr<Transport> make_transport(
-    TransportContext& ctx, std::optional<network::LatencyModel> wan) {
+    TransportContext& ctx, std::optional<network::LatencyModel> wan,
+    obs::Observer* observer,
+    const federation::ParticipantRegistry* participants) {
   switch (ctx.config().transport.kind) {
     case TransportKind::kDirect:
-      return std::make_unique<DirectTransport>(ctx, std::move(wan));
+      return std::make_unique<DirectTransport>(ctx, std::move(wan), observer);
     case TransportKind::kTree:
-      return std::make_unique<TreeTransport>(ctx, std::move(wan));
+      return std::make_unique<TreeTransport>(ctx, std::move(wan), observer,
+                                             participants);
   }
   __builtin_unreachable();
 }

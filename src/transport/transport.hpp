@@ -62,10 +62,6 @@ class TransportContext {
   [[nodiscard]] virtual sim::Rng& drop_rng() = 0;
   [[nodiscard]] virtual sim::Rng& duplicate_rng() = 0;
 
-  /// The observability umbrella, or null when disabled (GF_OBS sites
-  /// branch on it; overlay records land on the tracer's transport track).
-  [[nodiscard]] virtual obs::Observer* observer() { return nullptr; }
-
   /// Ground-truth liveness: false once `index` has crashed (membership
   /// churn).  A relay through a crashed site physically fails even
   /// before the failure detector confirms the death.  Always true in
@@ -77,11 +73,15 @@ class TransportContext {
 };
 
 /// One delivery substrate.  Constructed at federation wiring time; owns
-/// the WAN model and the delivery slab for the run.
+/// the WAN model and the delivery slab for the run.  `observer` is the
+/// run's observability umbrella, or null when ObsConfig is all-off
+/// (overlay records land on the tracer's transport track).
 class Transport {
  public:
-  Transport(TransportContext& ctx, std::optional<network::LatencyModel> wan)
+  Transport(TransportContext& ctx, std::optional<network::LatencyModel> wan,
+            obs::Observer* observer)
       : ctx_(ctx),
+        observer_(observer),
         cfg_(ctx.config()),
         ledger_(ctx.ledger()),
         wan_(std::move(wan)),
@@ -118,18 +118,6 @@ class Transport {
   /// Payloads still waiting for a delivery (0 once the run has drained).
   [[nodiscard]] std::size_t in_flight() const noexcept {
     return slab_.in_flight();
-  }
-
-  /// Group-addressed dissemination: with a participant registry wired
-  /// in, every multicast target set is collapsed to ONE delivery per
-  /// participant — a coalition is reached through its representative
-  /// alone, and the intra-coalition fan-out rides the coalition layer's
-  /// local links instead of the wire.  A null registry (the solo
-  /// market, and every non-auction mode) leaves target sets untouched,
-  /// so the solo path stays bit-identical.  `registry` must outlive the
-  /// transport.
-  void set_group_registry(const federation::ParticipantRegistry* registry) {
-    groups_ = registry;
   }
 
   // ---- overlay aggregation telemetry (0 for non-aggregating transports) -----
@@ -216,22 +204,8 @@ class Transport {
     direct_send(std::move(msg), {&to, 1});
   }
 
-  /// The multicast half of group addressing: maps each target to its
-  /// participant's representative and dedups (first-seen order kept, so
-  /// the wire order stays deterministic).  Identity without a registry.
-  /// Idempotent over the AuctionPolicy's own representative mapping —
-  /// the policy addresses representatives anyway because its book slots
-  /// are per-participant — so this pass normally
-  /// finds nothing to collapse; it exists so group addressing is a
-  /// property of the substrate, enforced for every caller, not a
-  /// convention each caller must re-implement.  O(targets) per
-  /// multicast, and only in coalition runs (null registry returns the
-  /// input span untouched).
-  /// The returned span views scratch storage valid until the next call.
-  [[nodiscard]] std::span<const cluster::ResourceIndex> collapse_groups(
-      std::span<const cluster::ResourceIndex> targets);
-
   TransportContext& ctx_;
+  obs::Observer* const observer_;
   // ctx_.config() and ctx_.ledger(), fixed for the run.
   const core::FederationConfig& cfg_;
   core::MessageLedger& ledger_;
@@ -239,13 +213,15 @@ class Transport {
   /// Where every delivery waits; direct_send and the tree's relay park
   /// each payload here once.
   DeliverySlab slab_;
-  const federation::ParticipantRegistry* groups_ = nullptr;
-  std::vector<cluster::ResourceIndex> group_scratch_;
 };
 
 /// Builds the transport `options.kind` selects (the only place the kind
-/// dispatch lives).
+/// dispatch lives).  `participants` is the coalition layer's registry,
+/// or null without one; the tree's convergecast ranks bids by the
+/// participant that sent them.
 [[nodiscard]] std::unique_ptr<Transport> make_transport(
-    TransportContext& ctx, std::optional<network::LatencyModel> wan);
+    TransportContext& ctx, std::optional<network::LatencyModel> wan,
+    obs::Observer* observer,
+    const federation::ParticipantRegistry* participants);
 
 }  // namespace gridfed::transport

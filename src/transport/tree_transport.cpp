@@ -10,9 +10,11 @@
 
 namespace gridfed::transport {
 
-TreeTransport::TreeTransport(TransportContext& ctx,
-                             std::optional<network::LatencyModel> wan)
-    : Transport(ctx, std::move(wan)) {
+TreeTransport::TreeTransport(
+    TransportContext& ctx, std::optional<network::LatencyModel> wan,
+    obs::Observer* observer,
+    const federation::ParticipantRegistry* participants)
+    : Transport(ctx, std::move(wan), observer), participants_(participants) {
   const std::size_t n = ctx_.sites();
   GF_EXPECTS(n > 0);
   fanout_ = std::max<std::uint32_t>(1, cfg_.transport.tree_fanout);
@@ -149,16 +151,15 @@ void TreeTransport::on_member_dead(cluster::ResourceIndex index) {
     repair_relay_msgs_ += ledger_.relay_total() - relays_before;
     replayed_ += replayed_now;
   }
-#if GRIDFED_TRACE
-  if (obs::Observer* o = ctx_.observer(); o != nullptr) {
-    o->instant(ctx_.sim().now(), obs::SpanKind::kTreeRepair,
-               o->transport_track(), index, pos, replayed_now);
-    o->count(obs::Counter::kTreeRepairs);
+  if (observer_ != nullptr) {
+    observer_->instant(ctx_.sim().now(), obs::SpanKind::kTreeRepair,
+                       observer_->transport_track(), index, pos,
+                       replayed_now);
+    observer_->count(obs::Counter::kTreeRepairs);
     if (replayed_now > 0) {
-      o->count(obs::Counter::kReplayedSolicitations, replayed_now);
+      observer_->count(obs::Counter::kReplayedSolicitations, replayed_now);
     }
   }
-#endif
 }
 
 void TreeTransport::on_member_left(cluster::ResourceIndex index) {
@@ -202,10 +203,6 @@ void TreeTransport::unicast(core::Message&& msg) {
 std::uint64_t TreeTransport::multicast(
     core::Message&& msg, std::span<const cluster::ResourceIndex> targets,
     sim::SimTime not_after) {
-  // Group-addressed dissemination: a coalition costs one delivery to
-  // its representative — the fan-out behind it rides the coalition
-  // layer's local links, never the tree's wire edges.
-  targets = collapse_groups(targets);
   if (targets.empty()) return 0;
   // Every solicitation fanning out through the tree teaches the relays
   // the job's QoS envelope and shape key, so the bids coming back can be
@@ -214,15 +211,11 @@ std::uint64_t TreeTransport::multicast(
       (prune_k_ > 0 || encode_bids_)) {
     harvest_job_facts(msg);
   }
-#if GRIDFED_TRACE
-  if (fanout_queue_.empty()) {
+  if (fanout_queue_.empty() && observer_ != nullptr) {
     // First fan-out of a fresh epoch: the span runs until the flush.
-    if (obs::Observer* o = ctx_.observer(); o != nullptr) {
-      o->begin(ctx_.sim().now(), obs::SpanKind::kFanoutEpoch,
-               o->transport_track(), ++epoch_seq_);
-    }
+    observer_->begin(ctx_.sim().now(), obs::SpanKind::kFanoutEpoch,
+                     observer_->transport_track(), ++epoch_seq_);
   }
-#endif
   const auto first_target = static_cast<std::uint32_t>(fanout_targets_.size());
   fanout_targets_.insert(fanout_targets_.end(), targets.begin(),
                          targets.end());
@@ -272,15 +265,13 @@ void TreeTransport::flush_fanout() {
           RelayItem{&entry.msg, target, static_cast<std::uint32_t>(p + 1)});
     }
   }
-#if GRIDFED_TRACE
-  if (obs::Observer* o = ctx_.observer(); o != nullptr) {
-    o->end(ctx_.sim().now(), obs::SpanKind::kFanoutEpoch,
-           o->transport_track(), epoch_seq_, fanout_flush_.size(),
-           scratch_items_.size());
-    o->observe(obs::Histo::kFanoutTargets,
-               static_cast<double>(scratch_items_.size()));
+  if (observer_ != nullptr) {
+    observer_->end(ctx_.sim().now(), obs::SpanKind::kFanoutEpoch,
+                   observer_->transport_track(), epoch_seq_,
+                   fanout_flush_.size(), scratch_items_.size());
+    observer_->observe(obs::Histo::kFanoutTargets,
+                       static_cast<double>(scratch_items_.size()));
   }
-#endif
   route(scratch_items_);
   relay(scratch_items_, core::MessageType::kCallForBids);
   fanout_flush_.clear();
@@ -292,10 +283,8 @@ void TreeTransport::flush_convergecast() {
   convergecast_queue_.swap(convergecast_flush_);
   std::vector<core::Message>& queue = convergecast_flush_;
   const bool aggregate = prune_k_ > 0 || encode_bids_;
-#if GRIDFED_TRACE
   const std::uint64_t pruned_before = bids_pruned_;
   const std::uint64_t saved_before = prune_bytes_saved_;
-#endif
   scratch_items_.clear();
   for (std::size_t p = 0; p < queue.size(); ++p) {
     scratch_items_.push_back(RelayItem{&queue[p], queue[p].to,
@@ -303,30 +292,26 @@ void TreeTransport::flush_convergecast() {
   }
   route(scratch_items_);
   if (aggregate) prune_convergecast(queue);
-#if GRIDFED_TRACE
-  if (obs::Observer* o = ctx_.observer(); o != nullptr) {
-    o->instant(ctx_.sim().now(), obs::SpanKind::kConvergecast,
-               o->transport_track(), 0, queue.size());
+  if (observer_ != nullptr) {
+    observer_->instant(ctx_.sim().now(), obs::SpanKind::kConvergecast,
+                       observer_->transport_track(), 0, queue.size());
   }
-#endif
   bid_frame_relay_ = aggregate && encode_bids_;
   relay(scratch_items_, core::MessageType::kBid);
   bid_frame_relay_ = false;
-#if GRIDFED_TRACE
-  if (aggregate) {
-    if (obs::Observer* o = ctx_.observer(); o != nullptr) {
-      const std::uint64_t pruned_now = bids_pruned_ - pruned_before;
-      const std::uint64_t saved_now = prune_bytes_saved_ - saved_before;
-      o->instant(ctx_.sim().now(), obs::SpanKind::kBidPrune,
-                 o->transport_track(), 0, pruned_now, queue.size(),
-                 static_cast<double>(saved_now));
-      if (pruned_now > 0) o->count(obs::Counter::kBidsPruned, pruned_now);
-      if (saved_now > 0) {
-        o->count(obs::Counter::kBidPruneBytesSaved, saved_now);
-      }
+  if (aggregate && observer_ != nullptr) {
+    const std::uint64_t pruned_now = bids_pruned_ - pruned_before;
+    const std::uint64_t saved_now = prune_bytes_saved_ - saved_before;
+    observer_->instant(ctx_.sim().now(), obs::SpanKind::kBidPrune,
+                       observer_->transport_track(), 0, pruned_now,
+                       queue.size(), static_cast<double>(saved_now));
+    if (pruned_now > 0) {
+      observer_->count(obs::Counter::kBidsPruned, pruned_now);
+    }
+    if (saved_now > 0) {
+      observer_->count(obs::Counter::kBidPruneBytesSaved, saved_now);
     }
   }
-#endif
   queue.clear();
 }
 
@@ -369,8 +354,8 @@ void TreeTransport::prune_convergecast(std::vector<core::Message>& queue) {
     const core::Message& msg = queue[p];
     const auto plen = static_cast<std::uint32_t>(route_hops(p).size());
     const federation::ParticipantId bidder =
-        groups_ ? groups_->participant_of(msg.from)
-                : federation::ParticipantId(msg.from);
+        participants_ ? participants_->participant_of(msg.from)
+                      : federation::ParticipantId(msg.from);
     const std::size_t entries =
         msg.batch_bids.empty() ? 1 : msg.batch_bids.size();
     auto& meta = scratch_entry_meta_[p];
@@ -605,15 +590,14 @@ void TreeTransport::relay(std::span<const RelayItem> items,
       edge.down = true;
     }
   }
-#if GRIDFED_TRACE
-  if (obs::Observer* o = ctx_.observer(); o != nullptr) {
+  if (observer_ != nullptr) {
     std::uint64_t relay_bytes = 0;
     for (const EdgeUse& edge : scratch_edges_) relay_bytes += edge.bytes;
-    o->instant(ctx_.sim().now(), obs::SpanKind::kRelay, o->transport_track(),
-               0, scratch_edges_.size(), items.size(),
-               static_cast<double>(relay_bytes));
+    observer_->instant(ctx_.sim().now(), obs::SpanKind::kRelay,
+                       observer_->transport_track(), 0,
+                       scratch_edges_.size(), items.size(),
+                       static_cast<double>(relay_bytes));
   }
-#endif
 
   // Pass 3 — deliver every payload whose whole path survived, after the
   // summed per-hop control delay (size-aware under the WAN model, like

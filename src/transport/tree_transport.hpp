@@ -56,8 +56,13 @@ namespace gridfed::transport {
 
 class TreeTransport final : public Transport {
  public:
+  /// `participants` is the coalition layer's registry (null without
+  /// one): the convergecast ranks each bid under the participant that
+  /// sent it, as the origin's clearing engine will.
   TreeTransport(TransportContext& ctx,
-                std::optional<network::LatencyModel> wan);
+                std::optional<network::LatencyModel> wan,
+                obs::Observer* observer,
+                const federation::ParticipantRegistry* participants);
 
   /// kBid joins the same-instant convergecast; everything else goes
   /// point-to-point.  (The call-for-bids fan-out always arrives through
@@ -258,6 +263,9 @@ class TreeTransport final : public Transport {
   /// (duplicates included) all read that one parked body.
   void relay(std::span<const RelayItem> items, core::MessageType type);
 
+  /// The coalition registry bidders map through (null: every bidder is
+  /// its own singleton participant).
+  const federation::ParticipantRegistry* const participants_;
   std::uint32_t fanout_ = 4;
   std::vector<cluster::ResourceIndex> owner_at_;  ///< position -> resource
   std::vector<std::uint32_t> pos_of_;             ///< resource -> position

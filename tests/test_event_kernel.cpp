@@ -267,10 +267,9 @@ TEST(EventKernel, SmallCapturesScheduleWithoutHeapAllocation) {
 }
 
 TEST(EventKernel, SimulationDispatchIsAllocationFreeInSteadyState) {
-  // With GRIDFED_TRACE compiled in (the default build) the dispatch
-  // probe slot exists but is null — the runtime-disabled observability
-  // state.  That state must still be allocation-free per event: the
-  // probe is one predicted-not-taken branch, nothing more.
+  // The dispatch probe slot exists but is null — the runtime-disabled
+  // observability state.  That state must still be allocation-free per
+  // event: the probe is one predicted-not-taken branch, nothing more.
   Simulation sim;
   std::uint64_t acc = 0;
   std::uint64_t* ap = &acc;
@@ -292,7 +291,6 @@ TEST(EventKernel, SimulationDispatchIsAllocationFreeInSteadyState) {
   EXPECT_EQ(acc, 512u);
 }
 
-#if GRIDFED_TRACE
 TEST(EventKernel, DispatchProbeFiresPerEventWithoutAllocating) {
   // The enabled state: a counting probe (the same shape the Federation
   // installs to feed kEventsDispatched) must fire exactly once per
@@ -333,7 +331,6 @@ TEST(EventKernel, DispatchProbeFiresPerEventWithoutAllocating) {
   sim.run();
   EXPECT_EQ(probe_hits, 512u);
 }
-#endif  // GRIDFED_TRACE
 
 // ---- the delivery slab ------------------------------------------------------
 

@@ -31,7 +31,7 @@ struct Fixture {
   std::vector<CompletedJob> done;
 
   explicit Fixture(QueuePolicy policy = QueuePolicy::kFcfs)
-      : lrms(sim, 0, small_cluster(), 0, policy) {
+      : lrms(sim, small_cluster(), 0, policy) {
     lrms.set_completion_handler(
         [this](const CompletedJob& c) { done.push_back(c); });
   }

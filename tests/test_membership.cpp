@@ -204,7 +204,8 @@ ChurnRun churn_run(
 }
 
 /// Timeouts generous enough for every transport/mode combination the
-/// suite exercises (the tree bounds are hop- and epoch-aware).
+/// suite exercises (the tree's bid-timeout bound is hop- and
+/// epoch-aware).
 core::FederationConfig churn_config(core::SchedulingMode mode,
                                     std::uint64_t seed = 0x9042005ULL) {
   auto cfg = core::make_config(mode, seed);
@@ -511,18 +512,48 @@ TEST(CoalitionReformation, MidFlightSettlementsSplitOverTheSnapshot) {
 
 // ---- construction-time validation -------------------------------------------
 
-TEST(MembershipValidation, TreeAuctionTimeoutMustClearEpochHold) {
-  // On the tree in auction mode the negotiate timeout must clear the
-  // relayed hops plus a full fan-out epoch.
+TEST(MembershipValidation, AuctionTimeoutBoundsOnBothTransports) {
+  // Every kNegotiate, kAward and kReply travels point to point on either
+  // transport (the tree relays only kBid), so the negotiate timeout must
+  // outlast one enquiry+reply round trip, 2 * latency, and nothing more.
+  const auto specs = cluster::replicated_specs(8);
+  for (const auto kind :
+       {transport::TransportKind::kDirect, transport::TransportKind::kTree}) {
+    auto cfg = core::make_config(core::SchedulingMode::kAuction);
+    cfg.transport.kind = kind;
+    cfg.network_latency = 1.0;
+    cfg.auction.bid_timeout = 200.0;
+    cfg.negotiate_timeout = 2.0;  // exactly one round trip: too tight
+    EXPECT_THROW(core::Federation(cfg, specs), sim::ContractViolation);
+    cfg.negotiate_timeout = 2.5;
+    EXPECT_NO_THROW(core::Federation(cfg, specs));
+  }
+
+  // The tree's bid timeout still clears the relayed call-for-bids + bid
+  // round trip (4 * depth hops) plus a full fan-out epoch.
   auto cfg = core::make_config(core::SchedulingMode::kAuction);
   cfg.transport.kind = transport::TransportKind::kTree;
-  cfg.negotiate_timeout = 50.0;  // < relayed hops + tree_epoch (120)
   cfg.network_latency = 1.0;
+  cfg.negotiate_timeout = 2.5;
+  const double depth = transport::tree_depth(specs.size(),
+                                             cfg.transport.tree_fanout);
+  const double bid_bound = 4.0 * depth * cfg.network_latency +
+                           cfg.transport.tree_epoch;  // 128 s at depth 2
+  cfg.auction.bid_timeout = bid_bound;
+  EXPECT_THROW(core::Federation(cfg, specs), sim::ContractViolation);
+  cfg.auction.bid_timeout = bid_bound + 0.5;
+  EXPECT_NO_THROW(core::Federation(cfg, specs));
+
+  // A tree auction whose negotiate timeout covers one round trip but
+  // not the relay path and a fan-out epoch ((2 * depth + 1) * latency +
+  // tree_epoch = 125 s) runs sound over a lossy network: every job
+  // terminates exactly once and the bank balances.
   cfg.auction.bid_timeout = 200.0;
-  EXPECT_THROW(core::Federation(cfg, cluster::replicated_specs(8)),
-               sim::ContractViolation);
-  cfg.negotiate_timeout = 200.0;
-  EXPECT_NO_THROW(core::Federation(cfg, cluster::replicated_specs(8)));
+  cfg.message_drop_rate = 0.1;
+  const auto run = churn_run(cfg, specs.size(), 30);
+  EXPECT_EQ(run.accepted + run.rejected, run.loaded);
+  EXPECT_GT(run.accepted, 0u);
+  EXPECT_TRUE(run.balanced);
 }
 
 TEST(MembershipValidation, ActiveMembershipNeedsTimeouts) {

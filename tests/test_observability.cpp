@@ -15,10 +15,6 @@
 //  * forensics fidelity — one ClearingDecision per cleared book,
 //    agreeing with the AuctionStats aggregates, and first-price payments
 //    equal to the recorded winner ask.
-//
-// Every observer-querying test is gated on GRIDFED_TRACE so the suite
-// also builds (and the parity tests still run) with the instrumentation
-// compiled out (-DGRIDFED_TRACE=OFF).
 
 #include <gtest/gtest.h>
 
@@ -66,11 +62,10 @@ Run run_federation(const core::FederationConfig& cfg, std::uint32_t oft,
   return run;
 }
 
-[[maybe_unused]] core::FederationConfig all_on(core::FederationConfig cfg) {
+core::FederationConfig all_on(core::FederationConfig cfg) {
   cfg.obs.trace = true;
   cfg.obs.metrics = true;
   cfg.obs.forensics = true;
-  cfg.obs.metrics_epoch = 3600.0;
   return cfg;
 }
 
@@ -106,8 +101,6 @@ TEST(ObsDisabled, AuctionMatchesGolden) {
   EXPECT_EQ(run.hash, 0xade2c15285cc51f7ULL);
   EXPECT_EQ(run.result.total_messages, 45550u);
 }
-
-#if GRIDFED_TRACE
 
 // ---- enabled-path passivity -------------------------------------------------
 
@@ -215,7 +208,6 @@ TEST(Metrics, ClosingSampleEqualsLedgerTotalsExactly) {
   cfg.coalitions.enabled = true;
   cfg.coalitions.bucket_size = 4;
   cfg.obs.metrics = true;
-  cfg.obs.metrics_epoch = 3600.0;
   const auto run = run_federation(cfg, 30, 20);
 
   ASSERT_NE(run.fed->observer(), nullptr);
@@ -378,8 +370,6 @@ TEST(Forensics, CoalitionSplitsMatchTheManagerRecords) {
   }
   EXPECT_EQ(split_jobs, manager_splits.size());
 }
-
-#endif  // GRIDFED_TRACE
 
 }  // namespace
 }  // namespace gridfed

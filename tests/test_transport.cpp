@@ -509,7 +509,7 @@ TEST(TreeFlush, WarmFanoutAndConvergecastAllocateNothing) {
   auto cfg = core::make_config(core::SchedulingMode::kAuction);
   cfg.transport.kind = transport::TransportKind::kTree;
   RecordingContext ctx(cfg, kSites, kCalls);
-  transport::TreeTransport tree(ctx, std::nullopt);
+  transport::TreeTransport tree(ctx, std::nullopt, nullptr, nullptr);
 
   std::vector<cluster::Job> jobs;
   for (std::size_t o = 0; o < kOrigins; ++o) {
