@@ -1,12 +1,14 @@
 // Kernel microbenchmarks (google-benchmark): event queue throughput,
-// availability-profile operations, auction booking and ranking,
-// directory ranked queries, and the end-to-end jobs/second of a full federation run — the numbers that
+// the warm compose → send → deliver message path, availability-profile
+// operations, auction booking and ranking, directory ranked queries, and
+// the end-to-end jobs/second of a full federation run — the numbers that
 // justify replacing the Java GridSim substrate (DESIGN.md substitution 2).
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "cluster/availability_profile.hpp"
@@ -15,12 +17,21 @@
 #include "directory/federation_directory.hpp"
 #include "market/auction_engine.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/fel.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
+#include "transport/direct_transport.hpp"
 
 namespace {
 
 using namespace gridfed;
+
+/// Pushes a no-op event at (t, prio, seq): the closure is written into
+/// the slot push() returns, as the Simulation's schedule templates do.
+void push_noop(sim::EventQueue& q, double t, sim::EventPriority prio,
+               sim::EventSeq seq) {
+  q.push(t, prio, seq).set(sim::EventKind::kOther, [] {});
+}
 
 void BM_EventQueuePushPop(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -30,10 +41,13 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   for (auto _ : state) {
     sim::EventQueue q;
     for (std::size_t i = 0; i < n; ++i) {
-      q.push(sim::Event{times[i], sim::EventPriority::kArrival,
-                        static_cast<sim::EventSeq>(i), [] {}});
+      push_noop(q, times[i], sim::EventPriority::kArrival,
+                static_cast<sim::EventSeq>(i));
     }
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop().time);
+    sim::EventRecord event;
+    while (!q.empty()) {
+      benchmark::DoNotOptimize(sim::fel_time_of(q.pop(event)));
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n) * 2);
@@ -64,16 +78,15 @@ void BM_EventQueueHold(benchmark::State& state) {
   sim::EventQueue q;
   sim::EventSeq seq = 0;
   for (std::size_t i = 0; i < kLive; ++i) {
-    q.push(sim::Event{rng.uniform(0.0, kLatency), sim::EventPriority::kMessage,
-                      seq++, [] {}});
+    push_noop(q, rng.uniform(0.0, kLatency), sim::EventPriority::kMessage,
+              seq++);
   }
-  sim::InlineFunction action;
+  sim::EventRecord event;
   for (auto _ : state) {
-    const double now = q.pop_into(action);
+    const double now = sim::fel_time_of(q.pop(event));
     const double delay = seq % kFar == 0 ? far[seq / kFar % far.size()]
                                          : kLatency;
-    q.push(sim::Event{now + delay, sim::EventPriority::kMessage, seq++,
-                      [] {}});
+    push_noop(q, now + delay, sim::EventPriority::kMessage, seq++);
   }
   benchmark::DoNotOptimize(q.next_time());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -95,30 +108,29 @@ void BM_EventQueueFanout(benchmark::State& state) {
   sim::EventQueue q;
   sim::EventSeq seq = 0;
   const auto arm_timer = [&](double now) {
-    q.push(sim::Event{now + far[seq % far.size()],
-                      sim::EventPriority::kControl, seq++, [] {}});
+    const double due = now + far[seq % far.size()];
+    push_noop(q, due, sim::EventPriority::kControl, seq++);
   };
   for (std::size_t i = 0; i < kTimers; ++i) arm_timer(0.0);
   double now = 0.0;
   std::int64_t events = 0;
   for (auto _ : state) {
     for (std::size_t i = 0; i < kBurst; ++i) {
-      q.push(sim::Event{now + kLatency, sim::EventPriority::kMessage, seq++,
-                        [] {}});
+      push_noop(q, now + kLatency, sim::EventPriority::kMessage, seq++);
     }
     // The deliveries, each pushing its answer, then the answers; a timer
     // that falls due meanwhile fires and re-arms.
+    sim::EventRecord event;
     for (std::size_t left = 2 * kBurst; left > 0;) {
-      const sim::Event ev = q.pop();
-      now = ev.time;
+      const sim::FelKey key = q.pop(event);
+      now = sim::fel_time_of(key);
       ++events;
-      if (ev.priority == sim::EventPriority::kControl) {
+      if (sim::fel_priority_of(key) == sim::EventPriority::kControl) {
         arm_timer(now);
         continue;
       }
       if (--left >= kBurst) {
-        q.push(sim::Event{now + kLatency, sim::EventPriority::kMessage, seq++,
-                          [] {}});
+        push_noop(q, now + kLatency, sim::EventPriority::kMessage, seq++);
       }
     }
     benchmark::DoNotOptimize(now);
@@ -132,7 +144,7 @@ void BM_SimulationEventDispatch(benchmark::State& state) {
     sim::Simulation sim;
     std::uint64_t acc = 0;
     for (int i = 0; i < 10000; ++i) {
-      sim.schedule_at(static_cast<double>(i), sim::EventPriority::kControl,
+      sim.schedule_at(static_cast<double>(i), sim::EventKind::kOther,
                       [&acc] { ++acc; });
     }
     sim.run();
@@ -163,7 +175,7 @@ void BM_SimulationEventDispatchProbed(benchmark::State& state) {
     }
     std::uint64_t acc = 0;
     for (int i = 0; i < 10000; ++i) {
-      sim.schedule_at(static_cast<double>(i), sim::EventPriority::kControl,
+      sim.schedule_at(static_cast<double>(i), sim::EventKind::kOther,
                       [&acc] { ++acc; });
     }
     sim.run();
@@ -176,6 +188,65 @@ void BM_SimulationEventDispatchProbed(benchmark::State& state) {
 BENCHMARK(BM_SimulationEventDispatchProbed)
     ->Arg(0)   // runtime-off (null probe)
     ->Arg(1);  // live counting probe
+
+/// The least a DirectTransport needs: a ledger, the specs, a counting
+/// delivery sink and lottery streams, over its own Simulation.
+class CountingContext final : public transport::TransportContext {
+ public:
+  CountingContext(core::FederationConfig cfg, std::size_t n)
+      : cfg_(std::move(cfg)),
+        specs_(cluster::replicated_specs(n)),
+        ledger_(n) {}
+
+  const core::FederationConfig& config() const override { return cfg_; }
+  sim::Simulation& sim() override { return sim_; }
+  core::MessageLedger& ledger() override { return ledger_; }
+  std::size_t sites() const override { return specs_.size(); }
+  const cluster::ResourceSpec& spec_of(
+      cluster::ResourceIndex index) const override {
+    return specs_[index];
+  }
+  void deliver(const core::Message& msg) override { delivered += msg.to; }
+  void message_dropped() override {}
+  sim::Rng& drop_rng() override { return rng_; }
+  sim::Rng& duplicate_rng() override { return rng_; }
+
+  std::uint64_t delivered = 0;
+
+ private:
+  core::FederationConfig cfg_;
+  std::vector<cluster::ResourceSpec> specs_;
+  core::MessageLedger ledger_;
+  sim::Simulation sim_;
+  sim::Rng rng_;
+};
+
+// The warm point-to-point message path, end to end through the kernel:
+// compose a kReply in place in a recycled slab slot, send it through a
+// DirectTransport (ledger record, loss lottery, delay, one posted
+// delivery event), dispatch the event and deliver the body in place.
+// Items are messages.
+void BM_DirectUnicast(benchmark::State& state) {
+  auto cfg = core::make_config(core::SchedulingMode::kEconomy);
+  cfg.network_latency = 1.0;
+  CountingContext ctx(cfg, 100);
+  transport::DirectTransport direct(ctx, std::nullopt, nullptr);
+  cluster::Job job;
+  job.processors = 1;
+  cluster::ResourceIndex to = 1;
+  for (auto _ : state) {
+    const core::Outgoing reply =
+        direct.compose(core::MessageType::kReply, 0, to, job);
+    reply->accept = true;
+    reply->completion_estimate = 10.0;
+    direct.unicast(reply);
+    ctx.sim().step();
+    to = to == 99 ? 1 : to + 1;
+  }
+  benchmark::DoNotOptimize(ctx.delivered);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_DirectUnicast);
 
 void BM_TracedEndToEndAuction(benchmark::State& state) {
   // Full two-day auction run with every observability facility on:

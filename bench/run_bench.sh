@@ -3,8 +3,9 @@
 # fig10/fig11 message-scaling benches, emitting
 #
 #   BENCH_kernel_micro.json — google-benchmark JSON (BM_EventQueuePushPop,
-#                             BM_EventQueueHold, BM_SimulationEventDispatch,
-#                             probed dispatch, ...)
+#                             BM_EventQueueHold, BM_EventQueueFanout,
+#                             BM_SimulationEventDispatch, probed dispatch,
+#                             BM_DirectUnicast, ...)
 #   BENCH_messages.json     — fig10 + fig11 summaries incl. the auction
 #                             batching comparison (msgs/job AND bytes/job)
 #   BENCH_metrics.json      — observability metrics time-series of the
@@ -33,7 +34,7 @@ trap 'rm -rf "$tmpdir"' EXIT
 echo "== kernel microbenchmarks -> $OUT_DIR/BENCH_kernel_micro.json"
 if [[ -x "$BUILD_DIR/bench_micro_kernel" ]]; then
   "$BUILD_DIR/bench_micro_kernel" \
-    --benchmark_filter='BM_EventQueuePushPop|BM_EventQueueHold|BM_SimulationEventDispatch|BM_SimulationEventDispatchProbed|BM_DirectoryRankedQuery' \
+    --benchmark_filter='BM_EventQueuePushPop|BM_EventQueueHold|BM_EventQueueFanout|BM_SimulationEventDispatch|BM_SimulationEventDispatchProbed|BM_DirectUnicast|BM_DirectoryRankedQuery' \
     --benchmark_repetitions=5 \
     --benchmark_report_aggregates_only=true \
     --benchmark_out="$OUT_DIR/BENCH_kernel_micro.json" \

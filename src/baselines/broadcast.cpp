@@ -79,8 +79,8 @@ class BroadcastDriver {
   }
 
   void arm_arrival() {
-    sim_.schedule_at(arrivals_[next_arrival_].submit,
-                     sim::EventPriority::kArrival, [this] {
+    sim_.schedule_at(arrivals_[next_arrival_].submit, sim::EventKind::kArrival,
+                     [this] {
                        on_arrival(arrivals_[next_arrival_++]);
                        if (next_arrival_ < arrivals_.size()) arm_arrival();
                      });
@@ -90,7 +90,7 @@ class BroadcastDriver {
     if (!uses_volunteers()) return;
     for (sim::SimTime t = cfg_.volunteer_period; t <= cfg_.window;
          t += cfg_.volunteer_period) {
-      sim_.schedule_at(t, sim::EventPriority::kControl, [this] {
+      sim_.schedule_at(t, sim::EventKind::kPeriodic, [this] {
         for (std::size_t i = 0; i < lrms_.size(); ++i) {
           const bool below =
               lrms_[i]->instantaneous_load() < cfg_.volunteer_load_threshold;

@@ -56,16 +56,18 @@ Reservation Lrms::submit(const Job& job, sim::SimTime exec_time,
   ++accepted_;
   ++queued_;
 
-  // Start and completion are definite: schedule both now.  Completion runs
-  // at kCompletion priority so freed processors are visible to same-instant
-  // arrivals (see EventPriority).
-  sim_.schedule_at(
-      start, sim::EventPriority::kCompletion,
-      [this, serial = res.serial, procs = res.processors] {
-        on_start(serial, procs);
-      });
-  sim_.schedule_at(completion, sim::EventPriority::kCompletion,
-                   [this, job, res] { on_finish(job, res); });
+  // Start and completion are definite: schedule both now.  Both kinds run
+  // in the kCompletion class, so freed processors are visible to
+  // same-instant arrivals (see EventPriority).  The finish event carries
+  // only the slot of the reservation's record in finishing_.
+  const std::uint32_t slot = finishing_.take();
+  finishing_[slot] = Finishing{job, res};
+  sim_.schedule_at(start, sim::EventKind::kLrmsStart,
+                   [this, serial = res.serial, procs = res.processors] {
+                     on_start(serial, procs);
+                   });
+  sim_.schedule_at(completion, sim::EventKind::kLrmsFinish,
+                   [this, slot] { on_finish(slot); });
   return res;
 }
 
@@ -112,7 +114,12 @@ void Lrms::shutdown() {
   kill_below_ = next_serial_ + 1;
 }
 
-void Lrms::on_finish(const Job& job, const Reservation& res) {
+void Lrms::on_finish(std::uint32_t slot) {
+  // The slot frees first: the completion handler may submit again.
+  const Finishing& record = finishing_[slot];
+  const CompletedJob done{record.job, record.res, index_};
+  finishing_.free(slot);
+  const Reservation& res = done.reservation;
   if (cancelled_.erase(res.serial) > 0) return;  // cancelled reservation
   GF_ENSURES(running_ > 0);
   --running_;
@@ -127,9 +134,7 @@ void Lrms::on_finish(const Job& job, const Reservation& res) {
     return;
   }
   ++completed_;
-  if (on_completion_) {
-    on_completion_(CompletedJob{job, res, index_});
-  }
+  if (on_completion_) on_completion_(done);
 }
 
 }  // namespace gridfed::cluster

@@ -23,6 +23,7 @@
 #include "cluster/resource.hpp"
 #include "sim/flat_map.hpp"
 #include "sim/simulation.hpp"
+#include "sim/slab.hpp"
 #include "stats/utilization.hpp"
 
 namespace gridfed::cluster {
@@ -174,10 +175,11 @@ class Lrms {
                                             sim::SimTime exec_time,
                                             sim::SimTime earliest) const;
 
-  // Scalar parameters keep the start event's capture inside the event
-  // kernel's 32-byte inline buffer (no allocation per job start).
+  // Event handlers.  Their captures are scalars, to fit an event
+  // record's 32-byte capture: the start's serial and processor count,
+  // and the finish's slot in finishing_.
   void on_start(std::uint64_t serial, std::uint32_t procs);
-  void on_finish(const Job& job, const Reservation& res);
+  void on_finish(std::uint32_t slot);
   [[nodiscard]] sim::SimTime now() const noexcept { return sim_.now(); }
 
   sim::Simulation& sim_;
@@ -203,6 +205,14 @@ class Lrms {
   std::uint64_t killed_ = 0;
   // Reservations cancelled before start; their events no-op on firing.
   sim::FlatSet<std::uint64_t> cancelled_;  // by Reservation::serial
+  /// What a pending finish event reports: the job and its reservation.
+  struct Finishing {
+    Job job;
+    Reservation res;
+  };
+  /// The finish records, by slot; small chunks keep the storage close to
+  /// the peak number of live reservations.
+  sim::Slab<Finishing, 8> finishing_;
 };
 
 }  // namespace gridfed::cluster

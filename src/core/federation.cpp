@@ -186,7 +186,7 @@ cluster::Lrms& Federation::lrms(cluster::ResourceIndex i) {
 void Federation::arm_periodic_behaviours() {
   // Utilization snapshot at the window boundary (jobs keep running, but
   // Tables 2/3 and Fig 4 report utilization over the window).
-  sim_.schedule_at(cfg_.window, sim::EventPriority::kControl, [this] {
+  sim_.schedule_at(cfg_.window, sim::EventKind::kPeriodic, [this] {
     for (std::size_t i = 0; i < lrms_.size(); ++i) {
       util_at_window_[i] = lrms_[i]->utilization().utilization(cfg_.window);
     }
@@ -197,7 +197,7 @@ void Federation::arm_periodic_behaviours() {
   if (cfg_.use_load_hints) {
     for (sim::SimTime t = cfg_.load_hint_period; t <= cfg_.window;
          t += cfg_.load_hint_period) {
-      sim_.schedule_at(t, sim::EventPriority::kControl, [this] {
+      sim_.schedule_at(t, sim::EventKind::kPeriodic, [this] {
         for (std::size_t i = 0; i < gfas_.size(); ++i) {
           const auto index = static_cast<cluster::ResourceIndex>(i);
           if (membership_ && !membership_->live(index)) continue;
@@ -214,7 +214,7 @@ void Federation::arm_periodic_behaviours() {
   if (observer_ && observer_->metrics() != nullptr) {
     for (sim::SimTime t = obs::kMetricsEpoch; t <= cfg_.window;
          t += obs::kMetricsEpoch) {
-      sim_.schedule_at(t, sim::EventPriority::kControl, [this] {
+      sim_.schedule_at(t, sim::EventKind::kPeriodic, [this] {
         observer_->metrics()->take_sample(sim_.now());
       });
     }
@@ -224,7 +224,7 @@ void Federation::arm_periodic_behaviours() {
   if (cfg_.dynamic_pricing) {
     const sim::SimTime period = cfg_.pricing.period;
     for (sim::SimTime t = period; t <= cfg_.window; t += period) {
-      sim_.schedule_at(t, sim::EventPriority::kControl, [this, period] {
+      sim_.schedule_at(t, sim::EventKind::kPeriodic, [this, period] {
         for (std::size_t i = 0; i < lrms_.size(); ++i) {
           if (membership_ &&
               !membership_->live(static_cast<cluster::ResourceIndex>(i))) {
@@ -271,8 +271,8 @@ void Federation::load_workload(
 }
 
 void Federation::arm_arrival() {
-  sim_.schedule_at(arrivals_[next_arrival_].submit,
-                   sim::EventPriority::kArrival, [this] {
+  sim_.schedule_at(arrivals_[next_arrival_].submit, sim::EventKind::kArrival,
+                   [this] {
                      const cluster::Job& job = arrivals_[next_arrival_++];
                      gfas_[job.origin]->submit_local(job);
                      if (next_arrival_ < arrivals_.size()) {
@@ -289,16 +289,16 @@ FederationResult Federation::run() {
   GF_EXPECTS(!ran_);
   ran_ = true;
   outcomes_.reserve(jobs_loaded_);
-  // The kernel dispatch probe: a captureless shim forwarding to the
-  // metrics registry, so the kernel never learns about the obs layer.
-  // Installed only when metrics are on — the dark run keeps the probe
-  // null and pays one predicted branch per event.
+  // The kernel dispatch probe: a captureless shim forwarding each
+  // event's kind to the metrics registry, so the kernel never learns
+  // about the obs layer.  Installed only when metrics are on — the dark
+  // run keeps the probe null and pays one predicted branch per event.
   const auto probe = [](void* ctx, sim::SimTime) {
-    static_cast<obs::MetricsRegistry*>(ctx)->count(
-        obs::Counter::kEventsDispatched);
+    Federation& fed = *static_cast<Federation*>(ctx);
+    fed.observer_->metrics()->count_dispatch(fed.sim_.current_kind());
   };
   if (observer_ && observer_->metrics() != nullptr) {
-    sim_.set_dispatch_probe(probe, observer_->metrics());
+    sim_.set_dispatch_probe(probe, this);
   }
   if (!arrivals_.empty()) arm_arrival();
   sim_.run();
@@ -314,18 +314,18 @@ FederationResult Federation::run() {
   return aggregate();
 }
 
-void Federation::send(Message&& msg) {
-  GF_EXPECTS(msg.to < gfas_.size());
-  transport_->unicast(std::move(msg));
+void Federation::send(Outgoing msg) {
+  GF_EXPECTS(msg->to < gfas_.size());
+  transport_->unicast(msg);
 }
 
 std::uint64_t Federation::multicast(
-    Message&& msg, std::span<const cluster::ResourceIndex> targets,
+    Outgoing msg, std::span<const cluster::ResourceIndex> targets,
     sim::SimTime not_after) {
   for (const cluster::ResourceIndex target : targets) {
     GF_EXPECTS(target < gfas_.size());
   }
-  return transport_->multicast(std::move(msg), targets, not_after);
+  return transport_->multicast(msg, targets, not_after);
 }
 
 void Federation::deliver(const Message& msg) {
@@ -379,11 +379,6 @@ sim::SimTime Federation::member_admit(cluster::ResourceIndex member,
 }
 
 // ---- membership::MembershipContext ------------------------------------------
-
-void Federation::gossip_send(Message&& msg) {
-  GF_EXPECTS(msg.to < gfas_.size());
-  transport_->unicast(std::move(msg));
-}
 
 void Federation::churn_crash(cluster::ResourceIndex site) {
   // Fail-stop, applied the instant the event fires: the agent drains its

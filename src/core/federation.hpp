@@ -71,8 +71,15 @@ class Federation final : public GfaHost,
   [[nodiscard]] FederationResult run();
 
   // ---- GfaHost ----------------------------------------------------------
-  void send(Message&& msg) override;
-  std::uint64_t multicast(Message&& msg,
+  /// compose() and send() satisfy both GfaHost and MembershipContext: the
+  /// agents' messages and the membership digests take the one send path.
+  [[nodiscard]] Outgoing compose(MessageType type, cluster::ResourceIndex from,
+                                 cluster::ResourceIndex to,
+                                 const cluster::Job& job) override {
+    return transport_->compose(type, from, to, job);
+  }
+  void send(Outgoing msg) override;
+  std::uint64_t multicast(Outgoing msg,
                           std::span<const cluster::ResourceIndex> targets,
                           sim::SimTime not_after) override;
   /// Satisfies both GfaHost and TransportContext.
@@ -187,11 +194,10 @@ class Federation final : public GfaHost,
   }
 
   // ---- membership::MembershipContext --------------------------------------
-  // (config(), sim() and sites() above satisfy this interface too.)  The
-  // churn hooks apply ground truth the instant an event fires;
-  // member_confirmed_dead applies the detection-driven consequences when
-  // the gossip views converge on a genuine crash.
-  void gossip_send(Message&& msg) override;
+  // (config(), sim(), sites(), compose() and send() above satisfy this
+  // interface too.)  The churn hooks apply ground truth the instant an
+  // event fires; member_confirmed_dead applies the detection-driven
+  // consequences when the gossip views converge on a genuine crash.
   void churn_join(cluster::ResourceIndex site) override;
   void churn_leave(cluster::ResourceIndex site) override;
   void churn_crash(cluster::ResourceIndex site) override;

@@ -95,15 +95,15 @@ void Gfa::park_enquiry(Pending p, cluster::ResourceIndex target,
   GF_OBS(observer_, count(obs::Counter::kEnquiriesStarted));
   const cluster::JobId id = p.job.id;
   const std::uint64_t attempt = p.attempt;
-  Message enquiry{type, index_, target, p.job};
-  enquiry.price = price;
+  const Outgoing enquiry = host_.compose(type, index_, target, p.job);
+  enquiry->price = price;
   pending_.insert_or_assign(id, std::move(p));
-  host_.send(std::move(enquiry));
+  host_.send(enquiry);
 
   const auto& cfg = host_.config();
   if (cfg.negotiate_timeout > 0.0) {
     sim_.schedule_in(
-        cfg.negotiate_timeout, sim::EventPriority::kControl,
+        cfg.negotiate_timeout, sim::EventKind::kNegotiateTimeout,
         [this, id, attempt] { on_negotiate_timeout(id, attempt); });
   }
 }
@@ -160,8 +160,10 @@ void Gfa::place_in_coalition(Pending p, federation::ParticipantId coalition,
     return;
   }
   ++p.messages;  // the payload transfer to the executing member
-  Message submission{MessageType::kJobSubmission, index_, placed.member,
-                     p.job, true, placed.estimate};
+  const Outgoing submission = host_.compose(
+      MessageType::kJobSubmission, index_, placed.member, p.job);
+  submission->accept = true;
+  submission->completion_estimate = placed.estimate;
   Awaiting info{std::move(p.job), p.negotiations, p.messages, payment,
                 placed.member};
   info.promise = placed.estimate;
@@ -175,7 +177,7 @@ void Gfa::place_in_coalition(Pending p, federation::ParticipantId coalition,
                  placed.member, coalition.value));
   GF_OBS(observer_, count(obs::Counter::kCoalitionPlacements));
   awaiting_.emplace(info.job.id, std::move(info));
-  host_.send(std::move(submission));
+  host_.send(submission);
 }
 
 void Gfa::execute_here(Pending p, double price) {
@@ -254,17 +256,22 @@ void Gfa::admit_and_reply(const Message& msg) {
                        placed.member, pid.value));
         GF_OBS(observer_, count(obs::Counter::kCoalitionPlacements));
       }
-      Message reply{MessageType::kReply, index_, msg.from, job,
-                    placed.accepted,
-                    placed.accepted ? placed.estimate : sim::kTimeInfinity};
-      if (placed.accepted) reply.exec_site = placed.member;
-      host_.send(std::move(reply));
+      const Outgoing reply =
+          host_.compose(MessageType::kReply, index_, msg.from, job);
+      reply->accept = placed.accepted;
+      reply->completion_estimate =
+          placed.accepted ? placed.estimate : sim::kTimeInfinity;
+      if (placed.accepted) reply->exec_site = placed.member;
+      host_.send(reply);
       return;
     }
   }
   const sim::SimTime estimate = admit_remote(job);
-  host_.send(Message{MessageType::kReply, index_, msg.from, job,
-                     estimate != sim::kTimeInfinity, estimate});
+  const Outgoing reply =
+      host_.compose(MessageType::kReply, index_, msg.from, job);
+  reply->accept = estimate != sim::kTimeInfinity;
+  reply->completion_estimate = estimate;
+  host_.send(reply);
 }
 
 sim::SimTime Gfa::admit_remote(const cluster::Job& job) {
@@ -323,7 +330,7 @@ sim::SimTime Gfa::admit_remote(const cluster::Job& job) {
     // model the payload also needs its staging time to land, and a hold
     // cancelled while it is in flight would strand the job.
     sim_.schedule_in(
-        2.0 * cfg.negotiate_timeout + staging, sim::EventPriority::kControl,
+        2.0 * cfg.negotiate_timeout + staging, sim::EventKind::kHoldTimeout,
         [this, id = job.id, token] { on_hold_timeout(id, token); });
   }
   return estimate;
@@ -378,8 +385,10 @@ void Gfa::handle_reply(const Message& msg) {
   const cluster::ResourceIndex exec =
       msg.exec_site == cluster::kNoResource ? msg.from : msg.exec_site;
   const double cost = policy_->settled_cost(p, exec);
-  Message submission{MessageType::kJobSubmission, index_, exec, p.job,
-                     true, msg.completion_estimate};
+  const Outgoing submission =
+      host_.compose(MessageType::kJobSubmission, index_, exec, p.job);
+  submission->accept = true;
+  submission->completion_estimate = msg.completion_estimate;
   Awaiting info{std::move(p.job), p.negotiations, p.messages, cost, exec};
   info.promise = msg.completion_estimate;
   info.via_award = p.award_in_flight;
@@ -387,7 +396,7 @@ void Gfa::handle_reply(const Message& msg) {
   GF_OBS(observer_, begin(now(), obs::SpanKind::kPlacement, index_,
                           info.job.id, exec, 0, cost));
   awaiting_.emplace(info.job.id, std::move(info));
-  host_.send(std::move(submission));
+  host_.send(submission);
 }
 
 void Gfa::handle_submission(const Message& msg) {
@@ -437,9 +446,12 @@ void Gfa::on_lrms_completion(const cluster::CompletedJob& done) {
   holds_.erase(hold);
   if (phantom) return;
   // Send the output home with the definite execution window.
-  host_.send(Message{MessageType::kJobCompletion, index_, done.job.origin,
-                     done.job, true, done.reservation.completion,
-                     done.reservation.start});
+  const Outgoing output = host_.compose(MessageType::kJobCompletion, index_,
+                                        done.job.origin, done.job);
+  output->accept = true;
+  output->completion_estimate = done.reservation.completion;
+  output->start_time = done.reservation.start;
+  host_.send(output);
 }
 
 void Gfa::finalize(cluster::JobId id, cluster::ResourceIndex exec,

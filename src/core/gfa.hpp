@@ -53,17 +53,26 @@ class GfaHost {
  public:
   virtual ~GfaHost() = default;
 
-  /// Routes a message to its destination GFA (records it in the message
-  /// ledger and applies the configured network latency).
-  virtual void send(Message&& msg) = 0;
+  /// A fresh message composed in place in the transport's delivery
+  /// slab, every payload field reset (transport::Transport::compose).
+  /// Fill it through the handle, then pass it to send() or multicast(),
+  /// exactly once.
+  [[nodiscard]] virtual Outgoing compose(MessageType type,
+                                         cluster::ResourceIndex from,
+                                         cluster::ResourceIndex to,
+                                         const cluster::Job& job) = 0;
 
-  /// Routes one payload to every target through the configured
-  /// transport (msg.to is overwritten per target).  `not_after` bounds
+  /// Routes a composed message to its destination GFA (records it in the
+  /// message ledger and applies the configured network latency).
+  virtual void send(Outgoing msg) = 0;
+
+  /// Routes one composed payload to every target through the configured
+  /// transport (its `to` is overwritten per target).  `not_after` bounds
   /// any fan-out batching the transport applies.  Returns the wire
   /// messages charged to the sender immediately (one per target on the
   /// direct transport; 0 on the tree, whose shared edge messages land
   /// in the ledger's relay counters).
-  virtual std::uint64_t multicast(Message&& msg,
+  virtual std::uint64_t multicast(Outgoing msg,
                                   std::span<const cluster::ResourceIndex>
                                       targets,
                                   sim::SimTime not_after) = 0;
@@ -258,11 +267,17 @@ class Gfa final : public policy::SchedulerContext {
   [[nodiscard]] std::vector<BatchedBid> bid_buffer() override {
     return host_.bid_buffer();
   }
-  void send(Message&& msg) override { host_.send(std::move(msg)); }
-  std::uint64_t multicast(Message&& msg,
+  [[nodiscard]] Outgoing compose(MessageType type,
+                                 cluster::ResourceIndex from,
+                                 cluster::ResourceIndex to,
+                                 const cluster::Job& job) override {
+    return host_.compose(type, from, to, job);
+  }
+  void send(Outgoing msg) override { host_.send(msg); }
+  std::uint64_t multicast(Outgoing msg,
                           std::span<const cluster::ResourceIndex> targets,
                           sim::SimTime not_after) override {
-    return host_.multicast(std::move(msg), targets, not_after);
+    return host_.multicast(msg, targets, not_after);
   }
   void auction_report(const market::ClearingReport& report) override {
     host_.auction_report(report);

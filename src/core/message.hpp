@@ -23,6 +23,7 @@
 #include "cluster/job.hpp"
 #include "cluster/resource.hpp"
 #include "membership/gossip.hpp"
+#include "sim/event.hpp"
 #include "sim/types.hpp"
 #include "transport/message_arena.hpp"
 
@@ -48,6 +49,8 @@ enum class MessageType : std::uint8_t {
 /// from the last enumerator so it cannot drift from the enum.
 inline constexpr std::size_t kMessageTypeCount =
     static_cast<std::size_t>(MessageType::kGossip) + 1;
+// Each delivery event is tagged with its message type's kind.
+static_assert(kMessageTypeCount == sim::kDeliveryKinds);
 
 [[nodiscard]] constexpr const char* to_string(MessageType t) noexcept {
   switch (t) {
@@ -90,6 +93,10 @@ struct BatchedBid {
 /// QoS parameters for the remote estimate, submission needs the payload,
 /// and reply/completion use it for identification/accounting.
 ///
+/// A message is built once, in the delivery-slab slot it is delivered
+/// from: senders compose() it (which resets every payload field below),
+/// fill it through the Outgoing handle, and send that handle.
+///
 /// Batched solicitation (AuctionConfig::batch_solicitations) coalesces
 /// same-window call-for-bids per (origin, provider) pair: one kCallForBids
 /// carries several jobs in `batch_jobs`, answered by one kBid carrying
@@ -97,20 +104,6 @@ struct BatchedBid {
 /// the ledger's local/remote classification (batches never mix origins)
 /// and the routing asserts keep working unchanged.
 struct Message {
-  Message() = default;
-  /// The common construction prefix; the remaining payload fields are
-  /// assigned after the fact by the protocol legs that use them.
-  Message(MessageType type, cluster::ResourceIndex from,
-          cluster::ResourceIndex to, cluster::Job job, bool accept = false,
-          sim::SimTime completion_estimate = 0.0, sim::SimTime start_time = 0.0)
-      : type(type),
-        from(from),
-        to(to),
-        job(std::move(job)),
-        accept(accept),
-        completion_estimate(completion_estimate),
-        start_time(start_time) {}
-
   MessageType type = MessageType::kNegotiate;
   cluster::ResourceIndex from = 0;
   cluster::ResourceIndex to = 0;
@@ -164,6 +157,26 @@ struct Message {
   /// was tombstoned in-network; price/completion_estimate/accept are
   /// zeroed and only the answer marker reaches the origin.
   bool bid_pruned = false;
+};
+
+/// A message being composed in place, in the delivery-slab slot it will
+/// be delivered from (transport/delivery_slab.hpp).  compose() hands one
+/// out with every payload field reset; the sender fills the payload
+/// through it and passes it to exactly one send, which takes the slot
+/// over.  Copying the handle copies the reference, not the message.
+class Outgoing {
+ public:
+  Outgoing(Message& msg, std::uint32_t slot) noexcept
+      : msg_(&msg), slot_(slot) {}
+
+  [[nodiscard]] Message& operator*() const noexcept { return *msg_; }
+  [[nodiscard]] Message* operator->() const noexcept { return msg_; }
+  /// The slab slot the message lives in.
+  [[nodiscard]] std::uint32_t slot() const noexcept { return slot_; }
+
+ private:
+  Message* msg_;
+  std::uint32_t slot_;
 };
 
 // ---- wire-size model --------------------------------------------------------

@@ -19,7 +19,7 @@ void GridBank::settle(const Settlement& s) {
   GF_EXPECTS(s.consumer_home < debits_.size());
   credits_[s.provider] += s.amount;
   debits_[s.consumer_home] += s.amount;
-  by_user_[{s.consumer_home, s.user}] += s.amount;
+  by_user_[user_key(s.consumer_home, s.user)] += s.amount;
   log_.push_back(s);
   total_ += s.amount;
   ++txns_;
@@ -27,7 +27,7 @@ void GridBank::settle(const Settlement& s) {
 
 double GridBank::spent_by_user(cluster::ResourceIndex home,
                                std::uint32_t user) const {
-  const auto it = by_user_.find({home, user});
+  const auto it = by_user_.find(user_key(home, user));
   return it == by_user_.end() ? 0.0 : it->second;
 }
 

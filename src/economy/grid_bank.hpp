@@ -7,12 +7,11 @@
 // Figs 7(b)/8(b)).
 
 #include <cstdint>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "cluster/job.hpp"
 #include "cluster/resource.hpp"
+#include "sim/flat_map.hpp"
 
 namespace gridfed::economy {
 
@@ -67,10 +66,15 @@ class GridBank {
       cluster::ResourceIndex provider) const;
 
  private:
+  [[nodiscard]] static std::uint64_t user_key(cluster::ResourceIndex home,
+                                              std::uint32_t user) noexcept {
+    return (static_cast<std::uint64_t>(home) << 32) | user;
+  }
+
   std::vector<double> credits_;  // by provider
   std::vector<double> debits_;   // by consumer home
-  std::map<std::pair<cluster::ResourceIndex, std::uint32_t>, double>
-      by_user_;
+  /// Spent per user, keyed by user_key(home, user).
+  sim::FlatMap<std::uint64_t, double> by_user_;
   std::vector<Settlement> log_;
   double total_ = 0.0;
   std::uint64_t txns_ = 0;

@@ -34,12 +34,12 @@ void MembershipService::start() {
     GF_EXPECTS(ev.time > 0.0);
     last_churn = std::max(last_churn, ev.time);
     const ChurnEvent event = ev;
-    ctx_.sim().schedule_at(ev.time, sim::EventPriority::kControl,
+    ctx_.sim().schedule_at(ev.time, sim::EventKind::kChurn,
                            [this, event] { apply(event); });
   }
   horizon_ = std::max(ctx_.config().window, last_churn) +
              opts_.confirmation_bound();
-  ctx_.sim().schedule_at(opts_.gossip_period, sim::EventPriority::kControl,
+  ctx_.sim().schedule_at(opts_.gossip_period, sim::EventKind::kGossipRound,
                          [this] { run_round(); });
 }
 
@@ -68,7 +68,7 @@ void MembershipService::run_round() {
   }
   const sim::SimTime next = ctx_.sim().now() + opts_.gossip_period;
   if (next <= horizon_) {
-    ctx_.sim().schedule_at(next, sim::EventPriority::kControl,
+    ctx_.sim().schedule_at(next, sim::EventKind::kGossipRound,
                            [this] { run_round(); });
   }
 }
@@ -99,19 +99,18 @@ void MembershipService::push_to_partners(cluster::ResourceIndex from) {
 void MembershipService::send_digest(cluster::ResourceIndex from,
                                     cluster::ResourceIndex to,
                                     bool pull_reply) {
-  core::Message msg;
-  msg.type = core::MessageType::kGossip;
-  msg.from = from;
-  msg.to = to;
-  // The answering half of push-pull carries accept=true so the receiver
-  // does not answer again.
-  msg.accept = pull_reply;
   // The ledger classifies by job.origin; a digest is the sender's own
   // traffic.
-  msg.job.origin = from;
-  views_[from].fill_digest(msg.gossip);
+  cluster::Job own;
+  own.origin = from;
+  const core::Outgoing msg =
+      ctx_.compose(core::MessageType::kGossip, from, to, own);
+  // The answering half of push-pull carries accept=true so the receiver
+  // does not answer again.
+  msg->accept = pull_reply;
+  views_[from].fill_digest(msg->gossip);
   ++tel_.gossip_messages;
-  ctx_.gossip_send(std::move(msg));
+  ctx_.send(msg);
 }
 
 void MembershipService::on_gossip(const core::Message& msg) {

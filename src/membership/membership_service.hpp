@@ -44,8 +44,14 @@ class MembershipContext {
   [[nodiscard]] virtual sim::Simulation& sim() = 0;
   [[nodiscard]] virtual std::size_t sites() const = 0;
 
-  /// Sends one kGossip digest over the run's transport.
-  virtual void gossip_send(core::Message&& msg) = 0;
+  /// A fresh message composed in place in the run's transport (see
+  /// core::GfaHost::compose); the service composes its kGossip digests.
+  [[nodiscard]] virtual core::Outgoing compose(core::MessageType type,
+                                               cluster::ResourceIndex from,
+                                               cluster::ResourceIndex to,
+                                               const cluster::Job& job) = 0;
+  /// Sends one composed kGossip digest over the run's transport.
+  virtual void send(core::Outgoing msg) = 0;
 
   virtual void churn_join(cluster::ResourceIndex site) = 0;
   virtual void churn_leave(cluster::ResourceIndex site) = 0;

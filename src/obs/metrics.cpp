@@ -61,7 +61,20 @@ void MetricsRegistry::write_json(std::ostream& out) const {
     write_u64_array(out, hist.buckets);
     out << "}";
   }
-  out << "\n  },\n  \"per_participant\": {\"declines\": ";
+  out << "\n  },\n  \"dispatches\": {";
+  for (std::size_t k = 0; k < sim::kEventKindCount; ++k) {
+    const auto kind = static_cast<sim::EventKind>(k);
+    out << (k ? ", \"" : "\"");
+    if (kind >= sim::EventKind::kDelivery) {
+      out << "delivery."
+          << core::to_string(static_cast<core::MessageType>(
+                 k - static_cast<std::size_t>(sim::EventKind::kDelivery)));
+    } else {
+      out << sim::to_string(kind);
+    }
+    out << "\": " << dispatches_[k];
+  }
+  out << "},\n  \"per_participant\": {\"declines\": ";
   write_u64_array(out, declines_);
   out << ", \"misses\": ";
   write_u64_array(out, misses_);

@@ -1,6 +1,7 @@
 #pragma once
 // Metrics registry: enum-indexed counters and gauges, fixed-bucket
-// power-of-two histograms, and per-participant decline/miss tallies —
+// power-of-two histograms, per-event-kind dispatch counts, and
+// per-participant decline/miss tallies —
 // everything backed by flat arrays sized at construction, so the hot
 // path (count / set_gauge / observe) is an index and an add with no
 // allocation and no hashing.
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "core/message.hpp"
+#include "sim/event.hpp"
 #include "sim/types.hpp"
 
 namespace gridfed::obs {
@@ -170,6 +172,12 @@ class MetricsRegistry {
   void count(Counter c, std::uint64_t n = 1) noexcept {
     counters_[static_cast<std::size_t>(c)] += n;
   }
+  /// One event of `kind` dispatched (the kernel dispatch probe): counts
+  /// kEventsDispatched and the kind's own tally.
+  void count_dispatch(sim::EventKind kind) noexcept {
+    ++counters_[static_cast<std::size_t>(Counter::kEventsDispatched)];
+    ++dispatches_[static_cast<std::size_t>(kind)];
+  }
   void set_gauge(Gauge g, std::uint64_t v) noexcept {
     gauges_[static_cast<std::size_t>(g)] = v;
   }
@@ -199,6 +207,11 @@ class MetricsRegistry {
   [[nodiscard]] const Histogram& histogram(Histo h) const noexcept {
     return histograms_[static_cast<std::size_t>(h)];
   }
+  /// Events of `kind` dispatched so far; the kinds sum to
+  /// counter(kEventsDispatched).
+  [[nodiscard]] std::uint64_t dispatches(sim::EventKind kind) const noexcept {
+    return dispatches_[static_cast<std::size_t>(kind)];
+  }
   [[nodiscard]] const std::vector<MetricsSample>& series() const noexcept {
     return series_;
   }
@@ -209,14 +222,15 @@ class MetricsRegistry {
     return misses_;
   }
 
-  /// Renders the whole registry — series, histograms, per-participant
-  /// tallies — as a single JSON document.
+  /// Renders the whole registry — series, histograms, dispatches per
+  /// kind, per-participant tallies — as a single JSON document.
   void write_json(std::ostream& out) const;
 
  private:
   std::array<std::uint64_t, kCounterCount> counters_{};
   std::array<std::uint64_t, kGaugeCount> gauges_{};
   std::array<Histogram, kHistoCount> histograms_{};
+  std::array<std::uint64_t, sim::kEventKindCount> dispatches_{};
   std::vector<std::uint64_t> declines_;
   std::vector<std::uint64_t> misses_;
   std::vector<MetricsSample> series_;

@@ -138,9 +138,9 @@ void AuctionPolicy::open_auction(core::Pending p) {
         std::max(0.0, p.job.absolute_deadline() - ctx_.now());
     const sim::SimTime not_after =
         ctx_.now() + kSolicitHoldSlackFraction * slack;
-    core::Message msg{core::MessageType::kCallForBids, self_, self_, p.job};
-    p.messages += ctx_.multicast(std::move(msg), scratch_targets_,
-                                 not_after);
+    p.messages += ctx_.multicast(
+        ctx_.compose(core::MessageType::kCallForBids, self_, self_, p.job),
+        scratch_targets_, not_after);
   }
 
   const cluster::JobId id = p.job.id;
@@ -165,7 +165,7 @@ void AuctionPolicy::open_auction(core::Pending p) {
     return;
   }
   if (acfg.bid_timeout > 0.0) {
-    ctx_.sim().schedule_in(acfg.bid_timeout, sim::EventPriority::kControl,
+    ctx_.sim().schedule_in(acfg.bid_timeout, sim::EventKind::kBidTimeout,
                            [this, id] { on_bid_timeout(id); });
   }
 }
@@ -184,7 +184,7 @@ void AuctionPolicy::queue_solicitation(cluster::JobId id) {
   const sim::SimTime deadline = ctx_.now() + hold;
   solicit_queue_.push_back(id);
   if (deadline < flush_deadline_) flush_deadline_ = deadline;
-  ctx_.sim().schedule_at(deadline, sim::EventPriority::kControl,
+  ctx_.sim().schedule_at(deadline, sim::EventKind::kSolicitFlush,
                          [this] { maybe_flush_solicitations(); });
 }
 
@@ -263,19 +263,19 @@ void AuctionPolicy::flush_solicitations() {
       ++j;
     }
     if (!arena) arena = std::make_shared<transport::MessageArena>();
-    core::Message msg;
-    msg.type = core::MessageType::kCallForBids;
-    msg.from = self_;
-    msg.batch_jobs = arena->append(scratch_buckets_[i]);
-    msg.arena = arena;
-    msg.job = msg.batch_jobs.front();
+    const std::span<const cluster::Job> batch =
+        arena->append(scratch_buckets_[i]);
+    const core::Outgoing msg = ctx_.compose(core::MessageType::kCallForBids,
+                                            self_, self_, batch.front());
+    msg->batch_jobs = batch;
+    msg->arena = arena;
     // Attribute the run's wire cost to the batch's first job so the
     // per-job counters still sum to the ledger total (on the direct
     // transport; the tree's shared edge messages return 0 and live in
     // the ledger's relay counters instead).
-    const cluster::JobId front_id = msg.job.id;
+    const cluster::JobId front_id = batch.front().id;
     const std::uint64_t wire = ctx_.multicast(
-        std::move(msg),
+        msg,
         std::span<const cluster::ResourceIndex>(
             scratch_providers_.data() + i, j - i),
         not_after);
@@ -285,7 +285,7 @@ void AuctionPolicy::flush_solicitations() {
   if (acfg.bid_timeout > 0.0) {
     for (const cluster::JobId id : solicit_queue_) {
       if (auctions_.find(id) == auctions_.end()) continue;
-      ctx_.sim().schedule_in(acfg.bid_timeout, sim::EventPriority::kControl,
+      ctx_.sim().schedule_in(acfg.bid_timeout, sim::EventKind::kBidTimeout,
                              [this, id] { on_bid_timeout(id); });
     }
   }
@@ -502,16 +502,13 @@ void AuctionPolicy::on_call_for_bids(const core::Message& msg) {
     // Batched solicitation: one sealed ask per carried job, all riding
     // home in a single wire message.  The asks go into a recycled
     // buffer, so the answer usually allocates nothing.
-    core::Message answer;
-    answer.type = core::MessageType::kBid;
-    answer.from = self_;
-    answer.to = msg.from;
-    answer.job = msg.batch_jobs.front();
-    answer.batch_bids = ctx_.bid_buffer();
-    answer.batch_bids.reserve(msg.batch_jobs.size());
+    const core::Outgoing answer = ctx_.compose(
+        core::MessageType::kBid, self_, msg.from, msg.batch_jobs.front());
+    answer->batch_bids = ctx_.bid_buffer();
+    answer->batch_bids.reserve(msg.batch_jobs.size());
     for (const cluster::Job& job : msg.batch_jobs) {
       const market::Bid bid = participant_bid(job);
-      answer.batch_bids.push_back(core::BatchedBid{
+      answer->batch_bids.push_back(core::BatchedBid{
           job.id, bid.ask, bid.completion_estimate, bid.feasible});
     }
     GF_OBS(observer_,
@@ -520,18 +517,20 @@ void AuctionPolicy::on_call_for_bids(const core::Message& msg) {
                    msg.batch_jobs.size()));
     GF_OBS(observer_,
            count(obs::Counter::kBidsAnswered, msg.batch_jobs.size()));
-    ctx_.send(std::move(answer));
+    ctx_.send(answer);
     return;
   }
   const market::Bid bid = participant_bid(msg.job);
-  core::Message answer{core::MessageType::kBid, self_, msg.from, msg.job,
-                       bid.feasible, bid.completion_estimate};
-  answer.price = bid.ask;
+  const core::Outgoing answer =
+      ctx_.compose(core::MessageType::kBid, self_, msg.from, msg.job);
+  answer->accept = bid.feasible;
+  answer->completion_estimate = bid.completion_estimate;
+  answer->price = bid.ask;
   GF_OBS(observer_,
          instant(ctx_.now(), obs::SpanKind::kBidAnswered, self_,
                  msg.job.id, msg.from, 1));
   GF_OBS(observer_, count(obs::Counter::kBidsAnswered));
-  ctx_.send(std::move(answer));
+  ctx_.send(answer);
 }
 
 void AuctionPolicy::on_bid(const core::Message& msg) {

@@ -99,13 +99,20 @@ class SchedulerContext {
   virtual void reject(core::Pending p) = 0;
 
   // -- raw protocol services ----------------------------------------------
-  /// Routes one message through the host (ledger + latency applied).
-  virtual void send(core::Message&& msg) = 0;
-  /// Routes one payload to every target through the host's transport
-  /// (msg.to overwritten per target; `not_after` bounds transport-level
-  /// fan-out batching).  Returns the wire messages charged immediately —
-  /// see core::GfaHost::multicast.
-  virtual std::uint64_t multicast(core::Message&& msg,
+  /// A fresh message composed in place where it will be delivered from
+  /// (see core::GfaHost::compose); fill it, then send or multicast it.
+  [[nodiscard]] virtual core::Outgoing compose(core::MessageType type,
+                                               cluster::ResourceIndex from,
+                                               cluster::ResourceIndex to,
+                                               const cluster::Job& job) = 0;
+  /// Routes one composed message through the host (ledger + latency
+  /// applied).
+  virtual void send(core::Outgoing msg) = 0;
+  /// Routes one composed payload to every target through the host's
+  /// transport (its `to` overwritten per target; `not_after` bounds
+  /// transport-level fan-out batching).  Returns the wire messages
+  /// charged immediately — see core::GfaHost::multicast.
+  virtual std::uint64_t multicast(core::Outgoing msg,
                                   std::span<const cluster::ResourceIndex>
                                       targets,
                                   sim::SimTime not_after) = 0;

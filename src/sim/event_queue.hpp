@@ -8,10 +8,13 @@
 // time, so the pending set is the events in flight plus one arrival: a
 // few thousand keys at 100 clusters, not the whole trace.
 //
-// The inline callbacks live in a stable slot-indexed side array of
-// cache-line-sized records (callback + occupant identity + run link
+// The event records (sim/event.hpp) live in a stable slot-indexed side
+// array of cache-line-sized slots (record + occupant identity + run link
 // together, so a dispatch touches exactly one line per slot) and never
-// move while queued; the ladder shuffles 16-byte integers only.
+// move while queued; the ladder shuffles 16-byte integers only.  push()
+// hands out the slot's record and the caller constructs the event's
+// closure in it, so an event is written once, where it will be
+// dispatched from; pop() copies the record out once.
 //
 // Same-instant runs.  A multicast schedules one delivery per target
 // back to back: events of one (time, priority) with consecutive seqs,
@@ -52,25 +55,23 @@ class EventQueue {
  public:
   EventQueue() {
     // One queue drives a whole federation run; pre-sizing skips the
-    // first rounds of growth (and InlineFunction relocation) in the hot
-    // loop.
+    // first rounds of growth (and slot relocation) in the hot loop.
     slots_.reserve(kInitialCapacity);
     free_slots_.reserve(kInitialCapacity);
   }
 
-  /// Inserts an event.  O(1) amortized; allocation-free apart from
+  /// Inserts an event at (time, prio, seq) and returns its slot's
+  /// record, which the caller fills with EventRecord::set before the
+  /// next queue operation.  O(1) amortized; allocation-free apart from
   /// amortized storage growth (slots freed by pop() are reused).
   /// Defined inline below: push/pop are the innermost simulation loop.
-  void push(Event ev);
+  [[nodiscard]] EventRecord& push(SimTime time, EventPriority prio,
+                                  EventSeq seq);
 
-  /// Removes and returns the earliest event.  Precondition: !empty().
-  [[nodiscard]] Event pop();
-
-  /// Hot-loop variant of pop(): moves the earliest event's callback into
-  /// `action` and returns its timestamp, skipping the Event round-trip
-  /// (the dispatch loop needs neither seq nor priority).
-  /// Precondition: !empty().
-  SimTime pop_into(InlineFunction& action);
+  /// Removes the earliest event: copies its record into `out` and
+  /// returns its key (fel_time_of / fel_priority_of / fel_seq_of decode
+  /// it).  Precondition: !empty().
+  FelKey pop(EventRecord& out);
 
   /// Timestamp of the earliest event (cached; no structure access);
   /// +infinity when empty.
@@ -114,12 +115,6 @@ class EventQueue {
        << 64) |
       ~std::uint64_t{0};
 
-  /// Shared body of pop()/pop_into(): pops the minimum, moves its
-  /// callback into `action`, recycles the slot, and returns the full
-  /// 128-bit key so callers decode time/priority/seq without a second
-  /// min query.
-  FelKey pop_key(InlineFunction& action);
-
   /// Pushes the register's key back into the ladder.  Out of line, so
   /// the ladder's push stays inlined into push() alone.
   void spill_register();
@@ -134,21 +129,21 @@ class EventQueue {
 
   LadderQueue ladder_;
 
-  /// One action slot: the parked callback, the low-64 key bits of the
+  /// One event slot: the event's record, the low-64 key bits of the
   /// occupant (kNoEvent when free) and the slot of the next member of
   /// its run.  Cache-line aligned: slots are read in key order, i.e.
   /// randomly, so keeping everything a dispatch needs on one line halves
   /// the misses of split side arrays and lets after_remove's prefetch
   /// cover the whole next pop.
   struct alignas(64) Slot {
-    InlineFunction action;
+    EventRecord record;
     std::uint64_t low = kNoEvent;
     std::uint32_t next = kNoSlot;
   };
   static_assert(sizeof(Slot) == 64, "a slot must stay one cache line");
 
   std::vector<Slot> slots_;                ///< slot-indexed, stable
-  std::vector<std::uint32_t> free_slots_;  ///< recycled action slots
+  std::vector<std::uint32_t> free_slots_;  ///< recycled event slots
 
   /// The next member of the run being drained (kNoKey when none).
   FelKey reg_ = kNoKey;

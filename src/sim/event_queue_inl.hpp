@@ -1,33 +1,33 @@
 #pragma once
 // Inline definitions of the EventQueue hot path (see event_queue.hpp for
 // the design).  push/pop are the innermost loop of every simulation run;
-// keeping them header-inline lets callers fold the Event round-trip away
-// (e.g. a caller that only reads the popped time never materializes the
-// decoded priority/seq).
+// keeping them header-inline lets the Simulation's schedule templates
+// construct each closure straight into the slot push() returns, and lets
+// a caller that only reads the popped time never decode priority/seq.
 
 #include <algorithm>
-#include <utility>
 
 #include "sim/check.hpp"
 #include "sim/event_queue.hpp"
 
 namespace gridfed::sim {
 
-inline void EventQueue::push(Event ev) {
+inline EventRecord& EventQueue::push(SimTime time, EventPriority prio,
+                                     EventSeq seq) {
   // The IEEE-bits-as-integer ordering trick needs a non-negative time
   // (which also rejects NaN).  -0.0 would bit-sort above every positive
   // value, so normalize it to +0.0.
-  GF_EXPECTS(ev.time >= 0.0);
-  if (ev.time == 0.0) ev.time = 0.0;
-  GF_EXPECTS(ev.seq < (std::uint64_t{1} << kFelSeqBits));
+  GF_EXPECTS(time >= 0.0);
+  if (time == 0.0) time = 0.0;
+  GF_EXPECTS(seq < (std::uint64_t{1} << kFelSeqBits));
   // The pack reserves 2 bits for the priority; a grown enum must not
   // silently truncate into a different ordering class.
   static_assert(static_cast<int>(EventPriority::kControl) < 4,
                 "EventPriority no longer fits the 2-bit key field");
 
-  const auto hi = std::bit_cast<std::uint64_t>(ev.time);
+  const auto hi = std::bit_cast<std::uint64_t>(time);
   const std::uint64_t order =
-      (static_cast<std::uint64_t>(ev.priority) << kFelSeqBits) | ev.seq;
+      (static_cast<std::uint64_t>(prio) << kFelSeqBits) | seq;
   // Same time, same priority, the next seq, and the previous push still
   // pending (its slot still holds it): this event joins that run.  The
   // sentinels before the first push fail the first two tests.
@@ -36,7 +36,7 @@ inline void EventQueue::push(Event ev) {
                      order == (tail_low_ >> kFelSlotBits) + 1 &&
                      slots_[tail_slot].low == tail_low_;
 
-  // Park the callback in a stable slot; at most the 16-byte key enters
+  // The event lives in a stable slot; at most the 16-byte key enters
   // the ladder.
   std::uint32_t slot;
   if (!free_slots_.empty()) {
@@ -50,7 +50,6 @@ inline void EventQueue::push(Event ev) {
 
   const std::uint64_t low = (order << kFelSlotBits) | slot;
   Slot& s = slots_[slot];
-  s.action = std::move(ev.action);
   s.low = low;
   s.next = kNoSlot;
   if (joins) {
@@ -68,9 +67,11 @@ inline void EventQueue::push(Event ev) {
   tail_low_ = low;
   ++live_;
   GF_SIM_CHECK(consistent());
+  return s.record;
 }
 
-inline FelKey EventQueue::pop_key(InlineFunction& action) {
+inline FelKey EventQueue::pop(EventRecord& out) {
+  GF_EXPECTS(live_ > 0);
   const FelKey top = next_key_;
   if (top == reg_) {
     reg_ = kNoKey;
@@ -90,7 +91,7 @@ inline FelKey EventQueue::pop_key(InlineFunction& action) {
     reg_ = ((top >> 64) << 64) | next_low;
     --chained_;
   }
-  action = std::move(s.action);
+  out = s.record;
   s.low = kNoEvent;
   free_slots_.push_back(slot);
   --live_;
@@ -99,31 +100,13 @@ inline FelKey EventQueue::pop_key(InlineFunction& action) {
   return top;
 }
 
-inline SimTime EventQueue::pop_into(InlineFunction& action) {
-  GF_EXPECTS(live_ > 0);
-  return fel_time_of(pop_key(action));
-}
-
-inline Event EventQueue::pop() {
-  GF_EXPECTS(live_ > 0);
-  constexpr std::uint64_t kSeqMask = (std::uint64_t{1} << kFelSeqBits) - 1;
-  Event ev;
-  const FelKey top = pop_key(ev.action);
-  const auto low = fel_low64(top);
-  ev.seq = (low >> kFelSlotBits) & kSeqMask;
-  ev.priority =
-      static_cast<EventPriority>(low >> (kFelSeqBits + kFelSlotBits));
-  ev.time = fel_time_of(top);
-  return ev;
-}
-
 inline void EventQueue::after_remove() {
   if (live_ == 0) {
     ladder_.clear();  // already empty: resets its floors for a fresh start
     next_key_ = kEmptyKey;
     return;
   }
-  // The next dispatch will move the next slot's record out; its line is
+  // The next dispatch will copy the next slot's record out; its line is
   // a likely miss on large pending sets (slots are read in key order,
   // i.e. randomly).  Start the fetch now so it overlaps the caller's
   // work between pops: the register's slot, and as many of the ladder's

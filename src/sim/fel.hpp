@@ -6,7 +6,7 @@
 // For non-negative doubles the IEEE bit pattern orders exactly like the
 // value, so a single unsigned 128-bit compare implements the full
 // (time, priority, seq) strict weak ordering — one branch where the
-// naive comparator needs three.  The callbacks live in a stable
+// naive comparator needs three.  The event records live in a stable
 // slot-indexed side array owned by EventQueue and never move while
 // queued; the FEL structure (LadderQueue, ladder_queue.hpp) shuffles
 // 16-byte integers only, one per same-instant run of events (the run's
@@ -17,6 +17,7 @@
 #include <bit>
 #include <cstdint>
 
+#include "sim/event.hpp"
 #include "sim/types.hpp"
 
 namespace gridfed::sim {
@@ -36,6 +37,16 @@ inline constexpr std::uint64_t kFelSlotMask =
 [[nodiscard]] inline std::uint32_t fel_slot_of(FelKey k) noexcept {
   return static_cast<std::uint32_t>(static_cast<std::uint64_t>(k) &
                                     kFelSlotMask);
+}
+
+[[nodiscard]] inline EventSeq fel_seq_of(FelKey k) noexcept {
+  return (static_cast<std::uint64_t>(k) >> kFelSlotBits) &
+         ((std::uint64_t{1} << kFelSeqBits) - 1);
+}
+
+[[nodiscard]] inline EventPriority fel_priority_of(FelKey k) noexcept {
+  return static_cast<EventPriority>(static_cast<std::uint64_t>(k) >>
+                                    (kFelSeqBits + kFelSlotBits));
 }
 
 /// Low 64 bits of a key: priority ‖ seq ‖ slot.  Unique per pending

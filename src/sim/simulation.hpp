@@ -3,32 +3,35 @@
 // GridSim toolkit the paper built on: a single-threaded, deterministic
 // event loop with a virtual clock.  All federation entities (clusters,
 // GFAs, user populations, the directory) are driven by this engine.
+//
+// Scheduling writes each event once: schedule_at/schedule_in are header
+// templates that take a future-event list slot and construct the
+// event's kind-tagged record (sim/event.hpp) — a trivially copyable
+// closure of at most 32 bytes — directly in it.  There is no boxed or
+// type-erased intermediate, and a capture that does not fit fails to
+// compile.  step() copies the earliest record out once and runs it.
 
 #include <cstdint>
 #include <utility>
 
+#include "sim/check.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/inline_function.hpp"
 #include "sim/types.hpp"
 
 namespace gridfed::sim {
-
-/// The closure type the engine schedules.  Small trivially copyable
-/// captures (`this` + a couple of ids) are stored inline — no heap
-/// allocation per event; see inline_function.hpp.
-using EventAction = InlineFunction;
 
 /// Deterministic discrete-event simulation engine.
 ///
 /// Usage:
 /// ```
 /// Simulation sim;
-/// sim.schedule_at(10.0, EventPriority::kArrival, [&]{ ... });
+/// sim.schedule_at(10.0, EventKind::kOther, [&x] { ++x; });
 /// sim.run();                      // until the event list drains
 /// ```
 /// The clock never moves backwards; scheduling into the past is a contract
-/// violation.  Events at equal timestamps run in (priority, FIFO) order —
-/// see EventPriority for why completions precede arrivals.
+/// violation.  Events at equal timestamps run in (priority, FIFO) order,
+/// the priority being their kind's (priority_of) — see EventPriority for
+/// why completions precede arrivals.
 class Simulation {
  public:
   Simulation() = default;
@@ -38,11 +41,23 @@ class Simulation {
   /// Current value of the virtual clock (simulated seconds).
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Schedules `action` at absolute time `t` (>= now()).
-  void schedule_at(SimTime t, EventPriority prio, EventAction action);
+  /// Schedules `action`, an event of `kind`, at absolute time `t`
+  /// (>= now()).  The action must be a trivially copyable void()
+  /// callable of at most EventRecord::kCaptureBytes.
+  template <typename F>
+  void schedule_at(SimTime t, EventKind kind, F&& action) {
+    GF_EXPECTS(t >= now_);
+    queue_.push(t, priority_of(kind), next_seq_++)
+        .set(kind, std::forward<F>(action));
+  }
 
-  /// Schedules `action` after a delay (>= 0) from now().
-  void schedule_in(SimTime delay, EventPriority prio, EventAction action);
+  /// Schedules `action`, an event of `kind`, after a delay (>= 0) from
+  /// now().
+  template <typename F>
+  void schedule_in(SimTime delay, EventKind kind, F&& action) {
+    GF_EXPECTS(delay >= 0.0);
+    schedule_at(now_ + delay, kind, std::forward<F>(action));
+  }
 
   /// Runs until the event list is empty.  Returns the final clock value.
   SimTime run();
@@ -53,19 +68,38 @@ class Simulation {
   SimTime run_until(SimTime horizon);
 
   /// Executes at most one pending event.  Returns false if none remain.
-  bool step();
+  bool step() {
+    if (queue_.empty()) return false;
+    // The record is copied to the stack before it runs: an action that
+    // schedules new events may grow the slot array under its slot.
+    EventRecord event;
+    const SimTime t = fel_time_of(queue_.pop(event));
+    GF_ENSURES(t >= now_);
+    now_ = t;
+    current_kind_ = event.kind;
+    ++executed_;
+    if (probe_ != nullptr) probe_(probe_ctx_, t);
+    event();
+    return true;
+  }
 
   /// Dispatch probe: a bare function pointer invoked once per executed
-  /// event, after the clock advances and before the action runs.  The
-  /// kernel stays ignorant of the observability layer — the Federation
-  /// installs a shim that forwards to its metrics registry when
-  /// ObsConfig::metrics is on.  A null probe (the default) costs one
-  /// predicted-not-taken branch per event and allocates nothing; the
-  /// no-alloc contract in tests/test_event_kernel.cpp covers both states.
+  /// event, after the clock advances and before the action runs; it
+  /// reads the event's kind from current_kind().  The kernel stays
+  /// ignorant of the observability layer — the Federation installs a
+  /// shim that forwards to its metrics registry when ObsConfig::metrics
+  /// is on.  A null probe (the default) costs one predicted-not-taken
+  /// branch per event and allocates nothing; the no-alloc contract in
+  /// tests/test_event_kernel.cpp covers both states.
   using DispatchProbe = void (*)(void* ctx, SimTime t);
   void set_dispatch_probe(DispatchProbe probe, void* ctx) noexcept {
     probe_ = probe;
     probe_ctx_ = ctx;
+  }
+
+  /// Kind of the event being dispatched (or the last one dispatched).
+  [[nodiscard]] EventKind current_kind() const noexcept {
+    return current_kind_;
   }
 
   /// Number of events executed so far (across all run*/step calls).
@@ -86,6 +120,7 @@ class Simulation {
   SimTime now_ = 0.0;
   EventSeq next_seq_ = 0;
   std::uint64_t executed_ = 0;
+  EventKind current_kind_ = EventKind::kOther;
   DispatchProbe probe_ = nullptr;
   void* probe_ctx_ = nullptr;
 };

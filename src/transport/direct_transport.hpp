@@ -3,8 +3,8 @@
 // pre-transport Federation::send() seam (pinned by the golden digests in
 // tests/test_transport.cpp): every message is recorded, runs the loss
 // lottery, and arrives after the configured one-way delay.  A multicast
-// is one unicast per target, in target order, all delivering one parked
-// body.
+// is one unicast per target, in target order, all delivering the one
+// composed body.
 
 #include <optional>
 
@@ -19,11 +19,9 @@ class DirectTransport final : public Transport {
                   obs::Observer* observer)
       : Transport(ctx, std::move(wan), observer) {}
 
-  void unicast(core::Message&& msg) override {
-    direct_unicast(std::move(msg));
-  }
+  void unicast(core::Outgoing msg) override { direct_unicast(msg); }
 
-  std::uint64_t multicast(core::Message&& msg,
+  std::uint64_t multicast(core::Outgoing msg,
                           std::span<const cluster::ResourceIndex> targets,
                           sim::SimTime not_after) override;
 };

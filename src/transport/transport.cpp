@@ -18,10 +18,10 @@ sim::SimTime Transport::delay_for(const core::Message& msg) const {
   return wan_->control_delay(msg.from, msg.to, core::wire_bytes(msg));
 }
 
-void Transport::direct_send(core::Message&& msg,
+void Transport::direct_send(core::Outgoing msg,
                             std::span<const cluster::ResourceIndex> targets) {
-  const std::uint32_t slot = slab_.park(std::move(msg));
-  core::Message& body = slab_.parked(slot);
+  const std::uint32_t slot = msg.slot();
+  core::Message& body = *msg;
   for (const cluster::ResourceIndex target : targets) {
     body.to = target;  // what the ledger and the WAN delay read
     ledger_.record(body);

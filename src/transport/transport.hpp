@@ -7,8 +7,11 @@
 // per (origin, provider).  This layer makes the delivery path itself a
 // swappable component:
 //
-//  * the *protocol* (Gfa, policies) decides what to say to whom — it
-//    hands the transport unicasts and multicast-to-set requests;
+//  * the *protocol* (Gfa, policies, membership) decides what to say to
+//    whom — it composes each message in place in the transport's
+//    delivery slab (compose()) and hands the transport the handle as a
+//    unicast or a multicast-to-set request: one send path, and no
+//    message is built anywhere but the slot it is delivered from;
 //  * a Transport decides how the bits move: per-message point-to-point
 //    (DirectTransport, the paper's model, bit-identical to the old
 //    seam), or along a k-ary overlay tree with epoch-batched fan-out
@@ -90,19 +93,30 @@ class Transport {
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
-  /// Delivers one point-to-point message (ledger + loss lottery +
-  /// latency applied).
-  virtual void unicast(core::Message&& msg) = 0;
+  /// A fresh message composed in its delivery-slab slot, every payload
+  /// field reset (DeliverySlab::compose).  Fill it through the handle,
+  /// then pass the handle to unicast() or multicast(), exactly once.
+  [[nodiscard]] core::Outgoing compose(core::MessageType type,
+                                       cluster::ResourceIndex from,
+                                       cluster::ResourceIndex to,
+                                       const cluster::Job& job) {
+    return slab_.compose(type, from, to, job);
+  }
 
-  /// Delivers one payload to every target in `targets` (msg.to is
-  /// overwritten per target).  `not_after` bounds any delivery batching
-  /// the transport applies (TreeTransport's fan-out epoch); kDirect
-  /// sends immediately and ignores it.  Returns the wire messages
-  /// charged to the caller immediately — one per target for kDirect,
-  /// 0 for kTree, whose shared edge messages land in the ledger's relay
-  /// counters instead — so per-job message attribution stays honest.
+  /// Delivers one composed point-to-point message to msg->to (ledger +
+  /// loss lottery + latency applied).
+  virtual void unicast(core::Outgoing msg) = 0;
+
+  /// Delivers one composed payload to every target in `targets` (its
+  /// `to` is overwritten per target).  `not_after` bounds any delivery
+  /// batching the transport applies (TreeTransport's fan-out epoch);
+  /// kDirect sends immediately and ignores it.  Returns the wire
+  /// messages charged to the caller immediately — one per target for
+  /// kDirect, 0 for kTree, whose shared edge messages land in the
+  /// ledger's relay counters instead — so per-job message attribution
+  /// stays honest.
   virtual std::uint64_t multicast(
-      core::Message&& msg, std::span<const cluster::ResourceIndex> targets,
+      core::Outgoing msg, std::span<const cluster::ResourceIndex> targets,
       sim::SimTime not_after) = 0;
 
   /// The WAN model of this run (null under the paper's constant-latency
@@ -190,18 +204,19 @@ class Transport {
   /// job payload, Eq. 1's data volume over the bottleneck access link.
   [[nodiscard]] sim::SimTime delay_for(const core::Message& msg) const;
 
-  /// The seed's point-to-point path for one payload to each of
+  /// The seed's point-to-point path for one composed payload to each of
   /// `targets` in order: per target, record, loss lottery, latency,
-  /// deliver — plus the duplication lottery on the idempotent legs.  The
-  /// payload is parked once; every target's delivery reads it in place.
-  /// DirectTransport is exactly this; TreeTransport uses it for every
-  /// leg it does not carry over the overlay.
-  void direct_send(core::Message&& msg,
+  /// deliver — plus the duplication lottery on the idempotent legs.
+  /// Every target's delivery reads the payload in its slot, and the
+  /// composer's hold is released at the end.  DirectTransport is exactly
+  /// this; TreeTransport uses it for every leg it does not carry over
+  /// the overlay.
+  void direct_send(core::Outgoing msg,
                    std::span<const cluster::ResourceIndex> targets);
-  /// direct_send to msg.to alone.
-  void direct_unicast(core::Message&& msg) {
-    const cluster::ResourceIndex to = msg.to;
-    direct_send(std::move(msg), {&to, 1});
+  /// direct_send to msg->to alone.
+  void direct_unicast(core::Outgoing msg) {
+    const cluster::ResourceIndex to = msg->to;
+    direct_send(msg, {&to, 1});
   }
 
   TransportContext& ctx_;
@@ -210,8 +225,7 @@ class Transport {
   const core::FederationConfig& cfg_;
   core::MessageLedger& ledger_;
   std::optional<network::LatencyModel> wan_;
-  /// Where every delivery waits; direct_send and the tree's relay park
-  /// each payload here once.
+  /// Where every message is composed and waits for its deliveries.
   DeliverySlab slab_;
 };
 

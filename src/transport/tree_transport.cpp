@@ -129,25 +129,29 @@ void TreeTransport::on_member_dead(cluster::ResourceIndex index) {
   // whose path crossed a *different* still-unconfirmed crash die on that
   // edge again and are re-retained by relay() for that member's own
   // confirmation, so nothing from a live origin is ever dropped.
-  replay_storage_.clear();
+  replay_slots_.clear();
   for (LostSolicitation& entry : retained_losses_) {
     if (!ctx_.site_up(entry.msg.from) || !ctx_.site_up(entry.msg.to)) {
       continue;  // origin or target itself is gone — nobody to serve
     }
-    replay_storage_.push_back(std::move(entry.msg));
+    const core::Outgoing replay = slab_.compose(
+        entry.msg.type, entry.msg.from, entry.msg.to, entry.msg.job);
+    *replay = std::move(entry.msg);
+    replay_slots_.push_back(replay.slot());
   }
   retained_losses_.clear();
-  const std::uint64_t replayed_now = replay_storage_.size();
+  const std::uint64_t replayed_now = replay_slots_.size();
   if (replayed_now > 0) {
     scratch_items_.clear();
-    for (std::size_t i = 0; i < replay_storage_.size(); ++i) {
-      scratch_items_.push_back(RelayItem{&replay_storage_[i],
-                                         replay_storage_[i].to,
+    for (std::size_t i = 0; i < replay_slots_.size(); ++i) {
+      core::Message& msg = slab_.parked(replay_slots_[i]);
+      scratch_items_.push_back(RelayItem{&msg, replay_slots_[i], msg.to,
                                          static_cast<std::uint32_t>(i + 1)});
     }
     route(scratch_items_);
     const std::uint64_t relays_before = ledger_.relay_total();
     relay(scratch_items_, core::MessageType::kCallForBids);
+    for (const std::uint32_t slot : replay_slots_) slab_.release(slot);
     repair_relay_msgs_ += ledger_.relay_total() - relays_before;
     replayed_ += replayed_now;
   }
@@ -180,36 +184,41 @@ void TreeTransport::on_member_joined(cluster::ResourceIndex index) {
   }
 }
 
-void TreeTransport::unicast(core::Message&& msg) {
-  switch (msg.type) {
+void TreeTransport::unicast(core::Outgoing msg) {
+  switch (msg->type) {
     case core::MessageType::kBid:
-      convergecast_queue_.push_back(std::move(msg));
+      // The queue takes over the composer's hold on the slot.
+      convergecast_queue_.push_back(msg.slot());
       if (!convergecast_armed_) {
         convergecast_armed_ = true;
         // Runs after every delivery of this instant, so all bids the
         // instant produces share the flush.
-        ctx_.sim().schedule_at(ctx_.sim().now(), sim::EventPriority::kControl,
+        ctx_.sim().schedule_at(ctx_.sim().now(),
+                               sim::EventKind::kConvergecastFlush,
                                [this] { flush_convergecast(); });
       }
       return;
     default:
       // Latency-critical admission legs and payload transfers stay
       // point-to-point (see file comment in tree_transport.hpp).
-      direct_unicast(std::move(msg));
+      direct_unicast(msg);
       return;
   }
 }
 
 std::uint64_t TreeTransport::multicast(
-    core::Message&& msg, std::span<const cluster::ResourceIndex> targets,
+    core::Outgoing msg, std::span<const cluster::ResourceIndex> targets,
     sim::SimTime not_after) {
-  if (targets.empty()) return 0;
+  if (targets.empty()) {
+    slab_.release(msg.slot());
+    return 0;
+  }
   // Every solicitation fanning out through the tree teaches the relays
   // the job's QoS envelope and shape key, so the bids coming back can be
   // scored and delta-grouped on the convergecast path.
-  if (msg.type == core::MessageType::kCallForBids &&
+  if (msg->type == core::MessageType::kCallForBids &&
       (prune_k_ > 0 || encode_bids_)) {
-    harvest_job_facts(msg);
+    harvest_job_facts(*msg);
   }
   if (fanout_queue_.empty() && observer_ != nullptr) {
     // First fan-out of a fresh epoch: the span runs until the flush.
@@ -219,9 +228,9 @@ std::uint64_t TreeTransport::multicast(
   const auto first_target = static_cast<std::uint32_t>(fanout_targets_.size());
   fanout_targets_.insert(fanout_targets_.end(), targets.begin(),
                          targets.end());
+  // The queue takes over the composer's hold on the slot.
   fanout_queue_.push_back(PendingFanout{
-      std::move(msg), first_target,
-      static_cast<std::uint32_t>(targets.size())});
+      msg.slot(), first_target, static_cast<std::uint32_t>(targets.size())});
   schedule_fanout_wake(not_after);
   return 0;  // shared edge cost lands in the ledger's relay counters
 }
@@ -235,7 +244,7 @@ void TreeTransport::schedule_fanout_wake(sim::SimTime not_after) {
   // bound demands it, and never in the past.
   const sim::SimTime due = std::max(now, std::min(boundary, not_after));
   if (due < fanout_due_) fanout_due_ = due;
-  ctx_.sim().schedule_at(due, sim::EventPriority::kControl,
+  ctx_.sim().schedule_at(due, sim::EventKind::kFanoutFlush,
                          [this] { maybe_flush_fanout(); });
 }
 
@@ -255,14 +264,15 @@ void TreeTransport::flush_fanout() {
   fanout_due_ = sim::kTimeInfinity;
   scratch_items_.clear();
   for (std::size_t p = 0; p < fanout_flush_.size(); ++p) {
-    PendingFanout& entry = fanout_flush_[p];
+    const PendingFanout& entry = fanout_flush_[p];
+    core::Message& payload = slab_.parked(entry.slot);
     const std::span<const cluster::ResourceIndex> targets(
         fanout_flush_targets_.data() + entry.first_target,
         entry.target_count);
     for (const cluster::ResourceIndex target : targets) {
-      if (target == entry.msg.from) continue;  // self needs no wire
-      scratch_items_.push_back(
-          RelayItem{&entry.msg, target, static_cast<std::uint32_t>(p + 1)});
+      if (target == payload.from) continue;  // self needs no wire
+      scratch_items_.push_back(RelayItem{&payload, entry.slot, target,
+                                         static_cast<std::uint32_t>(p + 1)});
     }
   }
   if (observer_ != nullptr) {
@@ -274,6 +284,7 @@ void TreeTransport::flush_fanout() {
   }
   route(scratch_items_);
   relay(scratch_items_, core::MessageType::kCallForBids);
+  for (const PendingFanout& entry : fanout_flush_) slab_.release(entry.slot);
   fanout_flush_.clear();
   fanout_flush_targets_.clear();
 }
@@ -281,17 +292,18 @@ void TreeTransport::flush_fanout() {
 void TreeTransport::flush_convergecast() {
   convergecast_armed_ = false;
   convergecast_queue_.swap(convergecast_flush_);
-  std::vector<core::Message>& queue = convergecast_flush_;
+  const std::vector<std::uint32_t>& queue = convergecast_flush_;
   const bool aggregate = prune_k_ > 0 || encode_bids_;
   const std::uint64_t pruned_before = bids_pruned_;
   const std::uint64_t saved_before = prune_bytes_saved_;
   scratch_items_.clear();
   for (std::size_t p = 0; p < queue.size(); ++p) {
-    scratch_items_.push_back(RelayItem{&queue[p], queue[p].to,
+    core::Message& msg = slab_.parked(queue[p]);
+    scratch_items_.push_back(RelayItem{&msg, queue[p], msg.to,
                                        static_cast<std::uint32_t>(p + 1)});
   }
   route(scratch_items_);
-  if (aggregate) prune_convergecast(queue);
+  if (aggregate) prune_convergecast();
   if (observer_ != nullptr) {
     observer_->instant(ctx_.sim().now(), obs::SpanKind::kConvergecast,
                        observer_->transport_track(), 0, queue.size());
@@ -312,7 +324,8 @@ void TreeTransport::flush_convergecast() {
       observer_->count(obs::Counter::kBidPruneBytesSaved, saved_now);
     }
   }
-  queue.clear();
+  for (const std::uint32_t slot : queue) slab_.release(slot);
+  convergecast_flush_.clear();
 }
 
 void TreeTransport::harvest_job_facts(const core::Message& msg) {
@@ -338,7 +351,9 @@ void TreeTransport::remember_job(const cluster::Job& job) {
   job_facts_[job.id] = JobFacts{facts.qos, h};
 }
 
-void TreeTransport::prune_convergecast(std::vector<core::Message>& queue) {
+void TreeTransport::prune_convergecast() {
+  // The flush's payloads, one per relay item (a kBid has one target).
+  const std::span<const RelayItem> queue = scratch_items_;
   // One candidate per bid entry eligible for the rank walk (facts known
   // and admissible); inadmissible entries tombstone unconditionally and
   // facts-less feasible entries are never pruned (without the QoS
@@ -351,7 +366,7 @@ void TreeTransport::prune_convergecast(std::vector<core::Message>& queue) {
     scratch_entry_meta_.resize(queue.size());
   }
   for (std::size_t p = 0; p < queue.size(); ++p) {
-    const core::Message& msg = queue[p];
+    const core::Message& msg = *queue[p].payload;
     const auto plen = static_cast<std::uint32_t>(route_hops(p).size());
     const federation::ParticipantId bidder =
         participants_ ? participants_->participant_of(msg.from)
@@ -452,7 +467,7 @@ void TreeTransport::prune_convergecast(std::vector<core::Message>& queue) {
   // loudly (digest tests) instead of silently reading a quote the wire
   // no longer carries.
   for (std::size_t p = 0; p < queue.size(); ++p) {
-    core::Message& msg = queue[p];
+    core::Message& msg = *queue[p].payload;
     const auto& meta = scratch_entry_meta_[p];
     const std::size_t plen = route_hops(p).size();
     if (msg.batch_bids.empty()) {
@@ -602,23 +617,13 @@ void TreeTransport::relay(std::span<const RelayItem> items,
   // Pass 3 — deliver every payload whose whole path survived, after the
   // summed per-hop control delay (size-aware under the WAN model, like
   // every direct leg: a relayed payload pays its own transmission time
-  // on each store-and-forward hop).  A payload's segments are adjacent
-  // items; it is parked once, at its first segment, and every surviving
-  // segment posts a delivery of that one body.
+  // on each store-and-forward hop).  Every surviving segment posts a
+  // delivery of the payload's one body, in its slab slot.
   const sim::SimTime latency = cfg_.network_latency;
-  std::uint32_t parked_id = 0;
-  std::uint32_t slot = 0;
-  core::Message* body = nullptr;
   for (std::size_t i = 0; i < items.size(); ++i) {
     const RelayItem& item = items[i];
-    if (item.payload_id != parked_id) {
-      GF_EXPECTS(item.payload_id > parked_id);  // segments are adjacent
-      if (body != nullptr) slab_.release(slot);
-      slot = slab_.park(std::move(*item.payload));
-      body = &slab_.parked(slot);
-      body->via_overlay = true;
-      parked_id = item.payload_id;
-    }
+    core::Message* body = item.payload;
+    body->via_overlay = true;
     const auto hops = route_hops(i);
     const std::uint64_t bytes = wan_ ? core::wire_bytes(*body) : 0;
     bool alive = true;
@@ -671,11 +676,10 @@ void TreeTransport::relay(std::span<const RelayItem> items,
         }
         ledger_.record_relay(hop_from, item.target, type, dup_bytes);
       }
-      slab_.post(slot, item.target, delay);
+      slab_.post(item.slot, item.target, delay);
     }
-    slab_.post(slot, item.target, delay);
+    slab_.post(item.slot, item.target, delay);
   }
-  if (body != nullptr) slab_.release(slot);
 }
 
 }  // namespace gridfed::transport

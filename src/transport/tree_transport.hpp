@@ -68,12 +68,12 @@ class TreeTransport final : public Transport {
   /// point-to-point.  (The call-for-bids fan-out always arrives through
   /// multicast() — both the batched flush and the per-job broadcast —
   /// so a unicast kCallForBids would simply be delivered directly.)
-  void unicast(core::Message&& msg) override;
+  void unicast(core::Outgoing msg) override;
 
   /// Queues the fan-out for the next epoch boundary (never past
   /// `not_after`).  Returns 0: the shared edge messages land in the
   /// ledger's relay counters at flush time.
-  std::uint64_t multicast(core::Message&& msg,
+  std::uint64_t multicast(core::Outgoing msg,
                           std::span<const cluster::ResourceIndex> targets,
                           sim::SimTime not_after) override;
 
@@ -125,20 +125,23 @@ class TreeTransport final : public Transport {
   }
 
  private:
-  /// One queued fan-out awaiting the epoch flush; its targets are
+  /// One queued fan-out awaiting the epoch flush: the slab slot its
+  /// composed payload waits in (the queue holds the composer's hold
+  /// until the flush), and its targets,
   /// fanout_targets_[first_target, first_target + target_count).
   struct PendingFanout {
-    core::Message msg;
+    std::uint32_t slot = 0;
     std::uint32_t first_target = 0;
     std::uint32_t target_count = 0;
   };
   /// One payload-to-destination segment of a relay flush.  Segments of
-  /// one fan-out payload share a payload_id and are adjacent: the
-  /// payload crosses a shared edge once however many targets sit behind
-  /// it.  The payload is mutable so relay() can move it into the
-  /// delivery slab, once for all its segments.
+  /// one payload share a payload_id and are adjacent: the payload
+  /// crosses a shared edge once however many targets sit behind it.
+  /// The payload is the body in slab slot `slot`, which every segment's
+  /// deliveries read in place.
   struct RelayItem {
     core::Message* payload = nullptr;
+    std::uint32_t slot = 0;
     cluster::ResourceIndex target = cluster::kNoResource;
     std::uint32_t payload_id = 0;
   };
@@ -238,8 +241,9 @@ class TreeTransport final : public Transport {
   /// the bids crossing the edge).  Reads each payload's path length and
   /// edge slots from the route of the flush's items, which are 1:1 with
   /// `queue`, and counts better-ranked crossers per edge slot.  Fills
-  /// scratch_entry_meta_ and marks pruned deliveries in `queue`.
-  void prune_convergecast(std::vector<core::Message>& queue);
+  /// scratch_entry_meta_ and marks pruned deliveries in the flush's
+  /// payloads.
+  void prune_convergecast();
 
   /// The routing pass of a flush: walks each item's relay_path once,
   /// numbers the directed edges in first-touch order (scratch_edges_,
@@ -258,9 +262,9 @@ class TreeTransport final : public Transport {
   /// The shared relay machinery over the route of `items` (route() must
   /// have run on them): books one wire message per directed edge used
   /// this flush (loss lottery per edge), then delivers every payload
-  /// whose whole path survived, after the summed per-hop latency.  Each
-  /// payload moves into the delivery slab once; its segments' deliveries
-  /// (duplicates included) all read that one parked body.
+  /// whose whole path survived, after the summed per-hop latency.  Every
+  /// segment's deliveries (duplicates included) read the payload in its
+  /// slab slot; the caller still holds each slot and releases it after.
   void relay(std::span<const RelayItem> items, core::MessageType type);
 
   /// The coalition registry bidders map through (null: every bidder is
@@ -274,15 +278,16 @@ class TreeTransport final : public Transport {
   std::vector<std::uint8_t> dead_pos_;  ///< positions routed around
   bool any_dead_ = false;
   std::vector<LostSolicitation> retained_losses_;
-  std::vector<core::Message> replay_storage_;
+  std::vector<std::uint32_t> replay_slots_;
   std::uint64_t repairs_ = 0;
   std::uint64_t replayed_ = 0;
   std::uint64_t repair_relay_msgs_ = 0;
 
   // Each queue swaps with its flush twin when it flushes, and the twin is
-  // relayed and cleared: both keep their capacity across flushes, and a
-  // payload queued while a flush relays would land in the live queue,
-  // never moving the entries the flush's relay items point into.
+  // relayed, its slots released, and cleared: both keep their capacity
+  // across flushes, and a payload queued while a flush relays lands in
+  // the live queue.  The queues hold slab slots, so a queued body never
+  // moves.
   std::vector<PendingFanout> fanout_queue_;
   std::vector<cluster::ResourceIndex> fanout_targets_;
   std::vector<PendingFanout> fanout_flush_;
@@ -292,8 +297,8 @@ class TreeTransport final : public Transport {
   /// first queued fan-out to its flush); monotone per run.
   std::uint64_t epoch_seq_ = 0;
 
-  std::vector<core::Message> convergecast_queue_;
-  std::vector<core::Message> convergecast_flush_;
+  std::vector<std::uint32_t> convergecast_queue_;  ///< slab slots of kBids
+  std::vector<std::uint32_t> convergecast_flush_;
   bool convergecast_armed_ = false;
 
   // Convergecast score-and-prune + delta encoding state.

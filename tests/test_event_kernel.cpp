@@ -1,13 +1,15 @@
-// Tests for the zero-allocation event kernel: InlineFunction small-buffer
-// semantics, the 4-ary heap's deterministic (time, priority, seq) pop
-// order under randomized workloads, the pop_into hot path, the
-// no-heap-traffic contract for small trivially copyable captures, and
-// the transport's delivery slab (in-flight payloads parked by slot, one
-// body per payload however many deliveries it has, and delivered in
-// place, so a delivery event allocates nothing, nor does a batched bid
-// answer once its buffer is recycled), and the protocol
-// engine's job tables (a warm enquiry round trip allocates nothing but
-// the LRMS's boxed finish events).
+// Tests for the zero-allocation event kernel: the in-place event
+// records (each closure constructed in its slot, copied out once to
+// run), the ladder FEL's deterministic (time, priority, seq) pop order
+// under randomized workloads, the no-heap-traffic contract of the
+// dispatch loop, per-kind dispatch accounting, and the transport's
+// delivery slab (each message composed once, in the slot it is
+// delivered from, every payload field reset; one body per payload
+// however many deliveries it has, delivered in place, so a warm
+// compose → send → deliver allocates nothing, nor does a batched bid
+// answer once its buffer is recycled), and the protocol engine's job
+// tables (a warm enquiry round trip allocates nothing, the LRMS's
+// finish records included).
 
 #include <gtest/gtest.h>
 
@@ -23,93 +25,15 @@
 #include "core/federation.hpp"
 #include "sim/check.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/inline_function.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
 #include "transport/message_arena.hpp"
 
 #include "alloc_counter.hpp"
+#include "event_ops.hpp"
 
 namespace gridfed::sim {
 namespace {
-
-// ---- InlineFunction ---------------------------------------------------------
-
-TEST(InlineFunction, SmallTriviallyCopyableCapturesStoreInline) {
-  struct Capture {
-    void* a;
-    std::uint64_t b;
-    std::uint64_t c;
-  };
-  static_assert(InlineFunction::fits_inline<Capture>());
-  static_assert(sizeof(Capture) <= InlineFunction::kInlineCapacity);
-  int hits = 0;
-  int* hp = &hits;
-  InlineFunction f([hp] { ++*hp; });
-  ASSERT_TRUE(static_cast<bool>(f));
-  f();
-  f();
-  EXPECT_EQ(hits, 2);
-}
-
-TEST(InlineFunction, MoveTransfersInlineCallable) {
-  int hits = 0;
-  int* hp = &hits;
-  InlineFunction a([hp] { ++*hp; });
-  InlineFunction b(std::move(a));
-  EXPECT_FALSE(static_cast<bool>(a));  // moved-from is empty
-  ASSERT_TRUE(static_cast<bool>(b));
-  b();
-  EXPECT_EQ(hits, 1);
-
-  InlineFunction c;
-  EXPECT_FALSE(static_cast<bool>(c));
-  c = std::move(b);
-  EXPECT_FALSE(static_cast<bool>(b));
-  c();
-  EXPECT_EQ(hits, 2);
-}
-
-TEST(InlineFunction, LargeCapturesBoxAndStillMoveCorrectly) {
-  // > kInlineCapacity bytes: must take the heap-box path and survive
-  // moves (the box pointer transfers, the payload stays put).
-  struct Big {
-    double values[8];
-  };
-  static_assert(!InlineFunction::fits_inline<Big>());
-  Big big{};
-  big.values[7] = 42.0;
-  double out = 0.0;
-  double* op = &out;
-  InlineFunction a([big, op] { *op = big.values[7]; });
-  InlineFunction b(std::move(a));
-  b();
-  EXPECT_DOUBLE_EQ(out, 42.0);
-}
-
-TEST(InlineFunction, NonTriviallyCopyableCapturesBoxAndDestruct) {
-  // A shared_ptr capture is not trivially copyable: it must box, and
-  // destruction of the InlineFunction must release the referent.
-  auto token = std::make_shared<int>(7);
-  std::weak_ptr<int> watch = token;
-  {
-    InlineFunction f([token] { (void)*token; });
-    token.reset();
-    EXPECT_FALSE(watch.expired());  // the box keeps it alive
-    f();
-    // Move assignment over a boxed callable must destroy the old box.
-    f = InlineFunction([] {});
-    EXPECT_TRUE(watch.expired());
-  }
-}
-
-TEST(InlineFunction, StdFunctionSourceWorks) {
-  int hits = 0;
-  std::function<void()> fn = [&hits] { ++hits; };
-  InlineFunction f(fn);
-  f();
-  EXPECT_EQ(hits, 1);
-}
 
 // ---- EventQueue ordering ----------------------------------------------------
 
@@ -135,13 +59,13 @@ TEST(EventQueue, RandomizedPopOrderMatchesReferenceSort) {
     const SimTime t = static_cast<double>(rng.uniform_int(0, 9));
     const auto prio = static_cast<EventPriority>(rng.uniform_int(0, 3));
     expected.push_back(PopRecord{t, prio, seq});
-    q.push(Event{t, prio, seq, [] {}});
+    push_event(q, t, prio, seq);
   }
   std::sort(expected.begin(), expected.end(), &record_before);
   for (const PopRecord& want : expected) {
     ASSERT_FALSE(q.empty());
     EXPECT_DOUBLE_EQ(q.next_time(), want.time);
-    const Event got = q.pop();
+    const Popped got = pop_event(q);
     EXPECT_DOUBLE_EQ(got.time, want.time);
     EXPECT_EQ(got.priority, want.priority);
     EXPECT_EQ(got.seq, want.seq);
@@ -166,14 +90,14 @@ TEST(EventQueue, InterleavedPushPopMatchesReferenceExactly) {
       const SimTime t = now + static_cast<double>(rng.uniform_int(0, 5));
       const auto prio = static_cast<EventPriority>(rng.uniform_int(0, 3));
       ref.insert(PopRecord{t, prio, seq});
-      q.push(Event{t, prio, seq, [] {}});
+      push_event(q, t, prio, seq);
       ++seq;
     } else {
       ASSERT_FALSE(ref.empty());
       const PopRecord want = *ref.begin();
       ref.erase(ref.begin());
       EXPECT_DOUBLE_EQ(q.next_time(), want.time);
-      const Event ev = q.pop();
+      const Popped ev = pop_event(q);
       EXPECT_DOUBLE_EQ(ev.time, want.time);
       EXPECT_EQ(ev.priority, want.priority);
       EXPECT_EQ(ev.seq, want.seq);
@@ -185,7 +109,7 @@ TEST(EventQueue, InterleavedPushPopMatchesReferenceExactly) {
     ASSERT_FALSE(ref.empty());
     const PopRecord want = *ref.begin();
     ref.erase(ref.begin());
-    const Event ev = q.pop();
+    const Popped ev = pop_event(q);
     EXPECT_EQ(ev.seq, want.seq);
     ++pops;
   }
@@ -193,42 +117,71 @@ TEST(EventQueue, InterleavedPushPopMatchesReferenceExactly) {
   EXPECT_EQ(pops, static_cast<std::size_t>(seq));
 }
 
-TEST(EventQueue, PopIntoReturnsTimeAndAction) {
+TEST(EventQueue, PopCopiesOutTheRecordAndReturnsItsKey) {
+  // The closure is constructed in the slot push() hands out, with its
+  // kind; pop() copies the record out, so it runs after its slot was
+  // recycled by a later push.
   EventQueue q;
   int hits = 0;
   int* hp = &hits;
-  q.push(Event{3.0, EventPriority::kArrival, 0, [hp] { ++*hp; }});
-  InlineFunction action;
-  const SimTime t = q.pop_into(action);
-  EXPECT_DOUBLE_EQ(t, 3.0);
-  ASSERT_TRUE(static_cast<bool>(action));
-  action();
-  EXPECT_EQ(hits, 1);
+  q.push(3.0, EventPriority::kArrival, 7)
+      .set(EventKind::kArrival, [hp] { ++*hp; });
+  EventRecord record;
+  const FelKey key = q.pop(record);
+  EXPECT_DOUBLE_EQ(fel_time_of(key), 3.0);
+  EXPECT_EQ(fel_priority_of(key), EventPriority::kArrival);
+  EXPECT_EQ(fel_seq_of(key), 7u);
+  EXPECT_EQ(record.kind, EventKind::kArrival);
   EXPECT_TRUE(q.empty());
+  push_event(q, 4.0, EventPriority::kArrival, 8);  // reuses the slot
+  record();
+  EXPECT_EQ(hits, 1);
+}
+
+TEST(EventRecord, CapturesUpToThirtyTwoBytesStoreInPlace) {
+  // `this` plus three ids fill the capture; the record stays one
+  // trivially copyable 48-byte value, so copying it out is a memcpy.
+  struct Capture {
+    std::uint64_t* out;
+    std::uint64_t a;
+    std::uint64_t b;
+    std::uint32_t c;
+  };
+  static_assert(sizeof(Capture) <= EventRecord::kCaptureBytes);
+  static_assert(sizeof(EventRecord) == 48);
+  std::uint64_t sum = 0;
+  const Capture cap{&sum, 1, 2, 3};
+  EventRecord record;
+  record.set(EventKind::kHoldTimeout,
+             [cap] { *cap.out += cap.a + cap.b + cap.c; });
+  EventRecord copy = record;
+  EXPECT_EQ(copy.kind, EventKind::kHoldTimeout);
+  copy();
+  copy();
+  EXPECT_EQ(sum, 12u);
 }
 
 TEST(EventQueue, NegativeZeroTimeNormalizes) {
   EventQueue q;
-  q.push(Event{-0.0, EventPriority::kControl, 0, [] {}});
-  q.push(Event{1.0, EventPriority::kControl, 1, [] {}});
+  push_event(q, -0.0, EventPriority::kControl, 0);
+  push_event(q, 1.0, EventPriority::kControl, 1);
   EXPECT_DOUBLE_EQ(q.next_time(), 0.0);
-  EXPECT_DOUBLE_EQ(q.pop().time, 0.0);  // -0.0 must not sort after 1.0
+  EXPECT_DOUBLE_EQ(pop_event(q).time, 0.0);  // -0.0 must not sort after 1.0
 }
 
 TEST(EventQueue, ContractViolationsThrowLoudly) {
   EventQueue q;
-  EXPECT_THROW(q.push(Event{-1.0, EventPriority::kControl, 0, [] {}}),
+  EXPECT_THROW(push_event(q, -1.0, EventPriority::kControl, 0),
                ContractViolation);
   EXPECT_THROW(
-      q.push(Event{0.0, EventPriority::kControl, std::uint64_t{1} << 40,
-                   [] {}}),
+      push_event(q, 0.0, EventPriority::kControl, std::uint64_t{1} << 40),
       ContractViolation);
 }
 
 TEST(EventQueue, ClearRetainsNothing) {
   EventQueue q;
   bool fired = false;
-  q.push(Event{1.0, EventPriority::kControl, 0, [&fired] { fired = true; }});
+  push_event(q, 1.0, EventPriority::kControl, 0, [&fired] { fired = true; });
   q.clear();
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
@@ -238,29 +191,25 @@ TEST(EventQueue, ClearRetainsNothing) {
 // ---- the zero-allocation contract ------------------------------------------
 
 TEST(EventKernel, SmallCapturesScheduleWithoutHeapAllocation) {
-  // Captures of <= 32 trivially copyable bytes must never allocate: not
-  // on push, not while sifting, not on pop.  The queue pre-reserves its
+  // Event captures (<= 32 trivially copyable bytes) never allocate: not
+  // on push, not in the ladder, not on pop.  The queue pre-reserves its
   // storage, so after a warm-up pass the steady state is allocation-free.
   EventQueue q;
   std::uint64_t sink = 0;
   std::uint64_t* sp = &sink;
   // Warm-up: let every vector reach its high-water mark.
   for (EventSeq s = 0; s < 512; ++s) {
-    q.push(Event{static_cast<double>(s % 97), EventPriority::kArrival, s,
-                 [sp, s] { *sp += s; }});
+    push_event(q, static_cast<double>(s % 97), EventPriority::kArrival, s,
+               [sp, s] { *sp += s; });
   }
-  while (!q.empty()) (void)q.pop();
+  while (!q.empty()) (void)pop_event(q);
 
   const std::uint64_t before = g_allocations.load();
   for (EventSeq s = 0; s < 512; ++s) {
-    q.push(Event{static_cast<double>((s * 31) % 97), EventPriority::kArrival,
-                 s, [sp, s] { *sp += s; }});
+    push_event(q, static_cast<double>((s * 31) % 97),
+               EventPriority::kArrival, s, [sp, s] { *sp += s; });
   }
-  InlineFunction action;
-  while (!q.empty()) {
-    (void)q.pop_into(action);
-    action();
-  }
+  while (!q.empty()) pop_event(q).record();
   const std::uint64_t after = g_allocations.load();
   EXPECT_EQ(after - before, 0u) << "event hot path allocated";
   EXPECT_GT(sink, 0u);
@@ -274,7 +223,7 @@ TEST(EventKernel, SimulationDispatchIsAllocationFreeInSteadyState) {
   std::uint64_t acc = 0;
   std::uint64_t* ap = &acc;
   for (int i = 0; i < 256; ++i) {
-    sim.schedule_at(static_cast<double>(i), EventPriority::kControl,
+    sim.schedule_at(static_cast<double>(i), EventKind::kOther,
                     [ap] { ++*ap; });
   }
   sim.run();  // warm-up: queue storage at high-water mark
@@ -282,7 +231,7 @@ TEST(EventKernel, SimulationDispatchIsAllocationFreeInSteadyState) {
   const double base = sim.now();
   const std::uint64_t before = g_allocations.load();
   for (int i = 0; i < 256; ++i) {
-    sim.schedule_at(base + static_cast<double>(i), EventPriority::kControl,
+    sim.schedule_at(base + static_cast<double>(i), EventKind::kOther,
                     [ap] { ++*ap; });
   }
   sim.run();
@@ -307,7 +256,7 @@ TEST(EventKernel, DispatchProbeFiresPerEventWithoutAllocating) {
   std::uint64_t acc = 0;
   std::uint64_t* ap = &acc;
   for (int i = 0; i < 256; ++i) {
-    sim.schedule_at(static_cast<double>(i), EventPriority::kControl,
+    sim.schedule_at(static_cast<double>(i), EventKind::kOther,
                     [ap] { ++*ap; });
   }
   sim.run();  // warm-up
@@ -316,7 +265,7 @@ TEST(EventKernel, DispatchProbeFiresPerEventWithoutAllocating) {
   const double base = sim.now();
   const std::uint64_t before = g_allocations.load();
   for (int i = 0; i < 256; ++i) {
-    sim.schedule_at(base + static_cast<double>(i), EventPriority::kControl,
+    sim.schedule_at(base + static_cast<double>(i), EventKind::kOther,
                     [ap] { ++*ap; });
   }
   sim.run();
@@ -327,7 +276,7 @@ TEST(EventKernel, DispatchProbeFiresPerEventWithoutAllocating) {
 
   // Uninstalling restores the dark path.
   sim.set_dispatch_probe(nullptr, nullptr);
-  sim.schedule_at(sim.now() + 1.0, EventPriority::kControl, [ap] { ++*ap; });
+  sim.schedule_at(sim.now() + 1.0, EventKind::kOther, [ap] { ++*ap; });
   sim.run();
   EXPECT_EQ(probe_hits, 512u);
 }
@@ -347,18 +296,18 @@ cluster::Job slab_job(cluster::JobId id, cluster::ResourceIndex origin) {
 }
 
 TEST(DeliverySlab, UnicastDeliveryIsAllocationFreeInSteadyState) {
-  // A delivery event captures only (slab, slot, destination), so it fits
-  // the InlineFunction buffer; the message waits in a recycled slab slot.
-  // Stray kBids at a DBC agent are dropped on arrival, so the agent's
-  // own handling adds nothing either.
+  // A message is composed in a recycled slab slot and waits there; its
+  // delivery event captures only (slab, slot, destination).  Stray kBids
+  // at a DBC agent are dropped on arrival, so the agent's own handling
+  // adds nothing either.
   auto cfg = core::make_config(core::SchedulingMode::kEconomy);
   cfg.network_latency = 1.0;
   core::Federation fed(cfg, cluster::replicated_specs(2));
   Simulation& sim = fed.simulation();
   const auto send_and_deliver = [&](int n) {
     for (int i = 0; i < n; ++i) {
-      fed.send(core::Message{core::MessageType::kBid, 0, 1,
-                             slab_job(static_cast<cluster::JobId>(i + 1), 0)});
+      fed.send(fed.compose(core::MessageType::kBid, 0, 1,
+                           slab_job(static_cast<cluster::JobId>(i + 1), 0)));
     }
     for (int i = 0; i < n; ++i) ASSERT_TRUE(sim.step());
   };
@@ -374,6 +323,108 @@ TEST(DeliverySlab, UnicastDeliveryIsAllocationFreeInSteadyState) {
   EXPECT_EQ(ledger.count_of(core::MessageType::kBid), 128u);
 }
 
+TEST(DeliverySlab, ComposeResetsEveryFieldOfARecycledSlot) {
+  // A fully populated payload frees its slot (a multicast to nobody);
+  // the next compose reuses that slot and must reset every field, so no
+  // payload of the old message leaks into the new one.  A warm compose
+  // → send → deliver of the recycled slot then allocates nothing.
+  auto cfg = core::make_config(core::SchedulingMode::kEconomy);
+  cfg.network_latency = 1.0;
+  core::Federation fed(cfg, cluster::replicated_specs(2));
+  Simulation& sim = fed.simulation();
+  const std::vector<cluster::Job> jobs{slab_job(1, 0), slab_job(2, 0)};
+  const std::vector<const cluster::Job*> bucket{&jobs[0], &jobs[1]};
+  auto arena = std::make_shared<transport::MessageArena>();
+  std::weak_ptr<transport::MessageArena> watch = arena;
+
+  const core::Outgoing full =
+      fed.compose(core::MessageType::kBid, 0, 1, slab_job(3, 0));
+  full->accept = true;
+  full->completion_estimate = 5.0;
+  full->start_time = 6.0;
+  full->price = 7.0;
+  full->exec_site = 1;
+  full->batch_jobs = arena->append(bucket);
+  full->arena = arena;
+  full->batch_bids.push_back(core::BatchedBid{1, 2.0, 3.0, true, true});
+  full->gossip.push_back(membership::GossipRecord{});
+  full->via_overlay = true;
+  full->bid_pruned = true;
+  const std::uint32_t slot = full.slot();
+  arena.reset();
+  EXPECT_EQ(fed.multicast(full, {}, sim.now()), 0u);
+  EXPECT_EQ(fed.transport().in_flight(), 0u);
+  EXPECT_TRUE(watch.expired()) << "a free slot pinned its arena";
+
+  const cluster::Job job = slab_job(4, 1);
+  const core::Outgoing reply =
+      fed.compose(core::MessageType::kReply, 1, 0, job);
+  ASSERT_EQ(reply.slot(), slot);  // the free list hands the slot back
+  const core::Message& m = *reply;
+  EXPECT_EQ(m.type, core::MessageType::kReply);
+  EXPECT_EQ(m.from, 1u);
+  EXPECT_EQ(m.to, 0u);
+  EXPECT_EQ(m.job.id, job.id);
+  EXPECT_EQ(m.job.origin, job.origin);
+  EXPECT_DOUBLE_EQ(m.job.length_mi, job.length_mi);
+  EXPECT_FALSE(m.accept);
+  EXPECT_EQ(m.completion_estimate, 0.0);
+  EXPECT_EQ(m.start_time, 0.0);
+  EXPECT_EQ(m.price, 0.0);
+  EXPECT_EQ(m.exec_site, cluster::kNoResource);
+  EXPECT_TRUE(m.batch_jobs.empty());
+  EXPECT_EQ(m.arena, nullptr);
+  EXPECT_TRUE(m.batch_bids.empty());
+  EXPECT_TRUE(m.gossip.empty());
+  EXPECT_FALSE(m.via_overlay);
+  EXPECT_FALSE(m.bid_pruned);
+  // A stale reply: no enquiry of cluster 0 awaits it.
+  fed.send(reply);
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(fed.transport().in_flight(), 0u);
+
+  const std::uint64_t before = g_allocations.load();
+  const core::Outgoing warm =
+      fed.compose(core::MessageType::kReply, 1, 0, job);
+  EXPECT_EQ(warm.slot(), slot);
+  fed.send(warm);
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(g_allocations.load() - before, 0u)
+      << "warm compose, send and delivery allocated";
+  EXPECT_EQ(fed.transport().in_flight(), 0u);
+}
+
+TEST(DeliverySlab, NestedCompositionsHoldDistinctSlots) {
+  // A sender may compose a second message before sending the first (a
+  // delivery composes while its own body is held): each takes its own
+  // slot, and both arrive intact.
+  auto cfg = core::make_config(core::SchedulingMode::kEconomy);
+  cfg.network_latency = 1.0;
+  core::Federation fed(cfg, cluster::replicated_specs(3));
+  Simulation& sim = fed.simulation();
+  const core::Outgoing outer =
+      fed.compose(core::MessageType::kBid, 0, 1, slab_job(1, 0));
+  outer->price = 11.0;
+  const core::Outgoing inner =
+      fed.compose(core::MessageType::kBid, 0, 2, slab_job(2, 0));
+  inner->price = 22.0;
+  EXPECT_NE(outer.slot(), inner.slot());
+  EXPECT_NE(&*outer, &*inner);
+  EXPECT_EQ(fed.transport().in_flight(), 2u);
+  EXPECT_EQ(outer->job.id, 1u);
+  EXPECT_EQ(outer->price, 11.0);
+  EXPECT_EQ(inner->job.id, 2u);
+  EXPECT_EQ(inner->to, 2u);
+  fed.send(inner);
+  fed.send(outer);
+  EXPECT_EQ(fed.transport().in_flight(), 2u);  // both await delivery
+  ASSERT_TRUE(sim.step());
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(fed.transport().in_flight(), 0u);
+  const core::MessageLedger& ledger = std::as_const(fed).ledger();
+  EXPECT_EQ(ledger.count_of(core::MessageType::kBid), 2u);
+}
+
 TEST(DeliverySlab, MulticastParksOneBodyForEveryTarget) {
   // One payload, seven deliveries: the body waits in one slot until the
   // last delivery returns, and each delivery stamps its own destination
@@ -387,9 +438,9 @@ TEST(DeliverySlab, MulticastParksOneBodyForEveryTarget) {
   // The window-end utilization snapshot stays pending throughout.
   const std::size_t timers = sim.pending_events();
   const auto round = [&](cluster::JobId id) {
-    EXPECT_EQ(fed.multicast(core::Message{core::MessageType::kBid, 0, 0,
-                                          slab_job(id, 0)},
-                            targets, sim.now()),
+    EXPECT_EQ(fed.multicast(
+                  fed.compose(core::MessageType::kBid, 0, 0, slab_job(id, 0)),
+                  targets, sim.now()),
               targets.size());
     EXPECT_EQ(fed.transport().in_flight(), 1u);
     EXPECT_EQ(sim.pending_events(), timers + targets.size());
@@ -408,9 +459,9 @@ TEST(DeliverySlab, MulticastParksOneBodyForEveryTarget) {
   const core::MessageLedger& ledger = std::as_const(fed).ledger();
   EXPECT_EQ(ledger.count_of(core::MessageType::kBid), 2 * targets.size());
 
-  EXPECT_EQ(fed.multicast(core::Message{core::MessageType::kBid, 0, 0,
-                                        slab_job(3, 0)},
-                          {}, sim.now()),
+  EXPECT_EQ(fed.multicast(
+                fed.compose(core::MessageType::kBid, 0, 0, slab_job(3, 0)),
+                {}, sim.now()),
             0u);
   EXPECT_EQ(fed.transport().in_flight(), 0u);
   EXPECT_EQ(sim.pending_events(), timers);
@@ -431,11 +482,15 @@ TEST(DeliverySlab, BatchedBidAnswersAreAllocationFreeInSteadyState) {
                                        slab_job(3, 0)};
   const std::vector<const cluster::Job*> bucket{&jobs[0], &jobs[1], &jobs[2]};
   auto arena = std::make_shared<transport::MessageArena>();
-  core::Message call{core::MessageType::kCallForBids, 0, 1, jobs.front()};
-  call.batch_jobs = arena->append(bucket);
-  call.arena = arena;
+  const std::span<const cluster::Job> batch = arena->append(bucket);
   const auto round = [&] {
-    for (std::uint64_t i = 0; i < kCalls; ++i) fed.send(core::Message(call));
+    for (std::uint64_t i = 0; i < kCalls; ++i) {
+      const core::Outgoing call =
+          fed.compose(core::MessageType::kCallForBids, 0, 1, jobs.front());
+      call->batch_jobs = batch;
+      call->arena = arena;
+      fed.send(call);
+    }
     // Every call arrives one latency later, every answer one after that.
     for (std::uint64_t i = 0; i < 2 * kCalls; ++i) ASSERT_TRUE(sim.step());
   };
@@ -452,16 +507,16 @@ TEST(DeliverySlab, BatchedBidAnswersAreAllocationFreeInSteadyState) {
   EXPECT_EQ(ledger.count_of(core::MessageType::kBid), 2 * kCalls);
 }
 
-TEST(EngineTables, EnquiryRoundTripsAllocateOnlyTheLrmsFinishEvents) {
+TEST(EngineTables, EnquiryRoundTripsAllocateNothing) {
   // Cluster 0 parks kEnquiries negotiates on cluster 1 (pending_), which
   // reserves and holds each (holds_) and replies; each accepted reply
   // resumes in handle_reply (pending_ out, awaiting_ in, payload out).
   // Every round reuses the same job shapes and drains completely, so
-  // after a warm-up round the engine's job tables, the slab and the
-  // queue are at their high-water mark: parking and reply handling
-  // allocate nothing, and admission allocates exactly one block per
-  // reservation — the LRMS boxes each finish event, which captures the
-  // Job.  Node-based tables add one node per insert to each phase.
+  // after a warm-up round the engine's job tables, the slab, the queue
+  // and the LRMS's finish records are at their high-water mark: no
+  // phase allocates.  The finish event carries only its record's slot;
+  // a capture of the Job would not fit an event record.  Node-based
+  // tables would add one node per insert to each phase.
   constexpr std::uint64_t kEnquiries = 32;
   auto cfg = core::make_config(core::SchedulingMode::kEconomy);
   cfg.network_latency = 1.0;
@@ -501,7 +556,7 @@ TEST(EngineTables, EnquiryRoundTripsAllocateOnlyTheLrmsFinishEvents) {
   const Allocations a = round();
   EXPECT_EQ(provider.jobs_accepted() - accepted, kEnquiries);
   EXPECT_EQ(a.park, 0u) << "parking enquiries allocated";
-  EXPECT_EQ(a.admit, kEnquiries) << "holds allocated beyond the LRMS";
+  EXPECT_EQ(a.admit, 0u) << "admission and holds allocated";
   EXPECT_EQ(a.reply, 0u) << "reply handling allocated";
   ASSERT_EQ(fed.outcomes().size(), 2 * kEnquiries);
   for (const core::JobOutcome& o : fed.outcomes()) {

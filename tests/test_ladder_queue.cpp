@@ -37,6 +37,7 @@
 #include "workload/synthetic.hpp"
 
 #include "alloc_counter.hpp"
+#include "event_ops.hpp"
 
 namespace gridfed::sim {
 namespace {
@@ -444,7 +445,7 @@ void run_queue_fuzz(std::uint64_t seed, int steps, NextTime next_push_time) {
   };
   const auto push = [&](SimTime t, EventPriority prio) {
     ref.insert(PopRecord{t == 0.0 ? 0.0 : t, prio, seq});
-    q.push(Event{t, prio, seq, [] {}});
+    push_event(q, t, prio, seq);
     ++seq;
   };
   SimTime burst_time = 0.0;
@@ -469,7 +470,7 @@ void run_queue_fuzz(std::uint64_t seed, int steps, NextTime next_push_time) {
       const PopRecord want = *ref.begin();
       ref.erase(ref.begin());
       ASSERT_DOUBLE_EQ(q.next_time(), want.time);
-      const Event got = q.pop();
+      const Popped got = pop_event(q);
       ASSERT_DOUBLE_EQ(got.time, want.time);
       ASSERT_EQ(got.priority, want.priority);
       ASSERT_EQ(got.seq, want.seq);
@@ -486,7 +487,7 @@ void run_queue_fuzz(std::uint64_t seed, int steps, NextTime next_push_time) {
   while (!ref.empty()) {
     const PopRecord want = *ref.begin();
     ref.erase(ref.begin());
-    ASSERT_EQ(q.pop().seq, want.seq);
+    ASSERT_EQ(pop_event(q).seq, want.seq);
   }
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.chained(), 0u);
@@ -528,7 +529,7 @@ TEST(EventQueueFuzz, ZeroWidthTimestamps) {
 
 /// Pops one event, validates the whole queue, and returns the event's seq.
 EventSeq pop_seq(EventQueue& q) {
-  const EventSeq seq = q.pop().seq;
+  const EventSeq seq = pop_event(q).seq;
   q.debug_validate();
   return seq;
 }
@@ -536,7 +537,7 @@ EventSeq pop_seq(EventQueue& q) {
 TEST(EventQueueRuns, BurstRidesOneLadderKey) {
   EventQueue q;
   for (EventSeq s = 0; s < 100; ++s) {
-    q.push(Event{5.0, EventPriority::kMessage, s, [] {}});
+    push_event(q, 5.0, EventPriority::kMessage, s);
   }
   EXPECT_EQ(q.chained(), 99u);  // one ladder key, 99 members behind it
   q.debug_validate();
@@ -550,27 +551,27 @@ TEST(EventQueueRuns, BurstRidesOneLadderKey) {
 
 TEST(EventQueueRuns, OnlyTheNextSeqOfOneKeyJoinsAPendingTail) {
   EventQueue q;
-  q.push(Event{1.0, EventPriority::kMessage, 0, [] {}});
-  q.push(Event{1.0, EventPriority::kArrival, 1, [] {}});  // other priority
-  q.push(Event{2.0, EventPriority::kArrival, 2, [] {}});  // other time
-  q.push(Event{2.0, EventPriority::kArrival, 4, [] {}});  // a seq gap
+  push_event(q, 1.0, EventPriority::kMessage, 0);
+  push_event(q, 1.0, EventPriority::kArrival, 1);  // other priority
+  push_event(q, 2.0, EventPriority::kArrival, 2);  // other time
+  push_event(q, 2.0, EventPriority::kArrival, 4);  // a seq gap
   EXPECT_EQ(q.chained(), 0u);
-  q.push(Event{2.0, EventPriority::kArrival, 5, [] {}});
+  push_event(q, 2.0, EventPriority::kArrival, 5);
   EXPECT_EQ(q.chained(), 1u);
   // A tail that already popped starts no run: the next push is a head.
   while (!q.empty()) (void)pop_seq(q);
-  q.push(Event{3.0, EventPriority::kMessage, 6, [] {}});
+  push_event(q, 3.0, EventPriority::kMessage, 6);
   EXPECT_EQ(pop_seq(q), 6u);
-  q.push(Event{3.0, EventPriority::kMessage, 7, [] {}});
+  push_event(q, 3.0, EventPriority::kMessage, 7);
   EXPECT_EQ(q.chained(), 0u);
   EXPECT_EQ(pop_seq(q), 7u);
 }
 
 TEST(EventQueueRuns, NegativeZeroJoinsARunAtZero) {
   EventQueue q;
-  q.push(Event{0.0, EventPriority::kMessage, 0, [] {}});
-  q.push(Event{-0.0, EventPriority::kMessage, 1, [] {}});
-  q.push(Event{0.0, EventPriority::kMessage, 2, [] {}});
+  push_event(q, 0.0, EventPriority::kMessage, 0);
+  push_event(q, -0.0, EventPriority::kMessage, 1);
+  push_event(q, 0.0, EventPriority::kMessage, 2);
   EXPECT_EQ(q.chained(), 2u);
   for (EventSeq s = 0; s < 3; ++s) {
     ASSERT_EQ(q.next_time(), 0.0);
@@ -581,15 +582,15 @@ TEST(EventQueueRuns, NegativeZeroJoinsARunAtZero) {
 TEST(EventQueueRuns, HigherPriorityPushCutsIntoADrainingRun) {
   EventQueue q;
   for (EventSeq s = 0; s < 5; ++s) {
-    q.push(Event{1.0, EventPriority::kMessage, s, [] {}});
+    push_event(q, 1.0, EventPriority::kMessage, s);
   }
-  q.push(Event{9.0, EventPriority::kControl, 5, [] {}});
+  push_event(q, 9.0, EventPriority::kControl, 5);
   EXPECT_EQ(pop_seq(q), 0u);  // the register now holds seq 1
   // A zero-delay completion sorts before the rest of the run...
-  q.push(Event{1.0, EventPriority::kCompletion, 6, [] {}});
+  push_event(q, 1.0, EventPriority::kCompletion, 6);
   EXPECT_EQ(pop_seq(q), 6u);
   // ...and a same-class push after it, however late its seq.
-  q.push(Event{1.0, EventPriority::kMessage, 7, [] {}});
+  push_event(q, 1.0, EventPriority::kMessage, 7);
   for (const EventSeq want : {1u, 2u, 3u, 4u, 7u, 5u}) {
     ASSERT_EQ(pop_seq(q), want);
   }
@@ -601,14 +602,14 @@ TEST(EventQueueRuns, SecondHeadSpillsTheBusyRegister) {
   // Run A at (2.0, message) starts draining: its seq 1 takes the
   // register.
   for (EventSeq s = 0; s < 4; ++s) {
-    q.push(Event{2.0, EventPriority::kMessage, s, [] {}});
+    push_event(q, 2.0, EventPriority::kMessage, s);
   }
   EXPECT_EQ(pop_seq(q), 0u);
   // Run B at (2.0, completion) sorts before all of A's rest: its head
   // pops while the register is busy, A's member spills into the ladder
   // and B's successor takes the register.
   for (EventSeq s = 4; s < 8; ++s) {
-    q.push(Event{2.0, EventPriority::kCompletion, s, [] {}});
+    push_event(q, 2.0, EventPriority::kCompletion, s);
   }
   EXPECT_EQ(q.chained(), 2u + 3u);
   for (const EventSeq want : {4u, 5u, 6u, 7u, 1u, 2u, 3u}) {
@@ -620,18 +621,18 @@ TEST(EventQueueRuns, SecondHeadSpillsTheBusyRegister) {
 
 TEST(EventQueueRuns, RunExtendedAfterItsHeadPopped) {
   EventQueue q;
-  q.push(Event{3.0, EventPriority::kMessage, 0, [] {}});
-  q.push(Event{3.0, EventPriority::kMessage, 1, [] {}});
-  q.push(Event{7.0, EventPriority::kMessage, 2, [] {}});
-  q.push(Event{7.0, EventPriority::kMessage, 3, [] {}});
+  push_event(q, 3.0, EventPriority::kMessage, 0);
+  push_event(q, 3.0, EventPriority::kMessage, 1);
+  push_event(q, 7.0, EventPriority::kMessage, 2);
+  push_event(q, 7.0, EventPriority::kMessage, 3);
   EXPECT_EQ(pop_seq(q), 0u);  // seq 1, the old tail, is in the register
   // Seq 3 is the tail now; a push joining it extends the run at 7.0
   // whose head is still in the ladder.
-  q.push(Event{7.0, EventPriority::kMessage, 4, [] {}});
+  push_event(q, 7.0, EventPriority::kMessage, 4);
   EXPECT_EQ(q.chained(), 2u);
   EXPECT_EQ(pop_seq(q), 1u);
   EXPECT_EQ(pop_seq(q), 2u);  // the register now holds seq 3
-  q.push(Event{7.0, EventPriority::kMessage, 5, [] {}});  // joins seq 4
+  push_event(q, 7.0, EventPriority::kMessage, 5);  // joins seq 4
   EXPECT_EQ(q.chained(), 2u);
   for (const EventSeq want : {3u, 4u, 5u}) ASSERT_EQ(pop_seq(q), want);
   EXPECT_TRUE(q.empty());
@@ -651,30 +652,28 @@ TEST(LadderQueueAlloc, SteadyStatePushPopIsAllocationFree) {
         Rng rng(5150);
         SimTime now = 0.0;
         EventSeq seq = 0;
-        InlineFunction action;
         for (int i = 0; i < 6000; ++i) {
-          q.push(Event{now + rng.uniform01() * 128.0, EventPriority::kArrival,
-                       seq++, [] {}});
+          push_event(q, now + rng.uniform01() * 128.0,
+                     EventPriority::kArrival, seq++);
         }
         for (int step = 0; step < 30000; ++step) {
           if (rng.uniform01() < 0.5) {
-            q.push(Event{now + rng.uniform01() * 128.0,
-                         EventPriority::kArrival, seq++, [] {}});
+            push_event(q, now + rng.uniform01() * 128.0,
+                       EventPriority::kArrival, seq++);
           } else if (!q.empty()) {
-            now = q.pop_into(action);
+            now = pop_event(q).time;
           }
         }
-        while (!q.empty()) (void)q.pop_into(action);
+        while (!q.empty()) (void)pop_event(q);
       },
       // 1024 keys at 97 integer times, all pushed, then all popped: a
       // small pending set full of equal-time ties.
       [](EventQueue& q) {
-        InlineFunction action;
         for (EventSeq s = 0; s < 1024; ++s) {
-          q.push(Event{static_cast<double>((s * 31) % 97),
-                       EventPriority::kArrival, s, [] {}});
+          push_event(q, static_cast<double>((s * 31) % 97),
+                     EventPriority::kArrival, s);
         }
-        while (!q.empty()) (void)q.pop_into(action);
+        while (!q.empty()) (void)pop_event(q);
       },
       // The streamed federation pattern: a shallow, wandering live set
       // with Bottom spills and small Top batches.
@@ -682,17 +681,15 @@ TEST(LadderQueueAlloc, SteadyStatePushPopIsAllocationFree) {
         StreamedPattern pattern(6174);
         SimTime now = 0.0;
         EventSeq seq = 0;
-        InlineFunction action;
         for (int step = 0; step < 60000; ++step) {
           if (pattern.push_next(q.size())) {
             const StreamedPush p = pattern.next(now);
-            q.push(Event{p.time, static_cast<EventPriority>(p.prio), seq++,
-                         [] {}});
+            push_event(q, p.time, static_cast<EventPriority>(p.prio), seq++);
           } else {
-            now = q.pop_into(action);
+            now = pop_event(q).time;
           }
         }
-        while (!q.empty()) (void)q.pop_into(action);
+        while (!q.empty()) (void)pop_event(q);
       },
   };
   for (std::size_t i = 0; i < std::size(inputs); ++i) {

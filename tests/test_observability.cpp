@@ -272,6 +272,59 @@ TEST(Metrics, CountersAgreeWithRunAggregates) {
   EXPECT_NE(out.str().find("\"jobs_accepted\""), std::string::npos);
 }
 
+TEST(Metrics, DispatchesPerKindSumToEventsAndMatchTheLedger) {
+  // The dispatch probe tags every event with its record's kind.  On a
+  // lossless direct run, every message the ledger recorded was
+  // delivered by exactly one event of its type's delivery kind.  The
+  // auction run is batched so that timers of every auction class fire;
+  // the DBC run with coordination hints adds the enquiry timeouts, the
+  // LRMS and the periodic classes.
+  for (const bool auction : {true, false}) {
+    SCOPED_TRACE(auction ? "auction" : "dbc");
+    auto cfg = core::make_config(auction ? core::SchedulingMode::kAuction
+                                         : core::SchedulingMode::kEconomy);
+    cfg.auction.batch_solicitations = true;
+    cfg.auction.bid_timeout = 100.0;
+    cfg.negotiate_timeout = 100.0;
+    cfg.use_load_hints = true;
+    cfg.obs.metrics = true;
+    const auto run = run_federation(cfg, 30);
+    const obs::MetricsRegistry* m = run.fed->observer()->metrics();
+    ASSERT_NE(m, nullptr);
+
+    std::uint64_t sum = 0;
+    for (std::size_t k = 0; k < sim::kEventKindCount; ++k) {
+      sum += m->dispatches(static_cast<sim::EventKind>(k));
+    }
+    EXPECT_EQ(sum, run.fed->events_executed());
+    EXPECT_EQ(sum, m->counter(obs::Counter::kEventsDispatched));
+
+    const core::Federation& fed = *run.fed;
+    for (std::size_t t = 0; t < core::kMessageTypeCount; ++t) {
+      EXPECT_EQ(m->dispatches(sim::delivery_kind(t)),
+                fed.ledger().count_of(static_cast<core::MessageType>(t)))
+          << core::to_string(static_cast<core::MessageType>(t));
+    }
+    EXPECT_EQ(m->dispatches(sim::EventKind::kArrival), run.result.total_jobs);
+    EXPECT_GT(m->dispatches(sim::EventKind::kLrmsStart), 0u);
+    EXPECT_GT(m->dispatches(sim::EventKind::kLrmsFinish), 0u);
+    EXPECT_GT(m->dispatches(sim::EventKind::kPeriodic), 0u);
+    EXPECT_EQ(m->dispatches(sim::EventKind::kOther), 0u);
+    if (auction) {
+      EXPECT_GT(m->dispatches(sim::EventKind::kBidTimeout), 0u);
+      EXPECT_GT(m->dispatches(sim::EventKind::kSolicitFlush), 0u);
+    } else {
+      EXPECT_GT(m->dispatches(sim::EventKind::kNegotiateTimeout), 0u);
+      EXPECT_GT(m->dispatches(sim::EventKind::kHoldTimeout), 0u);
+    }
+
+    std::stringstream out;
+    m->write_json(out);
+    EXPECT_NE(out.str().find("\"delivery.negotiate\": "), std::string::npos);
+    EXPECT_NE(out.str().find("\"lrms_finish\": "), std::string::npos);
+  }
+}
+
 // ---- auction forensics ------------------------------------------------------
 
 TEST(Forensics, OneDecisionPerClearingAgreeingWithStats) {

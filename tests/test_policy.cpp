@@ -121,7 +121,11 @@ TEST(PolicyLayer, StrayAuctionMessagesIgnoredOutsideAuctionMode) {
   job.id = 42;
   job.origin = 1;
   job.processors = 1;
-  core::Message stray{core::MessageType::kCallForBids, 1, 0, job};
+  core::Message stray;
+  stray.type = core::MessageType::kCallForBids;
+  stray.from = 1;
+  stray.to = 0;
+  stray.job = job;
   fed.gfa(0).receive(stray);
   stray.type = core::MessageType::kBid;
   fed.gfa(0).receive(stray);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <vector>
 
 #include "sim/check.hpp"
@@ -12,48 +13,50 @@
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
 
+#include "event_ops.hpp"
+
 namespace gridfed::sim {
 namespace {
 
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue q;
   std::vector<double> popped;
-  q.push(Event{5.0, EventPriority::kArrival, 0, [] {}});
-  q.push(Event{1.0, EventPriority::kArrival, 1, [] {}});
-  q.push(Event{3.0, EventPriority::kArrival, 2, [] {}});
-  while (!q.empty()) popped.push_back(q.pop().time);
+  push_event(q, 5.0, EventPriority::kArrival, 0);
+  push_event(q, 1.0, EventPriority::kArrival, 1);
+  push_event(q, 3.0, EventPriority::kArrival, 2);
+  while (!q.empty()) popped.push_back(pop_event(q).time);
   EXPECT_EQ(popped, (std::vector<double>{1.0, 3.0, 5.0}));
 }
 
 TEST(EventQueue, EqualTimesPopByPriorityThenFifo) {
   EventQueue q;
   std::vector<int> order;
-  q.push(Event{1.0, EventPriority::kArrival, 0, [&] { order.push_back(0); }});
-  q.push(Event{1.0, EventPriority::kCompletion, 1,
-               [&] { order.push_back(1); }});
-  q.push(Event{1.0, EventPriority::kArrival, 2, [&] { order.push_back(2); }});
-  while (!q.empty()) q.pop().action();
+  push_event(q, 1.0, EventPriority::kArrival, 0, [&] { order.push_back(0); });
+  push_event(q, 1.0, EventPriority::kCompletion, 1,
+             [&] { order.push_back(1); });
+  push_event(q, 1.0, EventPriority::kArrival, 2, [&] { order.push_back(2); });
+  while (!q.empty()) pop_event(q).record();
   // Completion (priority 0) first, then the two arrivals in FIFO order.
   EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
 }
 
 TEST(EventQueue, PopOnEmptyThrows) {
   EventQueue q;
-  EXPECT_THROW((void)q.pop(), ContractViolation);
+  EXPECT_THROW((void)pop_event(q), ContractViolation);
 }
 
 TEST(EventQueue, NextTimeReportsEarliest) {
   EventQueue q;
-  q.push(Event{9.0, EventPriority::kControl, 0, [] {}});
-  q.push(Event{2.0, EventPriority::kControl, 1, [] {}});
+  push_event(q, 9.0, EventPriority::kControl, 0);
+  push_event(q, 2.0, EventPriority::kControl, 1);
   EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
 }
 
 TEST(Simulation, ClockAdvancesMonotonically) {
   Simulation sim;
   std::vector<double> seen;
-  sim.schedule_at(2.0, EventPriority::kControl, [&] { seen.push_back(sim.now()); });
-  sim.schedule_at(1.0, EventPriority::kControl, [&] { seen.push_back(sim.now()); });
+  sim.schedule_at(2.0, EventKind::kOther, [&] { seen.push_back(sim.now()); });
+  sim.schedule_at(1.0, EventKind::kOther, [&] { seen.push_back(sim.now()); });
   sim.run();
   EXPECT_EQ(seen, (std::vector<double>{1.0, 2.0}));
   EXPECT_DOUBLE_EQ(sim.now(), 2.0);
@@ -61,17 +64,17 @@ TEST(Simulation, ClockAdvancesMonotonically) {
 
 TEST(Simulation, SchedulingInPastThrows) {
   Simulation sim;
-  sim.schedule_at(5.0, EventPriority::kControl, [] {});
+  sim.schedule_at(5.0, EventKind::kOther, [] {});
   sim.run();
-  EXPECT_THROW(sim.schedule_at(1.0, EventPriority::kControl, [] {}),
+  EXPECT_THROW(sim.schedule_at(1.0, EventKind::kOther, [] {}),
                ContractViolation);
 }
 
 TEST(Simulation, ScheduleInUsesRelativeDelay) {
   Simulation sim;
   double fired_at = -1.0;
-  sim.schedule_at(10.0, EventPriority::kControl, [&] {
-    sim.schedule_in(5.0, EventPriority::kControl,
+  sim.schedule_at(10.0, EventKind::kOther, [&] {
+    sim.schedule_in(5.0, EventKind::kOther,
                     [&] { fired_at = sim.now(); });
   });
   sim.run();
@@ -82,7 +85,7 @@ TEST(Simulation, RunUntilStopsAtHorizon) {
   Simulation sim;
   int fired = 0;
   for (int t = 1; t <= 10; ++t) {
-    sim.schedule_at(static_cast<double>(t), EventPriority::kControl,
+    sim.schedule_at(static_cast<double>(t), EventKind::kOther,
                     [&] { ++fired; });
   }
   sim.run_until(5.0);
@@ -102,7 +105,7 @@ TEST(Simulation, RunUntilAdvancesClockToHorizonWhenIdle) {
 TEST(Simulation, EventsExecutedCounts) {
   Simulation sim;
   for (int i = 0; i < 7; ++i) {
-    sim.schedule_at(static_cast<double>(i), EventPriority::kControl, [] {});
+    sim.schedule_at(static_cast<double>(i), EventKind::kOther, [] {});
   }
   sim.run();
   EXPECT_EQ(sim.events_executed(), 7u);
@@ -111,21 +114,51 @@ TEST(Simulation, EventsExecutedCounts) {
 TEST(Simulation, EventsScheduledDuringRunExecute) {
   Simulation sim;
   int depth = 0;
+  // An event captures a pointer to the chain, not the std::function
+  // itself (captures must be trivially copyable).
   std::function<void()> chain = [&] {
     if (++depth < 5) {
-      sim.schedule_in(1.0, EventPriority::kControl, chain);
+      sim.schedule_in(1.0, EventKind::kOther, [&chain] { chain(); });
     }
   };
-  sim.schedule_at(0.0, EventPriority::kControl, chain);
+  sim.schedule_at(0.0, EventKind::kOther, [&chain] { chain(); });
   sim.run();
   EXPECT_EQ(depth, 5);
   EXPECT_DOUBLE_EQ(sim.now(), 4.0);
 }
 
+TEST(Simulation, KindsRunInTheirPriorityClass) {
+  // One instant, scheduled in reverse class order: the kernel orders
+  // each kind by priority_of, so LRMS starts and finishes run first,
+  // then deliveries, then arrivals, then every timer.
+  EXPECT_EQ(priority_of(EventKind::kLrmsStart), EventPriority::kCompletion);
+  EXPECT_EQ(priority_of(EventKind::kLrmsFinish), EventPriority::kCompletion);
+  EXPECT_EQ(priority_of(delivery_kind(0)), EventPriority::kMessage);
+  EXPECT_EQ(priority_of(delivery_kind(kDeliveryKinds - 1)),
+            EventPriority::kMessage);
+  EXPECT_EQ(priority_of(EventKind::kArrival), EventPriority::kArrival);
+  EXPECT_EQ(priority_of(EventKind::kBidTimeout), EventPriority::kControl);
+  EXPECT_EQ(priority_of(EventKind::kOther), EventPriority::kControl);
+  Simulation sim;
+  std::vector<EventKind> seen;
+  for (const EventKind kind :
+       {EventKind::kPeriodic, EventKind::kArrival, delivery_kind(2),
+        EventKind::kLrmsFinish}) {
+    sim.schedule_at(1.0, kind, [&seen, &sim] {
+      seen.push_back(sim.current_kind());
+    });
+  }
+  sim.run();
+  EXPECT_EQ(seen, (std::vector<EventKind>{EventKind::kLrmsFinish,
+                                          delivery_kind(2),
+                                          EventKind::kArrival,
+                                          EventKind::kPeriodic}));
+}
+
 TEST(Simulation, DrainDiscardsPending) {
   Simulation sim;
   int fired = 0;
-  sim.schedule_at(1.0, EventPriority::kControl, [&] { ++fired; });
+  sim.schedule_at(1.0, EventKind::kOther, [&] { ++fired; });
   sim.drain();
   sim.run();
   EXPECT_EQ(fired, 0);

@@ -533,24 +533,25 @@ TEST(TreeFlush, WarmFanoutAndConvergecastAllocateNothing) {
     for (std::size_t o = 0; o < kOrigins; ++o) {
       const std::span<const cluster::Job> batch(&jobs[o * kJobsPerCall],
                                                 kJobsPerCall);
-      core::Message call{core::MessageType::kCallForBids,
-                         static_cast<cluster::ResourceIndex>(o), 0,
-                         batch.front()};
-      call.batch_jobs = batch;
-      (void)tree.multicast(std::move(call), everyone, ctx.sim().now());
+      const core::Outgoing call =
+          tree.compose(core::MessageType::kCallForBids,
+                       static_cast<cluster::ResourceIndex>(o), 0,
+                       batch.front());
+      call->batch_jobs = batch;
+      (void)tree.multicast(call, everyone, ctx.sim().now());
     }
     ctx.sim().run();
     ASSERT_EQ(ctx.delivered.size(), kCalls);
     for (const RecordingContext::Delivery& call : ctx.delivered) {
-      core::Message bid{core::MessageType::kBid, call.to, call.from,
-                        call.job};
-      bid.batch_bids = tree.bid_buffer();
+      const core::Outgoing bid =
+          tree.compose(core::MessageType::kBid, call.to, call.from, call.job);
+      bid->batch_bids = tree.bid_buffer();
       for (const cluster::Job& job : call.batch_jobs) {
-        bid.batch_bids.push_back(core::BatchedBid{
+        bid->batch_bids.push_back(core::BatchedBid{
             job.id, 100.0 + static_cast<double>(call.to),
             1000.0 + static_cast<double>(call.to), true, false});
       }
-      tree.unicast(std::move(bid));
+      tree.unicast(bid);
     }
     ctx.delivered.clear();
     ctx.sim().run();
