@@ -43,23 +43,23 @@ RunOutput run(const gridfed::core::FederationConfig& cfg,
       workload::generate_federation_workload(specs, cfg.window, cfg.seed);
   fed.load_workload(traces, workload::PopulationProfile{oft_percent});
   RunOutput out{fed.run(), fed.bank().balanced(), true};
-  if (const coalition::CoalitionManager* manager = fed.coalitions()) {
-    for (const coalition::SplitRecord& split : manager->splits()) {
-      double sum = 0.0;
-      double executor_share = 0.0;
-      const auto members = manager->registry().members(split.coalition);
-      for (std::size_t i = 0; i < split.shares.size(); ++i) {
-        sum += split.shares[i];
-        if (split.shares[i] < 0.0) out.splits_sound = false;
-        if (members[i] == split.executor) executor_share = split.shares[i];
-      }
-      // Budget balance: the shares settle exactly the cleared payment.
-      if (std::abs(sum - split.payment) > 1e-6) out.splits_sound = false;
-      // Individual rationality: the executing member earns at least its
-      // own solo ask (capped by the payment).
-      const double solo = std::min(split.executor_ask, split.payment);
-      if (executor_share + 1e-9 < solo) out.splits_sound = false;
+  // Each split as the forensics ledger recorded it: (member, share)
+  // pairs over the member list the coalition had when it placed the job.
+  const auto& splits = fed.observer()->forensics()->splits();
+  for (const obs::SplitDecision& split : splits) {
+    double sum = 0.0;
+    double executor_share = 0.0;
+    for (const auto& [member, share] : split.shares) {
+      sum += share;
+      if (share < 0.0) out.splits_sound = false;
+      if (member == split.executor) executor_share = share;
     }
+    // Budget balance: the shares settle exactly the cleared payment.
+    if (std::abs(sum - split.payment) > 1e-6) out.splits_sound = false;
+    // Individual rationality: the executing member earns at least its
+    // own solo ask (capped by the payment).
+    const double solo = std::min(split.executor_ask, split.payment);
+    if (executor_share + 1e-9 < solo) out.splits_sound = false;
   }
   return out;
 }
@@ -77,6 +77,9 @@ int main() {
   cfg.auction.batch_solicitations = true;
   cfg.auction.solicit_batch_window = 300.0;
   cfg.transport.kind = transport::TransportKind::kTree;  // PR 4 baseline
+  // The forensics ledger records every surplus split for the soundness
+  // check below.
+  cfg.obs.forensics = true;
 
   constexpr std::size_t kClusters = 50;
   constexpr std::uint32_t kOftPercent = 30;

@@ -128,19 +128,19 @@ Placement CoalitionManager::place_award(federation::ParticipantId id,
   return Placement{};
 }
 
-bool CoalitionManager::settle(economy::GridBank& bank, cluster::JobId job,
-                              cluster::ResourceIndex executor,
-                              cluster::ResourceIndex consumer_home,
-                              std::uint32_t user, double payment) {
+std::optional<SettledSplit> CoalitionManager::settle(
+    economy::GridBank& bank, cluster::JobId job,
+    cluster::ResourceIndex executor, cluster::ResourceIndex consumer_home,
+    std::uint32_t user, double payment, sim::SimTime now) {
   const auto it = notes_.find(job);
-  if (it == notes_.end()) return false;
+  if (it == notes_.end()) return std::nullopt;
   AwardNote note = std::move(it->second);
   notes_.erase(it);
   if (note.executor != executor) {
     // The job ultimately ran somewhere else (a lossy network abandoned
     // the awarded enquiry and the origin re-scheduled): the note is
     // stale and the plain solo settlement applies.
-    return false;
+    return std::nullopt;
   }
   // Split over the PLACEMENT-time snapshot, not the live registry: a
   // member that departed mid-flight still backed this bid and is still
@@ -154,7 +154,7 @@ bool CoalitionManager::settle(economy::GridBank& bank, cluster::JobId job,
     if (members[i] == executor) executor_pos = i;
   }
   GF_EXPECTS(executor_pos < members.size());
-  std::vector<double> shares =
+  const std::vector<double> shares =
       split_surplus(config_.surplus, payment, executor_pos,
                     note.executor_ask, scratch_weights_);
   for (std::size_t i = 0; i < members.size(); ++i) {
@@ -162,11 +162,24 @@ bool CoalitionManager::settle(economy::GridBank& bank, cluster::JobId job,
     bank.settle(economy::Settlement{job, consumer_home, members[i],
                                     shares[i], user});
   }
-  splits_.push_back(SplitRecord{job, note.coalition, executor,
-                                note.executor_ask, payment,
-                                std::move(note.members),
-                                std::move(shares)});
-  return true;
+  ++awards_;
+  surplus_ += payment - std::min(note.executor_ask, payment);
+  GF_OBS(observer_, count(obs::Counter::kCoalitionSplits));
+  if (observer_ != nullptr && observer_->forensics_on()) {
+    obs::SplitDecision decision;
+    decision.t = now;
+    decision.job = job;
+    decision.coalition = note.coalition.value;
+    decision.executor = executor;
+    decision.executor_ask = note.executor_ask;
+    decision.payment = payment;
+    decision.shares.reserve(members.size());
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      decision.shares.emplace_back(members[i], shares[i]);
+    }
+    observer_->forensics()->record_split(std::move(decision));
+  }
+  return SettledSplit{note.coalition, shares[executor_pos]};
 }
 
 // ---- membership churn -------------------------------------------------------

@@ -22,7 +22,10 @@
 //  * surplus splitting — at settlement the coalition's payment is split
 //    among the members under the configured SurplusRuleKind
 //    (surplus_rule.hpp) and lands in the GridBank as one settlement per
-//    member, so balanced() keeps holding member-by-member.
+//    member, so balanced() keeps holding member-by-member.  The manager
+//    keeps only the run's award count and surplus sum; with forensics on,
+//    each split's full record (members, shares, payment) goes to the
+//    forensics ledger as an obs::SplitDecision.
 //
 // The manager reaches the per-cluster machinery (LRMS estimates, sealed
 // pricing, reservations) through CoalitionContext, implemented by the
@@ -30,6 +33,7 @@
 // use, keeping this subsystem free of any dependency on core/.
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -73,19 +77,11 @@ struct Placement {
   sim::SimTime estimate = 0.0;
 };
 
-/// One settled coalition award (tests inspect these to pin budget
-/// balance and individual rationality end-to-end).
-struct SplitRecord {
-  cluster::JobId job = 0;
+/// What the Federation books of one settled coalition award: the coalition
+/// the job settles under and the executor's own share of the payment.
+struct SettledSplit {
   federation::ParticipantId coalition = federation::kNoParticipant;
-  cluster::ResourceIndex executor = cluster::kNoResource;
-  double executor_ask = 0.0;  ///< the executor's solo ask for the job
-  double payment = 0.0;       ///< the coalition's cleared payment
-  /// Member list the split ran over — snapshotted at PLACEMENT time, so
-  /// a settlement after churn pays exactly the members who backed the
-  /// bid (budget balance survives a mid-flight re-formation).
-  std::vector<cluster::ResourceIndex> members;
-  std::vector<double> shares;  ///< per member, parallel to `members`
+  double executor_share = 0.0;
 };
 
 /// One churn-driven re-formation of a coalition (tests pin that every
@@ -137,15 +133,18 @@ class CoalitionManager {
   [[nodiscard]] Placement place_award(federation::ParticipantId id,
                                       const cluster::Job& job);
 
-  /// Settles `payment` for `job` (executed on `executor`) against the
-  /// coalition noted at placement: one GridBank settlement per member
-  /// share.  Returns false — caller settles solo — when no matching note
+  /// Settles `payment` for `job` (executed on `executor`, completed at
+  /// `now`) against the coalition noted at placement: one GridBank
+  /// settlement per member share, counted in awards() and surplus().
+  /// Returns nothing — caller settles solo — when no matching note
   /// exists (the job was ultimately placed outside the coalition, e.g.
   /// after a lossy-network re-schedule).
-  bool settle(economy::GridBank& bank, cluster::JobId job,
-              cluster::ResourceIndex executor,
-              cluster::ResourceIndex consumer_home, std::uint32_t user,
-              double payment);
+  std::optional<SettledSplit> settle(economy::GridBank& bank,
+                                     cluster::JobId job,
+                                     cluster::ResourceIndex executor,
+                                     cluster::ResourceIndex consumer_home,
+                                     std::uint32_t user, double payment,
+                                     sim::SimTime now);
 
   /// Drops any pending placement note for `job`.  Called by the driver
   /// when the job reached a terminal state outside the coalition path —
@@ -161,10 +160,12 @@ class CoalitionManager {
     return local_messages_;
   }
 
-  /// Every settled coalition award, settlement order.
-  [[nodiscard]] const std::vector<SplitRecord>& splits() const noexcept {
-    return splits_;
-  }
+  /// Coalition awards settled so far.
+  [[nodiscard]] std::uint64_t awards() const noexcept { return awards_; }
+  /// Surplus distributed so far: each settled award's payment less its
+  /// executor's base (its ask, capped at the payment), summed in
+  /// settlement order.
+  [[nodiscard]] double surplus() const noexcept { return surplus_; }
 
   // -- membership churn ---------------------------------------------------
   /// `member` left or was confirmed dead: its coalition re-forms without
@@ -198,7 +199,10 @@ class CoalitionManager {
     federation::ParticipantId coalition = federation::kNoParticipant;
     cluster::ResourceIndex executor = cluster::kNoResource;
     double executor_ask = 0.0;
-    /// Member snapshot backing the eventual split (see SplitRecord).
+    /// Member list the split will run over, snapshotted at PLACEMENT
+    /// time: a settlement after churn pays exactly the members who
+    /// backed the bid (budget balance survives a mid-flight
+    /// re-formation).
     std::vector<cluster::ResourceIndex> members;
   };
 
@@ -216,9 +220,10 @@ class CoalitionManager {
   CoalitionConfig config_;
   federation::ParticipantRegistry registry_;
   sim::FlatMap<cluster::JobId, AwardNote> notes_;
-  std::vector<SplitRecord> splits_;
   std::vector<ReformationRecord> reformations_;
   std::uint64_t local_messages_ = 0;
+  std::uint64_t awards_ = 0;
+  double surplus_ = 0.0;
   /// Ring key per cluster (formation order; re-formation reuses it).
   std::vector<std::uint64_t> ring_keys_;
   /// Each cluster's formation-time coalition (kNoParticipant when it

@@ -434,40 +434,18 @@ void Federation::job_completed(const JobOutcome& outcome) {
   // re-scheduled, possibly onto the very same member through a solo
   // path) must not divert a solo settlement — and the manager further
   // declines jobs whose note no longer matches the executor.
-  const bool split =
-      coalitions_ != nullptr && outcome.via_coalition &&
-      coalitions_->settle(bank_, outcome.job.id, outcome.executed_on,
-                          outcome.job.origin, outcome.job.user, outcome.cost);
+  std::optional<coalition::SettledSplit> split;
+  if (coalitions_ != nullptr && outcome.via_coalition) {
+    split = coalitions_->settle(bank_, outcome.job.id, outcome.executed_on,
+                                outcome.job.origin, outcome.job.user,
+                                outcome.cost, sim_.now());
+  }
   JobOutcome settled = outcome;
   settled.settled_participant = outcome.executed_on;
   settled.surplus_share = outcome.cost;
   if (split) {
-    const coalition::SplitRecord& record = coalitions_->splits().back();
-    // The record's own member snapshot, NOT the live registry: churn may
-    // have re-formed the coalition between placement and settlement.
-    const auto& members = record.members;
-    settled.settled_participant = record.coalition.value;
-    for (std::size_t m = 0; m < members.size(); ++m) {
-      if (members[m] == record.executor) {
-        settled.surplus_share = record.shares[m];
-        break;
-      }
-    }
-    GF_OBS(observer(), count(obs::Counter::kCoalitionSplits));
-    if (observer_ != nullptr && observer_->forensics() != nullptr) {
-      obs::SplitDecision decision;
-      decision.t = sim_.now();
-      decision.job = record.job;
-      decision.coalition = record.coalition.value;
-      decision.executor = record.executor;
-      decision.executor_ask = record.executor_ask;
-      decision.payment = record.payment;
-      decision.shares.reserve(members.size());
-      for (std::size_t m = 0; m < members.size(); ++m) {
-        decision.shares.emplace_back(members[m], record.shares[m]);
-      }
-      observer_->forensics()->record_split(std::move(decision));
-    }
+    settled.settled_participant = split->coalition.value;
+    settled.surplus_share = split->executor_share;
   } else {
     bank_.settle(economy::Settlement{outcome.job.id, outcome.job.origin,
                                      outcome.executed_on, outcome.cost,
@@ -579,11 +557,8 @@ FederationResult Federation::aggregate() const {
   if (coalitions_) {
     result.coalitions_formed = coalitions_->registry().coalitions();
     result.coalition_local_messages = coalitions_->local_messages();
-    result.coalition_awards = coalitions_->splits().size();
-    for (const auto& split : coalitions_->splits()) {
-      result.coalition_surplus +=
-          split.payment - std::min(split.executor_ask, split.payment);
-    }
+    result.coalition_awards = coalitions_->awards();
+    result.coalition_surplus = coalitions_->surplus();
   }
   return result;
 }

@@ -100,9 +100,6 @@ class Federation final : public GfaHost,
   [[nodiscard]] coalition::CoalitionManager* coalitions() override {
     return coalitions_.get();
   }
-  [[nodiscard]] std::vector<BatchedBid> bid_buffer() override {
-    return transport_->bid_buffer();
-  }
   void award_declined(federation::ParticipantId provider) override {
     auction_stats_.record_decline(provider.value);
     GF_OBS(observer(), count_decline(provider.is_coalition()

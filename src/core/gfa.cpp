@@ -78,7 +78,7 @@ double Gfa::cost_from_quote(const cluster::Job& job,
 
 // ---- enquiry seam (DBC negotiate + auction award) ---------------------------
 
-void Gfa::park_enquiry(Pending p, cluster::ResourceIndex target,
+void Gfa::park_enquiry(Pending&& p, cluster::ResourceIndex target,
                        MessageType type, double price) {
   GF_EXPECTS(type == MessageType::kNegotiate || type == MessageType::kAward);
   ++p.negotiations;

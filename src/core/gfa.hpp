@@ -109,12 +109,6 @@ class GfaHost {
     return nullptr;
   }
 
-  /// An empty buffer for a batched kBid answer's asks.  The Federation
-  /// hands out the cleared buffer of an answer it already delivered
-  /// (capacity kept) when it has one; see
-  /// policy::SchedulerContext::bid_buffer.
-  [[nodiscard]] virtual std::vector<BatchedBid> bid_buffer() = 0;
-
   /// Reputation input signals (the reputation-weighted bidding
   /// follow-on attaches to participants): an award `provider` declined
   /// or let time out, and a completed job that missed the completion
@@ -264,9 +258,6 @@ class Gfa final : public policy::SchedulerContext {
   [[nodiscard]] coalition::CoalitionManager* coalitions() override {
     return host_.coalitions();
   }
-  [[nodiscard]] std::vector<BatchedBid> bid_buffer() override {
-    return host_.bid_buffer();
-  }
   [[nodiscard]] Outgoing compose(MessageType type,
                                  cluster::ResourceIndex from,
                                  cluster::ResourceIndex to,
@@ -286,8 +277,9 @@ class Gfa final : public policy::SchedulerContext {
   // -- enquiry seam (DBC negotiate + auction award) -----------------------
   /// Shared enquiry plumbing: parks the job in pending_, sends `type`
   /// (kNegotiate or kAward) to `target`, and arms the reply timeout when
-  /// the config enables it.  Replies resume in handle_reply.
-  void park_enquiry(Pending p, cluster::ResourceIndex target,
+  /// the config enables it.  Replies resume in handle_reply.  Takes the
+  /// record by reference so it moves once, into pending_.
+  void park_enquiry(Pending&& p, cluster::ResourceIndex target,
                     MessageType type, double price);
   /// Fires when no reply arrived in time: abandon the enquiry, hand the
   /// job back to the policy.

@@ -16,7 +16,6 @@
 // messages (the Fig 9(c) series counts each message once).
 
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -25,7 +24,6 @@
 #include "membership/gossip.hpp"
 #include "sim/event.hpp"
 #include "sim/types.hpp"
-#include "transport/message_arena.hpp"
 
 namespace gridfed::core {
 
@@ -95,7 +93,10 @@ struct BatchedBid {
 ///
 /// A message is built once, in the delivery-slab slot it is delivered
 /// from: senders compose() it (which resets every payload field below),
-/// fill it through the Outgoing handle, and send that handle.
+/// fill it through the Outgoing handle, and send that handle.  The slot
+/// owns the message's variable-length payloads; compose() empties them
+/// in place, so a slot's buffers keep their capacity from one message to
+/// the next.
 ///
 /// Batched solicitation (AuctionConfig::batch_solicitations) coalesces
 /// same-window call-for-bids per (origin, provider) pair: one kCallForBids
@@ -130,17 +131,11 @@ struct Message {
   cluster::ResourceIndex exec_site = cluster::kNoResource;
 
   // Batched-solicitation payloads (empty outside batched auction mode).
-  /// kCallForBids: all jobs asked.  The jobs live in a shared
-  /// MessageArena (one per solicitation flush, `arena` below keeps it
-  /// alive); every provider's copy of the message views the same
-  /// storage, so a 50-provider flush writes the job list once instead
-  /// of once per provider.
-  std::span<const cluster::Job> batch_jobs;
-  /// Keep-alive for `batch_jobs` (null when the span is empty).
-  transport::ArenaHandle arena;
-  /// kBid: one ask per asked job.  The buffer is recycled: once the
-  /// answer is delivered, the Federation clears it and hands it to the
-  /// next batched answer (SchedulerContext::bid_buffer), capacity kept.
+  /// kCallForBids: all jobs asked.  A multicast delivers one body to
+  /// every provider, so a 50-provider flush writes the job list once,
+  /// not once per provider.
+  std::vector<cluster::Job> batch_jobs;
+  /// kBid: one ask per asked job.
   std::vector<BatchedBid> batch_bids;
 
   /// kGossip: the sender's full membership digest (empty otherwise).

@@ -86,12 +86,12 @@ Award Ranking::front() const {
       // one; flooring at the own ask keeps the payment individually
       // rational (generalized second price, see file comment).
       payment = std::max(best.ask, next->ask);
-    } else if (reserve_) {
+    } else if (has_reserve_) {
       // Lone (or last-ranked) bidder: the reserve price — the user's
       // budget — plays the second bid, as in a Vickrey auction with a
       // reserve.  Without budget enforcement there is no reserve and the
       // ask itself is the only defensible payment.
-      payment = *reserve_;
+      payment = reserve_;
     }
   }
   return Award{best, payment};
@@ -108,7 +108,10 @@ Ranking AuctionEngine::rank(const cluster::Job& job,
   const JobQos qos = JobQos::of(job);
   Ranking ranking;
   ranking.rule_ = rule_;
-  if (scorer_.enforce_budget()) ranking.reserve_ = job.budget;
+  if (scorer_.enforce_budget()) {
+    ranking.reserve_ = job.budget;
+    ranking.has_reserve_ = true;
+  }
   ranking.heap_.reserve(bids.size());
   for (const Bid& bid : bids) {
     GF_EXPECTS(bid.ask >= 0.0 || !bid.feasible);

@@ -37,7 +37,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -178,10 +177,15 @@ class Ranking {
     return BidScorer::rank_less(b.score, b.bid, a.score, a.bid);
   }
 
+  // Every core::Pending carries a Ranking, in every mode, and moves it
+  // several times per enquiry, so the reserve is a value and a flag (a
+  // std::optional<double> would pad to 16 bytes).
   std::vector<Scored> heap_;
+  /// Vickrey's last-ranked award pays this reserve (the budget) when
+  /// `has_reserve_`.
+  double reserve_ = 0.0;
   ClearingRule rule_ = ClearingRule::kFirstPrice;
-  /// Vickrey's last-ranked award pays this reserve (the budget) if set.
-  std::optional<double> reserve_;
+  bool has_reserve_ = false;
 };
 
 /// Clears closed books into award rankings.

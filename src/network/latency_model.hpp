@@ -64,7 +64,7 @@ class LatencyModel {
   /// bottleneck access link.  The seed charged every control message
   /// pure latency, so a 40-job batched solicitation cost exactly as
   /// much wire time as a 64-byte reply; this is the honest size-aware
-  /// costing for batched and arena-backed messages.
+  /// costing for batched messages.
   [[nodiscard]] sim::SimTime control_delay(cluster::ResourceIndex from,
                                            cluster::ResourceIndex to,
                                            std::uint64_t bytes) const;

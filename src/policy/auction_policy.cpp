@@ -25,18 +25,6 @@ AuctionPolicy::AuctionPolicy(SchedulerContext& ctx, obs::Observer* observer)
       coalitions_(ctx.coalitions()),
       dbc_fallback_(ctx, observer) {}
 
-AuctionPolicy::AuctionJobState* AuctionPolicy::state_of(
-    const core::Pending& p) {
-  return static_cast<AuctionJobState*>(p.policy_state.get());
-}
-
-AuctionPolicy::AuctionJobState& AuctionPolicy::ensure_state(core::Pending& p) {
-  if (p.policy_state == nullptr) {
-    p.policy_state = std::make_unique<AuctionJobState>();
-  }
-  return *state_of(p);
-}
-
 federation::ParticipantId AuctionPolicy::participant_of(
     cluster::ResourceIndex resource) const {
   return coalition::participant_of(coalitions_, resource);
@@ -50,10 +38,9 @@ cluster::ResourceIndex AuctionPolicy::representative_of(
 void AuctionPolicy::schedule(core::Pending p) {
   // Lifecycle: open an auction, then work through the cleared award
   // ranking, then (if everything declined) the DBC fallback walk.
-  const AuctionJobState* st = state_of(p);
-  if (st != nullptr && st->dbc_fallback) {
+  if (p.dbc_fallback) {
     dbc_fallback_.schedule(std::move(p));
-  } else if (st != nullptr && st->ranked) {
+  } else if (p.ranked) {
     advance_awards(std::move(p));
   } else {
     open_auction(std::move(p));
@@ -64,8 +51,7 @@ double AuctionPolicy::settled_cost(const core::Pending& p,
                                    cluster::ResourceIndex exec) const {
   // An in-flight award settles its cleared payment; the DBC fallback (and
   // anything else) the posted price.
-  const AuctionJobState* st = state_of(p);
-  if (st != nullptr && st->awarding()) return st->award_payment;
+  if (p.ranked && !p.dbc_fallback) return p.award_payment;
   return SchedulingPolicy::settled_cost(p, exec);
 }
 
@@ -251,10 +237,9 @@ void AuctionPolicy::flush_solicitations() {
   GF_OBS(observer_, count(obs::Counter::kSolicitFlushes));
   // Emit one multicast per maximal run of providers sharing a job
   // bucket.  With the default full-book solicitation every provider
-  // shares one bucket, so the flush writes the job list into the arena
-  // ONCE and all 50 provider messages view it — no per-provider Job
-  // copies.
-  std::shared_ptr<transport::MessageArena> arena;
+  // shares one bucket, so the flush writes the job list ONCE, into the
+  // message's slab slot, and all 50 provider deliveries read that one
+  // body — no per-provider Job copies.
   std::size_t i = 0;
   while (i < scratch_providers_.size()) {
     std::size_t j = i + 1;
@@ -262,18 +247,16 @@ void AuctionPolicy::flush_solicitations() {
            scratch_buckets_[j] == scratch_buckets_[i]) {
       ++j;
     }
-    if (!arena) arena = std::make_shared<transport::MessageArena>();
-    const std::span<const cluster::Job> batch =
-        arena->append(scratch_buckets_[i]);
+    const std::vector<const cluster::Job*>& bucket = scratch_buckets_[i];
     const core::Outgoing msg = ctx_.compose(core::MessageType::kCallForBids,
-                                            self_, self_, batch.front());
-    msg->batch_jobs = batch;
-    msg->arena = arena;
+                                            self_, self_, *bucket.front());
+    msg->batch_jobs.reserve(bucket.size());
+    for (const cluster::Job* job : bucket) msg->batch_jobs.push_back(*job);
     // Attribute the run's wire cost to the batch's first job so the
     // per-job counters still sum to the ledger total (on the direct
     // transport; the tree's shared edge messages return 0 and live in
     // the ledger's relay counters instead).
-    const cluster::JobId front_id = batch.front().id;
+    const cluster::JobId front_id = bucket.front()->id;
     const std::uint64_t wire = ctx_.multicast(
         msg,
         std::span<const cluster::ResourceIndex>(
@@ -310,9 +293,8 @@ void AuctionPolicy::clear_auction(cluster::JobId id) {
       cfg_.auction.score_time_weight, cfg_.enforce_budget,
       cfg_.enforce_deadline);
   core::Pending p = std::move(auction.pending);
-  AuctionJobState& st = ensure_state(p);
-  st.ranking = engine.rank(p.job, auction.book.bids());
-  st.ranked = !st.ranking.empty();
+  p.ranking = engine.rank(p.job, auction.book.bids());
+  p.ranked = !p.ranking.empty();
 
   market::ClearingReport report;
   report.job = p.job.id;
@@ -321,10 +303,10 @@ void AuctionPolicy::clear_auction(cluster::JobId id) {
   // the overlay just carried a marker instead of the quote — so the
   // bids-per-auction telemetry is invariant under transport pruning.
   report.bids = auction.book.bids().size() + auction.book.pruned();
-  report.feasible = st.ranking.size();
-  report.awarded = st.ranked;
+  report.feasible = p.ranking.size();
+  report.awarded = p.ranked;
   if (report.awarded) {
-    const market::Award winner = st.ranking.front();
+    const market::Award winner = p.ranking.front();
     report.winner = winner.bid.bidder;
     report.winner_ask = winner.bid.ask;
     report.payment = winner.payment;
@@ -366,11 +348,11 @@ void AuctionPolicy::clear_auction(cluster::JobId id) {
       decision.winner = report.winner.value;
       decision.winner_ask = report.winner_ask;
       decision.payment = report.payment;
-      if (const market::Bid* runner_up = st.ranking.runner_up()) {
+      if (const market::Bid* runner_up = p.ranking.runner_up()) {
         decision.has_runner_up = true;
         decision.runner_up_margin =
             engine.score(p.job, *runner_up) -
-            engine.score(p.job, st.ranking.front().bid);
+            engine.score(p.job, p.ranking.front().bid);
       }
     }
     observer_->forensics()->record(std::move(decision));
@@ -380,7 +362,7 @@ void AuctionPolicy::clear_auction(cluster::JobId id) {
   // same shape.
   book_pool_.release(std::move(auction.book));
 
-  if (st.ranked) {
+  if (p.ranked) {
     advance_awards(std::move(p));
   } else {
     fallback(std::move(p));
@@ -388,10 +370,9 @@ void AuctionPolicy::clear_auction(cluster::JobId id) {
 }
 
 void AuctionPolicy::advance_awards(core::Pending p) {
-  AuctionJobState& st = ensure_state(p);
-  while (!st.ranking.empty()) {
-    const market::Award award = st.ranking.front();
-    st.ranking.pop();
+  while (!p.ranking.empty()) {
+    const market::Award award = p.ranking.front();
+    p.ranking.pop();
     if (award.bid.bidder == self_) {
       // Won our own auction: admission is a free local re-check, and the
       // cleared payment (not the posted price) is what gets settled.
@@ -402,7 +383,7 @@ void AuctionPolicy::advance_awards(core::Pending p) {
       continue;  // queue filled up since bidding: next award
     }
     const cluster::ResourceIndex rep = representative_of(award.bid.bidder);
-    st.award_payment = award.payment;
+    p.award_payment = award.payment;
     if (rep == self_) {
       // A coalition the origin itself represents won: internal placement
       // runs over the local links (no wire enquiry); the engine ships
@@ -449,7 +430,7 @@ void AuctionPolicy::drain_in_flight(
 void AuctionPolicy::fallback(core::Pending p) {
   if (cfg_.auction.fallback_to_dbc) {
     // Reached with the ranking exhausted (or never non-empty).
-    ensure_state(p).dbc_fallback = true;
+    p.dbc_fallback = true;
     p.next_rank = 1;  // fresh DBC walk; cluster state moved on since bidding
     dbc_fallback_.schedule(std::move(p));
   } else {
@@ -500,11 +481,10 @@ void AuctionPolicy::on_call_for_bids(const core::Message& msg) {
   // costs the origin a declined award, never a broken guarantee.
   if (!msg.batch_jobs.empty()) {
     // Batched solicitation: one sealed ask per carried job, all riding
-    // home in a single wire message.  The asks go into a recycled
-    // buffer, so the answer usually allocates nothing.
+    // home in a single wire message.  The asks fill the answer's slot
+    // buffer, so a warm slot allocates nothing.
     const core::Outgoing answer = ctx_.compose(
         core::MessageType::kBid, self_, msg.from, msg.batch_jobs.front());
-    answer->batch_bids = ctx_.bid_buffer();
     answer->batch_bids.reserve(msg.batch_jobs.size());
     for (const cluster::Job& job : msg.batch_jobs) {
       const market::Bid bid = participant_bid(job);

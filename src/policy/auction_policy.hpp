@@ -11,10 +11,11 @@
 //  * provider side: answer call-for-bids with sealed asks (admission-
 //    style completion estimate + the configured bid-pricing strategy).
 //
-// The policy owns every piece of auction-only state the Gfa god class
-// used to carry: the open books, the batched-solicitation queue, the
-// book pool and scratch buffers, and the award ranking riding each
-// Pending (as an AuctionJobState behind Pending::policy_state).
+// The policy owns the auction state shared across jobs: the open books,
+// the batched-solicitation queue, the book pool and scratch buffers.  A
+// job's own auction state (its award ranking, the payment in flight,
+// the fallback flag) is plain data in its core::Pending, so it travels,
+// and dies, with the record.
 
 #include <cstdint>
 #include <limits>
@@ -58,35 +59,11 @@ class AuctionPolicy final : public SchedulingPolicy {
       const std::function<void(core::Pending)>& sink) override;
 
  private:
-  /// Auction-mode extension of a Pending (lives behind policy_state).
-  struct AuctionJobState final : core::PolicyState {
-    /// Awards still to try, best first; an award in flight is popped.
-    market::Ranking ranking;
-    /// The book cleared with at least one award: the job works through
-    /// `ranking` (and, once it is exhausted, the fallback) from here on.
-    bool ranked = false;
-    /// Payment agreed for the in-flight award; settled instead of the
-    /// posted-price cost when the winner accepts.
-    double award_payment = 0.0;
-    /// Book cleared empty or every award declined: finish via the DBC
-    /// walk (when the config allows) rather than re-auctioning.
-    bool dbc_fallback = false;
-
-    /// True while an auction award (not a DBC negotiate) is in flight.
-    [[nodiscard]] bool awarding() const noexcept {
-      return ranked && !dbc_fallback;
-    }
-  };
-
   /// An auction round collecting bids (origin side).
   struct OpenAuction {
     core::Pending pending;
     market::AuctionBook book;
   };
-
-  [[nodiscard]] static AuctionJobState* state_of(const core::Pending& p);
-  /// Ensures `p` carries an AuctionJobState, allocating on first touch.
-  static AuctionJobState& ensure_state(core::Pending& p);
 
   /// The market participant `resource` acts as: its coalition when the
   /// run registered one, its singleton otherwise (and always the

@@ -16,15 +16,15 @@
 //    order to walk, which candidates to skip, when to run locally, when to
 //    open an auction, and what to do when every avenue is exhausted.
 //
-// The engine hands a policy its services through SchedulerContext and
-// never inspects mode-specific state: policies stash per-job extension
-// state behind Pending::policy_state (core/pending.hpp).
+// The engine hands a policy its services through SchedulerContext.  A
+// job's per-job state, the mode-specific fields included, is plain data
+// in its core::Pending (core/pending.hpp): the engine parks and ends the
+// record without reading the fields only a policy uses.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "cluster/job.hpp"
 #include "cluster/lrms.hpp"
@@ -65,10 +65,6 @@ class SchedulerContext {
   /// disabled — in which case every participant is a singleton and
   /// participant_of() degenerates to the identity.
   [[nodiscard]] virtual coalition::CoalitionManager* coalitions() = 0;
-  /// An empty buffer to fill with a batched kBid answer's asks.  It may
-  /// carry the capacity of an answer already delivered (the host
-  /// recycles those), so filling it usually allocates nothing.
-  [[nodiscard]] virtual std::vector<core::BatchedBid> bid_buffer() = 0;
 
   // -- feasibility predicates ---------------------------------------------
   /// True when the local LRMS can complete `job` within its deadline.

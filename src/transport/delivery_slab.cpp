@@ -1,7 +1,5 @@
 #include "transport/delivery_slab.hpp"
 
-#include <utility>
-
 #include "transport/transport.hpp"
 
 namespace gridfed::transport {
@@ -16,23 +14,6 @@ void DeliverySlab::deliver(std::uint32_t slot, cluster::ResourceIndex to) {
   msg.to = to;
   ctx_.deliver(msg);
   release(slot);
-}
-
-void DeliverySlab::recycle(std::uint32_t slot) {
-  core::Message& msg = entries_[slot].msg;
-  msg.arena.reset();  // a free slot must not pin a flush's job arena
-  if (msg.batch_bids.capacity() != 0) {
-    msg.batch_bids.clear();
-    spare_bids_.push_back(std::move(msg.batch_bids));
-  }
-  entries_.free(slot);
-}
-
-std::vector<core::BatchedBid> DeliverySlab::bid_buffer() {
-  if (spare_bids_.empty()) return {};
-  std::vector<core::BatchedBid> buffer = std::move(spare_bids_.back());
-  spare_bids_.pop_back();
-  return buffer;
 }
 
 }  // namespace gridfed::transport

@@ -14,8 +14,13 @@
 // flush), and one per posted delivery until that delivery returns.  The
 // last hold to drop frees the slot, so a payload nobody posted to (every
 // target lost) frees at release(), and one with deliveries in flight
-// frees after the last of them.  Freeing drops the body's arena handle
-// and keeps its kBid buffer for bid_buffer().
+// frees after the last of them.
+//
+// A slot owns its body's variable-length payloads (a batched
+// call-for-bids' job list, a batched answer's asks, a gossip digest):
+// compose() empties them in place, so each keeps the capacity of the
+// largest payload its slot has carried and a warm slot fills them
+// without allocating.
 //
 // Slots live in a sim::Slab, whose chunks never move, so a slot's
 // address survives growth: a delivery hands the agent the slot's message
@@ -24,7 +29,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "core/message.hpp"
 #include "sim/simulation.hpp"
@@ -42,8 +46,8 @@ class DeliverySlab {
   DeliverySlab& operator=(const DeliverySlab&) = delete;
 
   /// A free slot holding Message{type, from, to, job} with every other
-  /// payload field reset (a recycled gossip buffer keeps its capacity),
-  /// held by the composer until release().
+  /// payload field reset (its buffers emptied, capacity kept), held by
+  /// the composer until release().
   [[nodiscard]] core::Outgoing compose(core::MessageType type,
                                        cluster::ResourceIndex from,
                                        cluster::ResourceIndex to,
@@ -52,8 +56,7 @@ class DeliverySlab {
     Entry& e = entries_[slot];
     e.holds = 1;
     core::Message& m = e.msg;
-    // Every field of core::Message, in declaration order.  recycle()
-    // already dropped the arena handle and took the kBid buffer.
+    // Every field of core::Message, in declaration order.
     m.type = type;
     m.from = from;
     m.to = to;
@@ -63,7 +66,8 @@ class DeliverySlab {
     m.start_time = 0.0;
     m.price = 0.0;
     m.exec_site = cluster::kNoResource;
-    m.batch_jobs = {};
+    m.batch_jobs.clear();
+    m.batch_bids.clear();
     m.gossip.clear();
     m.via_overlay = false;
     m.bid_pruned = false;
@@ -89,15 +93,8 @@ class DeliverySlab {
   /// Drops one hold on `slot` (the composer's, when the transport is
   /// done posting); the last hold frees the slot.
   void release(std::uint32_t slot) {
-    if (--entries_[slot].holds == 0) recycle(slot);
+    if (--entries_[slot].holds == 0) entries_.free(slot);
   }
-
-  /// A cleared batch_bids buffer of a delivered (or lost) kBid answer,
-  /// so a provider's batched answer reuses its capacity instead of
-  /// allocating; empty when none is spare.  The spares never outnumber
-  /// the peak number of kBid answers in flight (a duplicated answer
-  /// shares its body).
-  [[nodiscard]] std::vector<core::BatchedBid> bid_buffer();
 
   /// Messages composed and not yet freed (0 once the run has drained).
   [[nodiscard]] std::size_t in_flight() const noexcept {
@@ -112,13 +109,10 @@ class DeliverySlab {
 
   /// One delivery: stamps `to`, hands the body over, drops its hold.
   void deliver(std::uint32_t slot, cluster::ResourceIndex to);
-  /// Frees `slot`: its arena handle goes, its kBid buffer is kept.
-  void recycle(std::uint32_t slot);
 
   TransportContext& ctx_;
   sim::Simulation& sim_;
   sim::Slab<Entry, 256> entries_;
-  std::vector<std::vector<core::BatchedBid>> spare_bids_;
 };
 
 }  // namespace gridfed::transport

@@ -28,7 +28,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "core/config.hpp"
 #include "core/message.hpp"
@@ -125,10 +124,6 @@ class Transport {
     return wan_ ? &*wan_ : nullptr;
   }
 
-  /// A recycled kBid buffer (see DeliverySlab::bid_buffer).
-  [[nodiscard]] std::vector<core::BatchedBid> bid_buffer() {
-    return slab_.bid_buffer();
-  }
   /// Payloads still waiting for a delivery (0 once the run has drained).
   [[nodiscard]] std::size_t in_flight() const noexcept {
     return slab_.in_flight();

@@ -226,13 +226,17 @@ TEST(SoloParity, CoalitionConfigIsInertOutsideAuctionMode) {
 struct CoalitionRun {
   core::FederationResult result;
   bool balanced = false;
-  std::vector<coalition::SplitRecord> splits;
+  /// Every settled split, settlement order (the run's forensics ledger).
+  std::vector<obs::SplitDecision> splits;
   std::size_t registered = 0;
   stats::AuctionStats stats;
 };
 
+/// Runs `cfg` with the forensics ledger on, which records each coalition
+/// split with the member snapshot it ran over.
 CoalitionRun coalition_run(core::FederationConfig cfg, std::size_t n,
                            std::uint32_t oft) {
+  cfg.obs.forensics = true;
   auto specs = cluster::replicated_specs(n);
   core::Federation fed(cfg, specs);
   const auto traces =
@@ -242,8 +246,8 @@ CoalitionRun coalition_run(core::FederationConfig cfg, std::size_t n,
   run.result = fed.run();
   run.balanced = fed.bank().balanced();
   run.stats = fed.auction_stats();
+  run.splits = fed.observer()->forensics()->splits();
   if (const coalition::CoalitionManager* manager = fed.coalitions()) {
-    run.splits = manager->splits();
     run.registered = manager->registry().coalitions();
   }
   return run;
@@ -287,18 +291,19 @@ TEST(CoalitionMarket, CutsWireMessagesAndKeepsTheBankBalanced) {
 TEST(CoalitionMarket, EverySettledSplitIsSoundEndToEnd) {
   const auto coop = coalition_run(coalition_config(true), 20, 30);
   ASSERT_FALSE(coop.splits.empty());
-  for (const coalition::SplitRecord& split : coop.splits) {
+  EXPECT_EQ(coop.splits.size(), coop.result.coalition_awards);
+  for (const obs::SplitDecision& split : coop.splits) {
     double sum = 0.0;
-    for (const double share : split.shares) {
+    for (const auto& [member, share] : split.shares) {
       EXPECT_GE(share, 0.0);
       sum += share;
     }
     EXPECT_NEAR(sum, split.payment, 1e-9 * std::max(1.0, split.payment));
-    EXPECT_TRUE(split.coalition.is_coalition());
+    EXPECT_TRUE(federation::ParticipantId(split.coalition).is_coalition());
   }
   // Surplus accounting in the aggregate mirrors the split records.
   double surplus = 0.0;
-  for (const coalition::SplitRecord& split : coop.splits) {
+  for (const obs::SplitDecision& split : coop.splits) {
     surplus += split.payment - std::min(split.executor_ask, split.payment);
   }
   EXPECT_NEAR(coop.result.coalition_surplus, surplus, 1e-6);
@@ -315,6 +320,7 @@ TEST(CoalitionMarket, LossyRunSplitsOnlyCoalitionPlacedJobs) {
   cfg.negotiate_timeout = 200.0;  // > relayed hops + tree epoch hold
   cfg.network_latency = 1.0;
   cfg.auction.bid_timeout = 200.0;  // > round trip + tree epoch hold
+  cfg.obs.forensics = true;  // the ledger records every split
   auto specs = cluster::replicated_specs(20);
   core::Federation fed(cfg, specs);
   const auto traces =
@@ -325,8 +331,9 @@ TEST(CoalitionMarket, LossyRunSplitsOnlyCoalitionPlacedJobs) {
   std::unordered_map<cluster::JobId, const core::JobOutcome*> by_id;
   for (const auto& outcome : fed.outcomes()) by_id[outcome.job.id] = &outcome;
   ASSERT_NE(fed.coalitions(), nullptr);
-  ASSERT_FALSE(fed.coalitions()->splits().empty());
-  for (const coalition::SplitRecord& split : fed.coalitions()->splits()) {
+  const auto& splits = fed.observer()->forensics()->splits();
+  ASSERT_FALSE(splits.empty());
+  for (const obs::SplitDecision& split : splits) {
     const auto it = by_id.find(split.job);
     ASSERT_NE(it, by_id.end());
     EXPECT_TRUE(it->second->via_coalition);

@@ -6,16 +6,16 @@
 // delivery slab (each message composed once, in the slot it is
 // delivered from, every payload field reset; one body per payload
 // however many deliveries it has, delivered in place, so a warm
-// compose → send → deliver allocates nothing, nor does a batched bid
-// answer once its buffer is recycled), and the protocol engine's job
-// tables (a warm enquiry round trip allocates nothing, the LRMS's
-// finish records included).
+// compose → send → deliver allocates nothing, nor does a batched
+// call-for-bids and its answer once their slots carried such payloads),
+// and the protocol engine's job tables (a warm enquiry round trip
+// allocates nothing, the LRMS's finish records included; a warm batched
+// auction allocates only each job's award ranking).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
-#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -27,7 +27,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
-#include "transport/message_arena.hpp"
 
 #include "alloc_counter.hpp"
 #include "event_ops.hpp"
@@ -326,16 +325,14 @@ TEST(DeliverySlab, UnicastDeliveryIsAllocationFreeInSteadyState) {
 TEST(DeliverySlab, ComposeResetsEveryFieldOfARecycledSlot) {
   // A fully populated payload frees its slot (a multicast to nobody);
   // the next compose reuses that slot and must reset every field, so no
-  // payload of the old message leaks into the new one.  A warm compose
-  // → send → deliver of the recycled slot then allocates nothing.
+  // payload of the old message leaks into the new one: its job list,
+  // asks and digest come back empty, their capacity kept.  A warm
+  // compose → send → deliver of the recycled slot then allocates
+  // nothing.
   auto cfg = core::make_config(core::SchedulingMode::kEconomy);
   cfg.network_latency = 1.0;
   core::Federation fed(cfg, cluster::replicated_specs(2));
   Simulation& sim = fed.simulation();
-  const std::vector<cluster::Job> jobs{slab_job(1, 0), slab_job(2, 0)};
-  const std::vector<const cluster::Job*> bucket{&jobs[0], &jobs[1]};
-  auto arena = std::make_shared<transport::MessageArena>();
-  std::weak_ptr<transport::MessageArena> watch = arena;
 
   const core::Outgoing full =
       fed.compose(core::MessageType::kBid, 0, 1, slab_job(3, 0));
@@ -344,17 +341,15 @@ TEST(DeliverySlab, ComposeResetsEveryFieldOfARecycledSlot) {
   full->start_time = 6.0;
   full->price = 7.0;
   full->exec_site = 1;
-  full->batch_jobs = arena->append(bucket);
-  full->arena = arena;
+  full->batch_jobs.push_back(slab_job(1, 0));
+  full->batch_jobs.push_back(slab_job(2, 0));
   full->batch_bids.push_back(core::BatchedBid{1, 2.0, 3.0, true, true});
   full->gossip.push_back(membership::GossipRecord{});
   full->via_overlay = true;
   full->bid_pruned = true;
   const std::uint32_t slot = full.slot();
-  arena.reset();
   EXPECT_EQ(fed.multicast(full, {}, sim.now()), 0u);
   EXPECT_EQ(fed.transport().in_flight(), 0u);
-  EXPECT_TRUE(watch.expired()) << "a free slot pinned its arena";
 
   const cluster::Job job = slab_job(4, 1);
   const core::Outgoing reply =
@@ -373,9 +368,11 @@ TEST(DeliverySlab, ComposeResetsEveryFieldOfARecycledSlot) {
   EXPECT_EQ(m.price, 0.0);
   EXPECT_EQ(m.exec_site, cluster::kNoResource);
   EXPECT_TRUE(m.batch_jobs.empty());
-  EXPECT_EQ(m.arena, nullptr);
   EXPECT_TRUE(m.batch_bids.empty());
   EXPECT_TRUE(m.gossip.empty());
+  EXPECT_GE(m.batch_jobs.capacity(), 2u);
+  EXPECT_GE(m.batch_bids.capacity(), 1u);
+  EXPECT_GE(m.gossip.capacity(), 1u);
   EXPECT_FALSE(m.via_overlay);
   EXPECT_FALSE(m.bid_pruned);
   // A stale reply: no enquiry of cluster 0 awaits it.
@@ -468,11 +465,13 @@ TEST(DeliverySlab, MulticastParksOneBodyForEveryTarget) {
 }
 
 TEST(DeliverySlab, BatchedBidAnswersAreAllocationFreeInSteadyState) {
-  // Cluster 1 answers each batched call-for-bids with one kBid whose
-  // asks fill a buffer recycled from an answer already delivered.  The
-  // answers reach cluster 0 as stale (no book is open there) and are
-  // dropped.  After a warm-up round the slab, the queue and the spare
-  // buffers are at their high-water mark, so a round allocates nothing.
+  // Cluster 0 sends batched call-for-bids, each composing its job list
+  // in its own slot, and cluster 1 answers each with one kBid whose asks
+  // fill that answer's slot.  The answers reach cluster 0 as stale (no
+  // book is open there) and are dropped.  The free list hands a slot
+  // that carried a call in one round an answer in the next, so after
+  // two warm-up rounds the slab, every slot's job list and asks, and the
+  // queue are at their high-water mark, and a round allocates nothing.
   constexpr std::uint64_t kCalls = 16;
   auto cfg = core::make_config(core::SchedulingMode::kAuction);
   cfg.network_latency = 1.0;
@@ -480,21 +479,18 @@ TEST(DeliverySlab, BatchedBidAnswersAreAllocationFreeInSteadyState) {
   Simulation& sim = fed.simulation();
   const std::vector<cluster::Job> jobs{slab_job(1, 0), slab_job(2, 0),
                                        slab_job(3, 0)};
-  const std::vector<const cluster::Job*> bucket{&jobs[0], &jobs[1], &jobs[2]};
-  auto arena = std::make_shared<transport::MessageArena>();
-  const std::span<const cluster::Job> batch = arena->append(bucket);
   const auto round = [&] {
     for (std::uint64_t i = 0; i < kCalls; ++i) {
       const core::Outgoing call =
           fed.compose(core::MessageType::kCallForBids, 0, 1, jobs.front());
-      call->batch_jobs = batch;
-      call->arena = arena;
+      call->batch_jobs.assign(jobs.begin(), jobs.end());
       fed.send(call);
     }
     // Every call arrives one latency later, every answer one after that.
     for (std::uint64_t i = 0; i < 2 * kCalls; ++i) ASSERT_TRUE(sim.step());
   };
-  round();  // warm-up
+  round();  // warm-up: the slab's slots
+  round();  // warm-up: each slot's other buffer
 
   const std::uint64_t events = sim.events_executed();
   const std::uint64_t before = g_allocations.load();
@@ -503,8 +499,8 @@ TEST(DeliverySlab, BatchedBidAnswersAreAllocationFreeInSteadyState) {
   EXPECT_EQ(after - before, 0u) << "batched bid answers allocated";
   EXPECT_EQ(sim.events_executed() - events, 2 * kCalls);
   const core::MessageLedger& ledger = std::as_const(fed).ledger();
-  EXPECT_EQ(ledger.count_of(core::MessageType::kCallForBids), 2 * kCalls);
-  EXPECT_EQ(ledger.count_of(core::MessageType::kBid), 2 * kCalls);
+  EXPECT_EQ(ledger.count_of(core::MessageType::kCallForBids), 3 * kCalls);
+  EXPECT_EQ(ledger.count_of(core::MessageType::kBid), 3 * kCalls);
 }
 
 TEST(EngineTables, EnquiryRoundTripsAllocateNothing) {
@@ -562,6 +558,69 @@ TEST(EngineTables, EnquiryRoundTripsAllocateNothing) {
   for (const core::JobOutcome& o : fed.outcomes()) {
     EXPECT_TRUE(o.accepted);
     EXPECT_EQ(o.executed_on, 1u);
+  }
+}
+
+TEST(EngineTables, WarmBatchedAuctionsAllocateOnlyTheirRankings) {
+  // Cluster 0 opens kJobs auctions at one instant, with clusters 1 and 2
+  // as the bidders.  The books share one solicitation flush: one batched
+  // call-for-bids to both providers, its job list written into its slab
+  // slot, and one batched answer from each, the second of which clears
+  // every book and posts the awards; the awards' replies ship the
+  // payloads.  Every round reuses the same job shapes and drains
+  // completely.  The free list hands a slot one kind of payload in one
+  // round and another in the next, so it takes a few rounds before
+  // every slot has carried each payload it will carry; from then on the
+  // books, the solicitation queue, the slots' buffers, the engine's
+  // tables and the event list are at their high-water mark.  From the
+  // submissions to the shipped payloads, a job's one allocation is then
+  // its award ranking's heap, which dies with its Pending: its auction
+  // state is plain data in the Pending, and its call-for-bids owns no
+  // storage beyond its slot.
+  constexpr std::uint64_t kJobs = 16;
+  constexpr int kMaxWarmRounds = 8;
+  auto cfg = core::make_config(core::SchedulingMode::kAuction);
+  cfg.network_latency = 1.0;
+  cfg.auction.origin_bids = false;
+  cfg.auction.batch_solicitations = true;
+  core::Federation fed(cfg, cluster::replicated_specs(3));
+  Simulation& sim = fed.simulation();
+  core::Gfa& origin = fed.gfa(0);
+  cluster::JobId next_id = 1;
+  const auto round = [&] {
+    const SimTime t = sim.now();
+    const std::uint64_t before = g_allocations.load();
+    for (std::uint64_t i = 0; i < kJobs; ++i) {
+      cluster::Job job = slab_job(next_id++, 0);
+      job.length_mi = 1e7 * static_cast<double>(i + 1);
+      job.submit = t;
+      origin.submit_local(job);
+    }
+    // Calls land at t + 1, answers at t + 2 (clear, award), awards at
+    // t + 3 (admit, reply), replies at t + 4 (ship the payloads).
+    sim.run_until(t + 4.5);
+    const std::uint64_t allocations = g_allocations.load() - before;
+    sim.run();  // payloads, executions and completions drain the tables
+    return allocations;
+  };
+  int rounds = 1;
+  while (round() != kJobs) {
+    ASSERT_LT(rounds++, kMaxWarmRounds)
+        << "warm rounds still allocate beyond the rankings";
+  }
+
+  // Settled, and it stays so.
+  const core::MessageLedger& ledger = std::as_const(fed).ledger();
+  const std::uint64_t calls = ledger.count_of(core::MessageType::kCallForBids);
+  const std::uint64_t bids = ledger.count_of(core::MessageType::kBid);
+  EXPECT_EQ(round(), kJobs) << "allocations other than the rankings";
+  EXPECT_EQ(round(), kJobs) << "allocations other than the rankings";
+  EXPECT_EQ(ledger.count_of(core::MessageType::kCallForBids) - calls, 4u);
+  EXPECT_EQ(ledger.count_of(core::MessageType::kBid) - bids, 4u);
+  ASSERT_EQ(fed.outcomes().size(), (rounds + 2) * kJobs);
+  for (const core::JobOutcome& o : fed.outcomes()) {
+    EXPECT_TRUE(o.accepted);
+    EXPECT_NE(o.executed_on, 0u);
   }
 }
 

@@ -491,17 +491,27 @@ TEST(CoalitionReformation, MidFlightSettlementsSplitOverTheSnapshot) {
   // unbalance the bank: splits run over the placement-time member
   // snapshot.  balanced() plus per-split share reconciliation pins it.
   auto cfg = coalition_churn_config();
+  cfg.obs.forensics = true;  // the ledger records every split
   const std::size_t n = 20;
   crash_at(cfg, 40000.0, 0);
   crash_at(cfg, 80000.0, 7);
   const auto run = churn_run(cfg, n, 30, [](core::Federation& fed) {
     ASSERT_NE(fed.coalitions(), nullptr);
-    for (const auto& split : fed.coalitions()->splits()) {
-      ASSERT_EQ(split.shares.size(), split.members.size());
+    for (const obs::SplitDecision& split :
+         fed.observer()->forensics()->splits()) {
+      // The (member, share) pairs are the placement-time snapshot: the
+      // executor is among them even if churn has since re-formed the
+      // group.
+      EXPECT_NE(std::find_if(split.shares.begin(), split.shares.end(),
+                             [&split](const auto& entry) {
+                               return entry.first == split.executor;
+                             }),
+                split.shares.end())
+          << "job " << split.job;
       double sum = 0.0;
-      for (const double s : split.shares) {
-        EXPECT_GE(s, 0.0);
-        sum += s;
+      for (const auto& [member, share] : split.shares) {
+        EXPECT_GE(share, 0.0);
+        sum += share;
       }
       EXPECT_NEAR(sum, split.payment, 1e-6) << "job " << split.job;
     }

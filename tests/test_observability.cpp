@@ -385,7 +385,7 @@ TEST(Forensics, VickreyPaymentsNeverUndercutTheAsk) {
   EXPECT_GT(premium_rounds, 0u);  // second-price actually bites sometimes
 }
 
-TEST(Forensics, CoalitionSplitsMatchTheManagerRecords) {
+TEST(Forensics, CoalitionSplitsBalanceAndMatchTheOutcomes) {
   auto cfg = core::make_config(core::SchedulingMode::kAuction, 90210);
   cfg.auction.clearing = market::ClearingRule::kVickrey;
   cfg.auction.batch_solicitations = true;
@@ -398,17 +398,10 @@ TEST(Forensics, CoalitionSplitsMatchTheManagerRecords) {
   const obs::ForensicsLedger* forensics = run.fed->observer()->forensics();
   ASSERT_NE(forensics, nullptr);
   ASSERT_NE(run.fed->coalitions(), nullptr);
-  const auto& manager_splits = run.fed->coalitions()->splits();
-  ASSERT_FALSE(manager_splits.empty());
-  ASSERT_EQ(forensics->splits().size(), manager_splits.size());
-  for (std::size_t i = 0; i < manager_splits.size(); ++i) {
-    const obs::SplitDecision& d = forensics->splits()[i];
-    const coalition::SplitRecord& s = manager_splits[i];
-    EXPECT_EQ(d.job, s.job);
-    EXPECT_EQ(d.coalition, s.coalition.value);
-    EXPECT_EQ(d.executor, s.executor);
-    EXPECT_DOUBLE_EQ(d.payment, s.payment);
-    ASSERT_EQ(d.shares.size(), s.shares.size());
+  const auto& splits = forensics->splits();
+  ASSERT_FALSE(splits.empty());
+  EXPECT_EQ(splits.size(), run.result.coalition_awards);
+  for (const obs::SplitDecision& d : splits) {
     double sum = 0.0;
     for (const auto& [member, share] : d.shares) sum += share;
     EXPECT_NEAR(sum, d.payment, 1e-9 * std::max(1.0, d.payment));
@@ -421,7 +414,7 @@ TEST(Forensics, CoalitionSplitsMatchTheManagerRecords) {
     EXPECT_TRUE(o.via_coalition);
     EXPECT_LE(o.surplus_share, o.cost + 1e-9);
   }
-  EXPECT_EQ(split_jobs, manager_splits.size());
+  EXPECT_EQ(split_jobs, splits.size());
 }
 
 }  // namespace

@@ -15,8 +15,9 @@
 //    relay, and a root crash, repair and rejoin under coalitions — pinned
 //    to recorded wire counts, and a warm relay flush that allocates
 //    nothing;
-//  * MessageArena lifetime: batched payload storage must outlive every
-//    in-flight copy — dropped, duplicated or delayed (the CI sanitize
+//  * batched payload lifetime: a batched call-for-bids' job list lives
+//    in its delivery-slab slot, which must outlive every in-flight
+//    delivery of it — dropped, duplicated or delayed (the CI sanitize
 //    job runs this suite under ASan+UBSan).
 
 #include <gtest/gtest.h>
@@ -27,7 +28,6 @@
 #include "cluster/catalog.hpp"
 #include "core/experiment.hpp"
 #include "core/outcome.hpp"
-#include "transport/message_arena.hpp"
 #include "transport/tree_transport.hpp"
 #include "workload/synthetic.hpp"
 
@@ -454,7 +454,7 @@ class RecordingContext final : public transport::TransportContext {
     cluster::ResourceIndex from = 0;
     cluster::ResourceIndex to = 0;
     cluster::Job job;
-    std::span<const cluster::Job> batch_jobs;
+    std::size_t batch_size = 0;  ///< jobs a batched call-for-bids carried
   };
 
   RecordingContext(core::FederationConfig cfg, std::size_t n,
@@ -474,8 +474,8 @@ class RecordingContext final : public transport::TransportContext {
     return specs_[index];
   }
   void deliver(const core::Message& msg) override {
-    delivered.push_back(
-        Delivery{msg.type, msg.from, msg.to, msg.job, msg.batch_jobs});
+    delivered.push_back(Delivery{msg.type, msg.from, msg.to, msg.job,
+                                 msg.batch_jobs.size()});
   }
   void message_dropped() override {}
   sim::Rng& drop_rng() override { return rng_; }
@@ -493,15 +493,16 @@ class RecordingContext final : public transport::TransportContext {
 
 TEST(TreeFlush, WarmFanoutAndConvergecastAllocateNothing) {
   // Each round: four origins multicast one batched call-for-bids for
-  // three jobs to every cluster, then every other cluster answers each
-  // call with one batched kBid, whose buffer the transport recycled from
-  // a bid the previous round delivered (as the federation's agents get
-  // theirs).  20 clusters answer 19 bids per job, so the convergecast
-  // prunes at k = 8.  Each queue swaps with its flush twin at every
-  // flush, so two warm-up rounds bring both twins, the routing scratch,
-  // the delivery slab, the event list and the flush buffers to their
-  // high-water mark; job ids repeat, so a third, identical round — both
-  // flushes and every delivery included — allocates nothing.
+  // three jobs to every cluster, each job list written into its call's
+  // slab slot, then every other cluster answers each call with one
+  // batched kBid, whose asks fill its own slot (as the federation's
+  // agents answer).  20 clusters answer 19 bids per job, so the
+  // convergecast prunes at k = 8.  Each queue swaps with its flush twin
+  // at every flush, so two warm-up rounds bring both twins, the routing
+  // scratch, the delivery slab and its slots' buffers, the event list
+  // and the flush buffers to their high-water mark; job ids repeat, so
+  // a third, identical round — both flushes and every delivery
+  // included — allocates nothing.
   constexpr std::size_t kSites = 20;
   constexpr std::size_t kOrigins = 4;
   constexpr std::size_t kJobsPerCall = 3;
@@ -537,16 +538,20 @@ TEST(TreeFlush, WarmFanoutAndConvergecastAllocateNothing) {
           tree.compose(core::MessageType::kCallForBids,
                        static_cast<cluster::ResourceIndex>(o), 0,
                        batch.front());
-      call->batch_jobs = batch;
+      call->batch_jobs.assign(batch.begin(), batch.end());
       (void)tree.multicast(call, everyone, ctx.sim().now());
     }
     ctx.sim().run();
     ASSERT_EQ(ctx.delivered.size(), kCalls);
     for (const RecordingContext::Delivery& call : ctx.delivered) {
+      // The call carried its origin's jobs, in order.
+      ASSERT_EQ(call.batch_size, kJobsPerCall);
+      const std::span<const cluster::Job> batch(
+          &jobs[call.from * kJobsPerCall], call.batch_size);
+      ASSERT_EQ(call.job.id, batch.front().id);
       const core::Outgoing bid =
           tree.compose(core::MessageType::kBid, call.to, call.from, call.job);
-      bid->batch_bids = tree.bid_buffer();
-      for (const cluster::Job& job : call.batch_jobs) {
+      for (const cluster::Job& job : batch) {
         bid->batch_bids.push_back(core::BatchedBid{
             job.id, 100.0 + static_cast<double>(call.to),
             1000.0 + static_cast<double>(call.to), true, false});
@@ -570,32 +575,10 @@ TEST(TreeFlush, WarmFanoutAndConvergecastAllocateNothing) {
   EXPECT_EQ(tree.bids_pruned(), 3 * pruned);
 }
 
-// ---- arena lifetime ---------------------------------------------------------
+// ---- batched payload lifetime -----------------------------------------------
 
-TEST(MessageArena, SpansSurviveLaterAppends) {
-  transport::MessageArena arena;
-  cluster::Job a;
-  a.id = 1;
-  a.length_mi = 10.0;
-  cluster::Job b;
-  b.id = 2;
-  b.length_mi = 20.0;
-  const cluster::Job* first[] = {&a, &b};
-  const auto view1 = arena.append(first);
-  ASSERT_EQ(view1.size(), 2u);
-  // Force many more blocks; the first view must stay valid.
-  std::vector<cluster::Job> bulk(64);
-  std::vector<const cluster::Job*> ptrs;
-  for (auto& j : bulk) ptrs.push_back(&j);
-  for (int i = 0; i < 32; ++i) (void)arena.append(ptrs);
-  EXPECT_EQ(arena.size(), 2u + 32u * 64u);
-  EXPECT_EQ(view1[0].id, 1u);
-  EXPECT_EQ(view1[1].id, 2u);
-  EXPECT_DOUBLE_EQ(view1[1].length_mi, 20.0);
-}
-
-TEST(MessageArena, BatchedPayloadsOutliveDropsDelaysAndDuplicates) {
-  // Batched + lossy + duplicated + latency: arena-backed payloads sit in
+TEST(BatchedPayloads, OutliveDropsDelaysAndDuplicates) {
+  // Batched + lossy + duplicated + latency: slot-owned job lists sit in
   // flight, get dropped, get delivered twice — the ASan CI job turns any
   // lifetime mistake here into a hard failure.
   auto cfg = core::make_config(core::SchedulingMode::kAuction);
@@ -649,11 +632,7 @@ TEST(MessageBytes, PerTypeCountersSumToTotals) {
 TEST(MessageBytes, WireModelScalesWithBatch) {
   core::Message msg;
   const std::uint64_t single = core::wire_bytes(msg);
-  transport::MessageArena arena;
-  std::vector<cluster::Job> jobs(10);
-  std::vector<const cluster::Job*> ptrs;
-  for (auto& j : jobs) ptrs.push_back(&j);
-  msg.batch_jobs = arena.append(ptrs);
+  msg.batch_jobs.resize(10);
   EXPECT_EQ(core::wire_bytes(msg),
             single + 9 * core::kJobWireBytes);
 }
